@@ -9,7 +9,6 @@ data generator, ranking/reproducibility metrics, and a study pipeline.
 from .data import (
     Dataset,
     GeneratorConfig,
-    Item,
     ObjectiveSpec,
     QueryGroup,
     generate_dataset,

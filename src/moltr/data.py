@@ -1,8 +1,9 @@
 """Multi-objective ranking dataset model, synthetic generator, persistence.
 
-A dataset is a list of query groups. Each group holds the n items returned
-for one search, an n x K label matrix with explicit None for missing
-labels, and a synthetic day index. Objective 0 is always the primary one
+A dataset is a list of query groups, one per search. Each group owns the
+arrays for its n items: an n x m feature matrix, item ids, review ratings,
+new-item flags, an n x K int8 label matrix with -1 for a missing label,
+and a synthetic day index. Objective 0 is always the primary one
 (conversion analog); its label column is either fully present (one item
 booked, rest 0) or fully missing (no conversion happened for that query).
 Secondary labels are observed only on the booked item, with a per-objective
@@ -25,74 +26,77 @@ FORMAT_VERSION = 1
 # Rating-derived feature slot, masked to this sentinel for new items.
 RATING_FEATURE_INDEX = 0
 NEW_ITEM_SENTINEL = -1.0
-
-
-@dataclass
-class Item:
-    item_id: int
-    features: np.ndarray
-    review_rating: float
-    is_new: bool
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if not np.isfinite(self.features).all():
-            raise InputError(f"item {self.item_id}: non-finite features")
-        if not (0.0 <= self.review_rating <= 5.0):
-            raise InputError(
-                f"item {self.item_id}: review_rating {self.review_rating} out of [0, 5]"
-            )
+# Label value for an outcome that was never observed.
+MISSING_LABEL = -1
+_ITEM_FIELDS = frozenset({"item_id", "features", "review_rating", "is_new"})
+# JSONL stores a missing label as null; a value not in this map is malformed.
+_LABEL_FROM_JSON = {None: MISSING_LABEL, 0: 0, 1: 1}
 
 
 @dataclass
 class QueryGroup:
+    """One query's items as arrays; row j of every field is item j."""
+
     query_id: int
-    items: list[Item]
-    labels: list[list[int | None]]  # n x K, None = missing
     timestamp: int
+    features: np.ndarray  # (n, m) float64, C-contiguous
+    item_ids: np.ndarray  # (n,) int64
+    ratings: np.ndarray  # (n,) float64 review ratings in [0, 5]
+    is_new: np.ndarray  # (n,) bool
+    labels: np.ndarray  # (n, K) int8 in {-1, 0, 1}; -1 = missing
 
     def __post_init__(self):
-        n = len(self.items)
+        q = f"query {self.query_id}"
+        try:
+            self.features = np.array(self.features, dtype=np.float64, order="C")
+            self.item_ids = np.array(self.item_ids, dtype=np.int64)
+            self.ratings = np.array(self.ratings, dtype=np.float64)
+            self.is_new = np.array(self.is_new, dtype=bool)
+            labels = np.array(self.labels, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise InputError(f"{q}: item fields must be rectangular numeric arrays: {e}") from e
+        if self.features.ndim != 2:
+            raise InputError(f"{q}: features must be n x m, got shape {self.features.shape}")
+        n = self.features.shape[0]
         if n < 2:
-            raise InputError(f"query {self.query_id}: needs at least 2 items")
-        if len(self.labels) != n:
-            raise InputError(f"query {self.query_id}: labels rows != item count")
-        widths = {len(row) for row in self.labels}
-        if len(widths) != 1:
-            raise InputError(f"query {self.query_id}: ragged label rows")
-        for row in self.labels:
-            for v in row:
-                if v is not None and v not in (0, 1):
-                    raise InputError(f"query {self.query_id}: label {v} not in {{0,1}}")
-        positives = sum(1 for row in self.labels if row[0] == 1)
-        if positives > 1:
+            raise InputError(f"{q}: needs at least 2 items")
+        for name in ("item_ids", "ratings", "is_new"):
+            if getattr(self, name).shape != (n,):
+                raise InputError(f"{q}: {name} must have shape ({n},)")
+        if labels.ndim != 2 or labels.shape[0] != n or labels.shape[1] < 1:
+            raise InputError(f"{q}: labels must be n x K, got shape {labels.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise InputError(f"item {self.item_ids[bad[0]]}: non-finite features")
+        bad = np.flatnonzero(~((self.ratings >= 0.0) & (self.ratings <= 5.0)))
+        if bad.size:
+            j = bad[0]
             raise InputError(
-                f"query {self.query_id}: {positives} primary-positive items (max 1)"
+                f"item {self.item_ids[j]}: review_rating {self.ratings[j]} out of [0, 5]"
             )
+        valid = (labels == 0) | (np.abs(labels) == 1)
+        if not valid.all():
+            v = labels[~valid][0]
+            raise InputError(f"{q}: label {v} not in {{-1,0,1}}")
+        self.labels = labels.astype(np.int8)
+        positives = int((self.labels[:, 0] == 1).sum())
+        if positives > 1:
+            raise InputError(f"{q}: {positives} primary-positive items (max 1)")
 
     @property
     def size(self) -> int:
-        return len(self.items)
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.stack([it.features for it in self.items])
+        return len(self.item_ids)
 
     def objective_labels(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(values with missing as 0, present mask) for objective k."""
-        vals = np.array(
-            [0 if row[k] is None else row[k] for row in self.labels], dtype=np.float64
-        )
-        mask = np.array([row[k] is not None for row in self.labels], dtype=bool)
-        return vals, mask
+        col = self.labels[:, k]
+        return (col == 1).astype(np.float64), col != MISSING_LABEL
 
     def primary_labels(self) -> np.ndarray:
         return self.objective_labels(0)[0]
 
     def has_labels_for(self, k: int) -> bool:
-        return any(row[k] is not None for row in self.labels)
-
-    def item_ids(self) -> np.ndarray:
-        return np.array([it.item_id for it in self.items], dtype=np.int64)
+        return bool((self.labels[:, k] != MISSING_LABEL).any())
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,9 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ConfigError("objective names must be unique")
         for g in self.groups:
-            if g.items[0].features.shape[0] != self.m:
+            if g.features.shape[1] != self.m:
                 raise InputError(f"query {g.query_id}: feature dim != m")
-            if len(g.labels[0]) != self.K:
+            if g.labels.shape[1] != self.K:
                 raise InputError(f"query {g.query_id}: label width != K")
 
     def __len__(self) -> int:
@@ -279,33 +283,32 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
         feats[is_new, RATING_FEATURE_INDEX] = NEW_ITEM_SENTINEL
 
         u0 = config.utility_scale * (feats @ w[0])
-        labels: list[list[int | None]] = [[None] * config.K for _ in range(n)]
+        labels = np.full((n, config.K), MISSING_LABEL, dtype=np.int8)
         if rng.random() < config.primary_rate:
             p = np.exp(u0 - u0.max())
             p /= p.sum()
             booked = int(rng.choice(n, p=p))
-            for j in range(n):
-                labels[j][0] = 1 if j == booked else 0
+            labels[:, 0] = 0
+            labels[booked, 0] = 1
             for k in range(1, config.K):
                 if rng.random() < config.label_rates[k - 1]:
                     uk = rho * u0[booked] + (1.0 - abs(rho)) * config.utility_scale * float(
                         feats[booked] @ w[k]
                     )
-                    labels[booked][k] = 1 if rng.random() < _sigmoid(uk) else 0
+                    labels[booked, k] = 1 if rng.random() < _sigmoid(uk) else 0
 
-        items = [
-            Item(
-                item_id=next_item_id + j,
-                features=feats[j],
-                review_rating=float(ratings[j]),
-                is_new=bool(is_new[j]),
-            )
-            for j in range(n)
-        ]
-        next_item_id += n
         groups.append(
-            QueryGroup(query_id=qid, items=items, labels=labels, timestamp=timestamp)
+            QueryGroup(
+                query_id=qid,
+                timestamp=timestamp,
+                features=feats,
+                item_ids=np.arange(next_item_id, next_item_id + n),
+                ratings=ratings,
+                is_new=is_new,
+                labels=labels,
+            )
         )
+        next_item_id += n
     return Dataset(objectives=objectives, groups=groups, m=config.m, K=config.K)
 
 
@@ -329,15 +332,6 @@ def split_by_time(dataset: Dataset, boundary_day: int) -> tuple[Dataset, Dataset
     return mk(earlier), mk(later)
 
 
-def _item_to_dict(item: Item) -> dict:
-    return {
-        "item_id": item.item_id,
-        "features": item.features.tolist(),
-        "review_rating": item.review_rating,
-        "is_new": item.is_new,
-    }
-
-
 def serialize_lines(dataset: Dataset):
     """Yield the JSONL lines: header first, then one query group per line."""
     header = {
@@ -348,11 +342,18 @@ def serialize_lines(dataset: Dataset):
     }
     yield json.dumps(header, sort_keys=True)
     for g in dataset.groups:
+        items = [
+            {"item_id": i, "features": f, "review_rating": r, "is_new": b}
+            for i, f, r, b in zip(
+                g.item_ids.tolist(), g.features.tolist(), g.ratings.tolist(), g.is_new.tolist()
+            )
+        ]
+        labels = [[None if v == MISSING_LABEL else v for v in row] for row in g.labels.tolist()]
         doc = {
             "query_id": g.query_id,
             "timestamp": g.timestamp,
-            "items": [_item_to_dict(it) for it in g.items],
-            "labels": g.labels,
+            "items": items,
+            "labels": labels,
         }
         yield json.dumps(doc, sort_keys=True)
 
@@ -362,6 +363,22 @@ def save_dataset(dataset: Dataset, path) -> None:
         for line in serialize_lines(dataset):
             f.write(line)
             f.write("\n")
+
+
+def _group_from_doc(doc: dict) -> QueryGroup:
+    items = doc["items"]
+    for item in items:
+        if set(item) != _ITEM_FIELDS:
+            raise InputError(f"item fields {sorted(item)} != {sorted(_ITEM_FIELDS)}")
+    return QueryGroup(
+        query_id=doc["query_id"],
+        timestamp=doc["timestamp"],
+        features=[item["features"] for item in items],
+        item_ids=[item["item_id"] for item in items],
+        ratings=[item["review_rating"] for item in items],
+        is_new=[item["is_new"] for item in items],
+        labels=[[_LABEL_FROM_JSON[v] for v in row] for row in doc["labels"]],
+    )
 
 
 def load_dataset(path) -> Dataset:
@@ -391,14 +408,14 @@ def load_dataset(path) -> Dataset:
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e}", line=lineno) from e
         try:
-            items = [Item(**d) for d in doc["items"]]
-            group = QueryGroup(
-                query_id=doc["query_id"],
-                items=items,
-                labels=doc["labels"],
-                timestamp=doc["timestamp"],
-            )
+            group = _group_from_doc(doc)
         except (KeyError, TypeError, InputError) as e:
             raise ParseError(f"bad query group: {e}", line=lineno) from e
+        if group.features.shape[1] != header["m"] or group.labels.shape[1] != header["K"]:
+            raise ParseError(
+                f"query {group.query_id}: items have {group.features.shape[1]} features "
+                f"and {group.labels.shape[1]} labels, header says m={header['m']}, K={header['K']}",
+                line=lineno,
+            )
         groups.append(group)
     return Dataset(objectives=objectives, groups=groups, m=header["m"], K=header["K"])

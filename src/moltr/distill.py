@@ -10,12 +10,12 @@ bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, QueryGroup, Item
+from .data import Dataset, QueryGroup
 from .errors import ConfigError, InputError, ParseError, TrainingError
 
 
@@ -44,20 +44,7 @@ class DistillConfig:
             raise ConfigError("learning_rate must be positive")
 
     def with_seed(self, seed: int) -> "DistillConfig":
-        return DistillConfig(
-            mlp=nn.MlpConfig(
-                layer_dims=self.mlp.layer_dims,
-                activation=self.mlp.activation,
-                init_scale=self.mlp.init_scale,
-                seed=seed,
-            ),
-            alpha=self.alpha,
-            temperature=self.temperature,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            seed=seed,
-            teacher_temperature=self.teacher_temperature,
-        )
+        return replace(self, mlp=replace(self.mlp, seed=seed), seed=seed)
 
     def to_dict(self) -> dict:
         return {
@@ -91,15 +78,8 @@ class Model:
             raise InputError("params do not match config")
 
     def score_group(self, group: QueryGroup) -> np.ndarray:
-        scores, _ = nn.mlp_forward(
-            self.params, group.feature_matrix(), self.config.activation
-        )
+        scores, _ = nn.mlp_forward(self.params, group.features, self.config.activation)
         return scores
-
-    def checkpoint_document(self) -> dict:
-        return nn.checkpoint_document(
-            self.config, self.params, extra={"lineage": self.lineage}
-        )
 
     def save(self, path) -> str:
         return nn.save_checkpoint(
@@ -200,7 +180,7 @@ class SoftLabelSet:
 
 @dataclass(frozen=True)
 class BoostRule:
-    """Predicate over items plus the boost magnitude added to soft scores."""
+    """Predicate over a group's items plus the boost magnitude added to soft scores."""
 
     predicate: str  # "rating_at_least" | "is_new"
     beta: float = 0.0
@@ -212,13 +192,10 @@ class BoostRule:
         if not (0.0 <= self.rho <= 5.0):
             raise ConfigError("rho must be in [0, 5]")
 
-    def matches(self, item: Item) -> bool:
-        if self.predicate == "is_new":
-            return item.is_new
-        return item.review_rating >= self.rho
-
     def match_mask(self, group: QueryGroup) -> np.ndarray:
-        return np.array([self.matches(it) for it in group.items], dtype=bool)
+        if self.predicate == "is_new":
+            return group.is_new.copy()
+        return group.ratings >= self.rho
 
     def describe(self) -> str:
         if self.predicate == "is_new":
@@ -226,26 +203,29 @@ class BoostRule:
         return f"rating_at_least:rho={self.rho}:beta={self.beta}"
 
 
-def _hard_target(group: QueryGroup) -> np.ndarray | None:
-    """Normalized primary-label distribution, or None when unusable."""
-    vals = group.primary_labels()
-    total = vals.sum()
-    if total <= 0:
-        return None
-    return vals / total
-
-
 def _objective_target(group: QueryGroup, k: int) -> np.ndarray | None:
-    vals, mask = group.objective_labels(k)
-    if not mask.any():
-        return None
+    """Objective k's labels normalized to a distribution, or None with no positive."""
+    vals, _ = group.objective_labels(k)
     total = vals.sum()
     if total <= 0:
         return None
     return vals / total
 
 
-def _run_training(dataset: Dataset, mlp: nn.MlpConfig, epochs, lr, seed, group_step):
+def _single_label_step(k: int):
+    """Training step for listwise CE against objective k's labels alone."""
+
+    def step(group, scores):
+        target = _objective_target(group, k)
+        if target is None:
+            return None
+        _, grad = nn.distill_loss(scores, target, None, alpha=1.0)
+        return grad
+
+    return step
+
+
+def _run_training(dataset: Dataset, config: DistillConfig, group_step):
     """Shared deterministic SGD loop over query groups.
 
     group_step(group, scores) returns the per-score gradient for the step,
@@ -254,22 +234,22 @@ def _run_training(dataset: Dataset, mlp: nn.MlpConfig, epochs, lr, seed, group_s
     """
     if not dataset.groups:
         raise TrainingError("cannot train on an empty dataset")
+    mlp = config.mlp
     if dataset.m != mlp.input_dim:
         raise InputError(f"dataset m={dataset.m} != mlp input dim {mlp.input_dim}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     params = nn.init_params(mlp, rng)
-    features = [g.feature_matrix() for g in dataset.groups]
     order = np.arange(len(dataset.groups))
-    for _ in range(epochs):
+    for _ in range(config.epochs):
         rng.shuffle(order)
         for gi in order:
             group = dataset.groups[gi]
-            scores, trace = nn.mlp_forward(params, features[gi], mlp.activation)
+            scores, trace = nn.mlp_forward(params, group.features, mlp.activation)
             per_score_grad = group_step(group, scores)
             if per_score_grad is None:
                 continue
             grads = nn.backward(trace, params, per_score_grad, mlp.activation)
-            params = nn.sgd_step(params, grads, lr)
+            params = nn.sgd_step(params, grads, config.learning_rate)
     return params
 
 
@@ -287,17 +267,7 @@ def train_teacher(
     subset = Dataset(
         objectives=list(dataset.objectives), groups=covered, m=dataset.m, K=dataset.K
     )
-
-    def step(group, scores):
-        target = _objective_target(group, objective_index)
-        if target is None:
-            return None
-        _, grad = nn.distill_loss(scores, target, None, alpha=1.0)
-        return grad
-
-    params = _run_training(
-        subset, config.mlp, config.epochs, config.learning_rate, config.seed, step
-    )
+    params = _run_training(subset, config, _single_label_step(objective_index))
     name = dataset.objectives[objective_index].name
     return Model(
         config=config.mlp, params=params, lineage=f"teacher:{name}", seed=config.seed
@@ -364,7 +334,7 @@ def train_student(
     }
 
     def step(group, scores):
-        hard = _hard_target(group)
+        hard = _objective_target(group, 0)
         if hard is None and config.alpha == 1.0:
             return None
         _, grad = nn.distill_loss(
@@ -372,25 +342,13 @@ def train_student(
         )
         return grad
 
-    params = _run_training(
-        dataset, config.mlp, config.epochs, config.learning_rate, config.seed, step
-    )
+    params = _run_training(dataset, config, step)
     return Model(config=config.mlp, params=params, lineage=lineage, seed=config.seed)
 
 
 def train_hard_only(dataset: Dataset, config: DistillConfig) -> Model:
     """Hard-label-only trainer over the full dataset (baseline family)."""
-
-    def step(group, scores):
-        hard = _hard_target(group)
-        if hard is None:
-            return None
-        _, grad = nn.distill_loss(scores, hard, None, alpha=1.0)
-        return grad
-
-    params = _run_training(
-        dataset, config.mlp, config.epochs, config.learning_rate, config.seed, step
-    )
+    params = _run_training(dataset, config, _single_label_step(0))
     return Model(
         config=config.mlp, params=params, lineage="baseline:hard_only", seed=config.seed
     )
@@ -442,24 +400,22 @@ def train_scalarized_baseline(
     if weights.sum() <= 0:
         raise ConfigError("objective_weights must not all be zero")
     counts = np.zeros(dataset.K, dtype=np.int64)
+    objective_steps = [_single_label_step(k) for k in range(dataset.K)]
 
     def step(group, scores):
         grad = None
         for k in range(dataset.K):
             if weights[k] == 0:
                 continue
-            target = _objective_target(group, k)
-            if target is None:
+            g = objective_steps[k](group, scores)
+            if g is None:
                 continue
-            _, g = nn.distill_loss(scores, target, None, alpha=1.0)
             g = weights[k] * g
             grad = g if grad is None else grad + g
             counts[k] += 1
         return grad
 
-    params = _run_training(
-        dataset, config.mlp, config.epochs, config.learning_rate, config.seed, step
-    )
+    params = _run_training(dataset, config, step)
     if batch_log is not None:
         batch_log.append({"per_objective_steps": counts.tolist()})
     return Model(

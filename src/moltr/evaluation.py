@@ -48,8 +48,7 @@ def rank_order(scores: np.ndarray, item_ids: np.ndarray | None = None) -> np.nda
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
     ids = np.arange(n) if item_ids is None else np.asarray(item_ids)
-    order = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
-    return np.array(order, dtype=np.int64)
+    return np.lexsort((ids, -scores))
 
 
 def ndcg_at_k(scores: np.ndarray, primary_labels: np.ndarray, k: int | None) -> float:
@@ -117,15 +116,11 @@ def kendall_tau(ranking_a, ranking_b) -> float:
         return 1.0
     pos_b = {item: i for i, item in enumerate(b)}
     # Positions in b of items taken in a's order; tau counts pair inversions.
-    seq = [pos_b[item] for item in a]
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] < seq[j]:
-                concordant += 1
-            else:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    seq = np.array([pos_b[item] for item in a])
+    pairs = n * (n - 1) // 2
+    concordant = int(np.triu(seq[:, None] < seq[None, :], k=1).sum())
+    discordant = pairs - concordant
+    return (concordant - discordant) / pairs
 
 
 def prediction_difference(preds_a, preds_b) -> float:
@@ -164,7 +159,7 @@ def sxs_change_rate(
     probs_a = []
     probs_b = []
     for g in dataset.groups:
-        ids = g.item_ids()
+        ids = g.item_ids
         sa = model_a.score_group(g)
         sb = model_b.score_group(g)
         ra = ids[rank_order(sa, ids)]

@@ -407,11 +407,18 @@ def save_checkpoint(
     Weights are stored flattened row-major per layer. JSON float repr
     round-trips doubles exactly, so load is value-exact.
     """
-    doc = checkpoint_document(config, params, extra)
-    payload = json.dumps(doc, sort_keys=True)
+    payload, digest = checkpoint_payload(config, params, extra)
     with open(path, "w") as f:
         f.write(payload)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return digest
+
+
+def checkpoint_payload(
+    config: MlpConfig, params: ParameterSet, extra: dict | None = None
+) -> tuple[str, str]:
+    """The checkpoint's JSON text and its sha256 hex digest (the content hash)."""
+    payload = json.dumps(checkpoint_document(config, params, extra), sort_keys=True)
+    return payload, hashlib.sha256(payload.encode()).hexdigest()
 
 
 def checkpoint_document(

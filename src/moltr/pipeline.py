@@ -9,15 +9,12 @@ carries the content hashes of the checkpoint and dataset it came from.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
-from . import distill, evaluation
+from . import distill, evaluation, nn
 from .data import Dataset, GeneratorConfig, generate_dataset, split_by_time
 from .distill import (
     BoostRule,
@@ -113,15 +110,7 @@ class ExperimentConfig:
         epochs = self.teacher_epochs
         if epochs is None:
             epochs = self.distill.epochs
-        return DistillConfig(
-            mlp=self.distill.mlp,
-            alpha=1.0,
-            temperature=1.0,
-            epochs=epochs,
-            learning_rate=self.distill.learning_rate,
-            seed=self.distill.seed,
-            teacher_temperature=self.distill.teacher_temperature,
-        )
+        return replace(self.distill, alpha=1.0, temperature=1.0, epochs=epochs)
 
     def to_dict(self) -> dict:
         return {
@@ -179,10 +168,14 @@ def default_experiment_config(output_dir: str = "out", **overrides) -> Experimen
         # learned ad-hoc boost gentler than the serving-time boost.
         teacher_temperature=2.5,
     )
-    cfg = ExperimentConfig(generator=gen, distill=dc, output_dir=output_dir)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    unknown = set(overrides) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigError(f"unknown experiment config keys: {sorted(unknown)}")
+    # One construction, so __post_init__ validates the overrides and derives
+    # the default time windows from the generator actually used.
+    return ExperimentConfig(
+        **{"generator": gen, "distill": dc, "output_dir": output_dir, **overrides}
+    )
 
 
 class CheckpointStore:
@@ -193,9 +186,9 @@ class CheckpointStore:
         os.makedirs(self.dir, exist_ok=True)
 
     def put_model(self, model: Model) -> str:
-        doc = model.checkpoint_document()
-        payload = json.dumps(doc, sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
+        payload, digest = nn.checkpoint_payload(
+            model.config, model.params, extra={"lineage": model.lineage}
+        )
         path = os.path.join(self.dir, f"{digest}.json")
         if not os.path.exists(path):
             with open(path, "w") as f:
@@ -208,19 +201,6 @@ class CheckpointStore:
 
 def _mean(xs) -> float:
     return float(math.fsum(xs) / len(xs))
-
-
-def _arm_entry(name, lineage, checkpoint, dataset_hash, metrics, extra=None) -> dict:
-    entry = {
-        "arm": name,
-        "lineage": lineage,
-        "checkpoint_hash": checkpoint,
-        "dataset_hash": dataset_hash,
-        "metrics": metrics,
-    }
-    if extra:
-        entry.update(extra)
-    return entry
 
 
 def _prepare(config: ExperimentConfig):
@@ -247,82 +227,50 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
     teacher_hashes = store.put_ensemble(teachers)
     soft = fuse_soft_labels(teachers, train_ds)
 
-    arms = []
-    per_query = {}
+    def trained(name, model, extra=None):
+        return name, model.lineage, store.put_model(model), score_dataset(model, eval_ds), extra
 
     fusion_scores = {g.query_id: fusion_serve_scores(teachers, g) for g in eval_ds.groups}
-    fusion_metrics = evaluation.ranking_metrics_report(fusion_scores, eval_ds, rule)
-    arms.append(
-        _arm_entry(
-            "fusion_baseline",
-            "baseline:model_fusion",
-            ",".join(teacher_hashes),
-            eval_hash,
-            fusion_metrics.to_dict(),
-        )
-    )
-    per_query["fusion_baseline"] = fusion_scores
-
-    scalarized = train_scalarized_baseline(
-        train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill
-    )
-    sc_scores = score_dataset(scalarized, eval_ds)
-    arms.append(
-        _arm_entry(
+    # Each run is (arm name, lineage, checkpoint hash, eval scores, extra fields).
+    arm_runs = [
+        ("fusion_baseline", "baseline:model_fusion", ",".join(teacher_hashes), fusion_scores, None),
+        trained(
             "scalarized_baseline",
-            scalarized.lineage,
-            store.put_model(scalarized),
-            eval_hash,
-            evaluation.ranking_metrics_report(sc_scores, eval_ds, rule).to_dict(),
-        )
-    )
-    per_query["scalarized_baseline"] = sc_scores
-
-    hard = train_hard_only(train_ds, config.distill)
-    hard_scores = score_dataset(hard, eval_ds)
-    arms.append(
-        _arm_entry(
-            "hard_only_student",
-            hard.lineage,
-            store.put_model(hard),
-            eval_hash,
-            evaluation.ranking_metrics_report(hard_scores, eval_ds, rule).to_dict(),
-        )
-    )
-    per_query["hard_only_student"] = hard_scores
-
-    student = train_student(train_ds, soft, config.distill)
-    st_scores = score_dataset(student, eval_ds)
-    student_metrics = evaluation.ranking_metrics_report(st_scores, eval_ds, rule)
-    arms.append(
-        _arm_entry(
+            train_scalarized_baseline(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill),
+        ),
+        trained("hard_only_student", train_hard_only(train_ds, config.distill)),
+        trained(
             "distilled_student",
-            student.lineage,
-            store.put_model(student),
-            eval_hash,
-            student_metrics.to_dict(),
-            extra={"alpha": config.distill.alpha},
+            train_student(train_ds, soft, config.distill),
+            {"alpha": config.distill.alpha},
+        ),
+    ]
+    sweep_runs = [
+        trained(
+            f"alpha_{alpha}",
+            train_student(train_ds, soft, replace(config.distill, alpha=alpha)),
+            {"alpha": alpha},
         )
-    )
-    per_query["distilled_student"] = st_scores
+        for alpha in config.alpha_sweep
+    ]
 
-    sweep = []
-    for alpha in config.alpha_sweep:
-        cfg = DistillConfig.from_dict({**config.distill.to_dict(), "alpha": alpha})
-        m = train_student(train_ds, soft, cfg)
-        scores = score_dataset(m, eval_ds)
-        sweep.append(
-            _arm_entry(
-                f"alpha_{alpha}",
-                m.lineage,
-                store.put_model(m),
-                eval_hash,
-                evaluation.ranking_metrics_report(scores, eval_ds, rule).to_dict(),
-                extra={"alpha": alpha},
-            )
-        )
+    def entries(runs):
+        return [
+            {
+                "arm": name,
+                "lineage": lineage,
+                "checkpoint_hash": checkpoint,
+                "dataset_hash": eval_hash,
+                "metrics": evaluation.ranking_metrics_report(scores, eval_ds, rule).to_dict(),
+                **(extra or {}),
+            }
+            for name, lineage, checkpoint, scores, extra in runs
+        ]
 
-    baseline_ndcg = fusion_metrics.ndcg_at_10
+    arms = entries(arm_runs)
+    sweep = entries(sweep_runs)
+    per_query = {run[0]: run[3] for run in arm_runs}
+    baseline_ndcg = arms[0]["metrics"]["ndcg_at_10"]
     report = {
         "study": "distill_vs_baselines",
         "config": config.to_dict(),

@@ -8,23 +8,23 @@ from moltr import data
 from moltr.errors import ConfigError, InputError, ParseError
 
 
-def make_item(item_id=0, m=4, rating=3.0, is_new=False, seed=0):
-    feats = np.random.default_rng(seed + item_id).normal(size=m)
-    feats[data.RATING_FEATURE_INDEX] = (
-        data.NEW_ITEM_SENTINEL if is_new else (rating - 2.5) / 1.5
+def make_group(query_id=0, n=3, K=2, booked=0, timestamp=0, m=4, **fields):
+    """A valid group of n rated items; keyword fields override its arrays."""
+    ratings = np.full(n, 3.0)
+    features = np.random.default_rng(query_id).normal(size=(n, m))
+    features[:, data.RATING_FEATURE_INDEX] = (ratings - 2.5) / 1.5
+    labels = np.full((n, K), data.MISSING_LABEL)
+    labels[:, 0] = 0
+    labels[booked, 0] = 1
+    arrays = dict(
+        features=features,
+        item_ids=query_id * 100 + np.arange(n),
+        ratings=ratings,
+        is_new=np.zeros(n, dtype=bool),
+        labels=labels,
     )
-    return data.Item(
-        item_id=item_id, features=feats, review_rating=0.0 if is_new else rating,
-        is_new=is_new,
-    )
-
-
-def make_group(query_id=0, n=3, K=2, booked=0, timestamp=0):
-    items = [make_item(item_id=query_id * 100 + j) for j in range(n)]
-    labels = [[1 if j == booked else 0] + [None] * (K - 1) for j in range(n)]
-    return data.QueryGroup(
-        query_id=query_id, items=items, labels=labels, timestamp=timestamp
-    )
+    arrays.update(fields)
+    return data.QueryGroup(query_id=query_id, timestamp=timestamp, **arrays)
 
 
 def tiny_config(**kwargs):
@@ -35,43 +35,59 @@ def tiny_config(**kwargs):
 
 class TestItem:
     def test_rating_out_of_range(self):
+        with pytest.raises(InputError, match="item 1: review_rating 5.5"):
+            make_group(ratings=[3.0, 5.5, 1.0])
         with pytest.raises(InputError):
-            data.Item(item_id=0, features=np.zeros(3), review_rating=5.5, is_new=False)
+            make_group(ratings=[3.0, np.nan, 1.0])
 
     def test_non_finite_features(self):
-        with pytest.raises(InputError):
-            data.Item(
-                item_id=0, features=np.array([1.0, np.nan]), review_rating=3.0,
-                is_new=False,
-            )
+        features = np.zeros((3, 4))
+        features[2, 1] = np.nan
+        with pytest.raises(InputError, match="item 2: non-finite"):
+            make_group(features=features)
 
 
 class TestQueryGroup:
     def test_requires_two_items(self):
         with pytest.raises(InputError):
-            data.QueryGroup(
-                query_id=0, items=[make_item()], labels=[[0]], timestamp=0
-            )
+            make_group(n=1)
 
     def test_rejects_two_primary_positives(self):
-        items = [make_item(item_id=j) for j in range(3)]
-        labels = [[1], [1], [0]]
         with pytest.raises(InputError, match="primary-positive"):
-            data.QueryGroup(query_id=0, items=items, labels=labels, timestamp=0)
+            make_group(n=3, K=1, labels=[[1], [1], [0]])
 
     def test_rejects_non_binary_labels(self):
-        items = [make_item(item_id=j) for j in range(2)]
         with pytest.raises(InputError):
-            data.QueryGroup(query_id=0, items=items, labels=[[2], [0]], timestamp=0)
+            make_group(n=2, K=1, labels=[[2], [0]])
+        with pytest.raises(InputError):
+            make_group(n=2, K=1, labels=[[0.5], [0]])
 
     def test_rejects_ragged_labels(self):
-        items = [make_item(item_id=j) for j in range(2)]
         with pytest.raises(InputError):
-            data.QueryGroup(query_id=0, items=items, labels=[[0, 1], [0]], timestamp=0)
+            make_group(n=2, labels=[[0, 1], [0]])
+
+    def test_rejects_inconsistent_shapes(self):
+        for fields in (
+            {"item_ids": [0, 1]},
+            {"ratings": [3.0] * 4},
+            {"is_new": [False]},
+            {"labels": [[0], [1]]},
+            {"features": [[0.0, 1.0], [0.0]]},
+        ):
+            with pytest.raises(InputError):
+                make_group(n=3, **fields)
+
+    def test_owns_contiguous_typed_arrays(self):
+        features = np.asfortranarray(np.zeros((3, 4)))
+        g = make_group(features=features, labels=[[0, -1], [1, -1], [0, 1]])
+        assert g.features.flags.c_contiguous and g.features.flags.owndata
+        assert g.labels.dtype == np.int8 and g.item_ids.dtype == np.int64
+        features[0, 0] = 1.0
+        assert g.features[0, 0] == 0.0
 
     def test_objective_labels_mask(self):
         g = make_group(n=3, K=2, booked=1)
-        g.labels[1][1] = 1
+        g.labels[1, 1] = 1
         vals, mask = g.objective_labels(1)
         assert vals.tolist() == [0.0, 1.0, 0.0]
         assert mask.tolist() == [False, True, False]
@@ -79,10 +95,7 @@ class TestQueryGroup:
         assert not make_group(n=3, K=2).has_labels_for(1)
 
     def test_all_none_primary_allowed(self):
-        items = [make_item(item_id=j) for j in range(2)]
-        g = data.QueryGroup(
-            query_id=0, items=items, labels=[[None], [None]], timestamp=0
-        )
+        g = make_group(n=2, K=1, labels=[[-1], [-1]])
         assert not g.has_labels_for(0)
 
 
@@ -106,6 +119,13 @@ class TestDataset:
     def test_polarity_validated(self):
         with pytest.raises(ConfigError):
             data.ObjectiveSpec(index=0, name="a", polarity="neutral")
+
+    def test_content_hash_is_stable(self):
+        # Pins the JSONL v1 bytes: the digest of a generated dataset must
+        # not change while the format version stays 1.
+        assert data.generate_dataset(tiny_config()).content_hash() == (
+            "b6cdaf247ea6cb4c8d0f0fd2773218c2a955f3c4d822ba5f3e64f12a847128cd"
+        )
 
     def test_content_hash_changes_with_content(self):
         a = data.generate_dataset(tiny_config())
@@ -144,8 +164,8 @@ class TestGenerator:
         b = data.generate_dataset(tiny_config())
         assert len(a) == len(b) == 40
         for ga, gb in zip(a.groups, b.groups):
-            assert ga.labels == gb.labels
-            assert np.array_equal(ga.feature_matrix(), gb.feature_matrix())
+            assert np.array_equal(ga.labels, gb.labels)
+            assert np.array_equal(ga.features, gb.features)
 
     def test_group_sizes_in_range(self):
         ds = data.generate_dataset(tiny_config())
@@ -173,22 +193,22 @@ class TestGenerator:
             primary = g.primary_labels()
             for j, row in enumerate(g.labels):
                 for k in range(1, ds.K):
-                    if row[k] is not None:
+                    if row[k] != data.MISSING_LABEL:
                         assert primary[j] == 1
 
     def test_new_items_get_sentinel(self):
         ds = data.generate_dataset(tiny_config(num_queries=300, new_item_fraction=0.5))
         saw_new = saw_old = False
         for g in ds.groups:
-            for it in g.items:
-                if it.is_new:
+            for features, rating, is_new in zip(g.features, g.ratings, g.is_new):
+                if is_new:
                     saw_new = True
-                    assert it.features[data.RATING_FEATURE_INDEX] == data.NEW_ITEM_SENTINEL
-                    assert it.review_rating == 0.0
+                    assert features[data.RATING_FEATURE_INDEX] == data.NEW_ITEM_SENTINEL
+                    assert rating == 0.0
                 else:
                     saw_old = True
-                    expected = (it.review_rating - 2.5) / 1.5
-                    assert it.features[data.RATING_FEATURE_INDEX] == pytest.approx(expected)
+                    expected = (rating - 2.5) / 1.5
+                    assert features[data.RATING_FEATURE_INDEX] == pytest.approx(expected)
         assert saw_new and saw_old
 
     def test_weights_shared_across_seeds(self):
@@ -206,7 +226,7 @@ class TestGenerator:
         w = data.resolve_objective_weights(config)
         top_booked = 0
         for g in ds.groups:
-            u0 = g.feature_matrix() @ w[0]
+            u0 = g.features @ w[0]
             booked = int(np.argmax(g.primary_labels()))
             if booked == int(np.argmax(u0)):
                 top_booked += 1
@@ -237,8 +257,8 @@ class TestPersistence:
         assert loaded.objectives == ds.objectives
         assert loaded.content_hash() == ds.content_hash()
         for a, b in zip(ds.groups, loaded.groups):
-            assert a.labels == b.labels
-            assert np.array_equal(a.feature_matrix(), b.feature_matrix())
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.features, b.features)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -259,6 +279,32 @@ class TestPersistence:
         path = tmp_path / "ds.jsonl"
         lines = list(data.serialize_lines(ds))
         lines[2] = "{not json"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as e:
+            data.load_dataset(path)
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("features", [[0.5] * 6, [0.5] * 5]),  # ragged rows
+            ("features", [[0.5] * 5, [0.5] * 5]),  # narrower than the header's m
+            ("labels", [[-1, None, None], [1, None, None]]),  # -1 is not a JSONL label
+        ],
+    )
+    def test_bad_item_arrays_name_the_line(self, tmp_path, field, value):
+        ds = data.generate_dataset(tiny_config(num_queries=3))
+        lines = list(data.serialize_lines(ds))
+        doc = json.loads(lines[2])
+        doc["items"] = doc["items"][:2]
+        doc["labels"] = doc["labels"][:2]
+        if field == "features":
+            for item, row in zip(doc["items"], value):
+                item["features"] = row
+        else:
+            doc["labels"] = value
+        lines[2] = json.dumps(doc)
+        path = tmp_path / "ds.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as e:
             data.load_dataset(path)

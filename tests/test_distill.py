@@ -129,9 +129,7 @@ class TestTeachers:
         # Strip all secondary labels so objective 1 has no coverage.
         ds = data.generate_dataset(gen_config(num_queries=20))
         for g in ds.groups:
-            for row in g.labels:
-                row[1] = None
-                row[2] = None
+            g.labels[:, 1:] = data.MISSING_LABEL
         with pytest.raises(TrainingError, match="coverage"):
             distill.train_teacher(ds, 1, train_config())
 
@@ -214,14 +212,20 @@ class TestFusion:
 
 class TestBoostRule:
     def test_predicates(self):
-        high = data.Item(item_id=0, features=np.zeros(3), review_rating=4.5, is_new=False)
-        low = data.Item(item_id=1, features=np.zeros(3), review_rating=3.0, is_new=False)
-        new = data.Item(item_id=2, features=np.zeros(3), review_rating=0.0, is_new=True)
+        # Items: high-rated, low-rated, and new (new items carry rating 0).
+        group = data.QueryGroup(
+            query_id=0,
+            timestamp=0,
+            features=np.zeros((3, 3)),
+            item_ids=[0, 1, 2],
+            ratings=[4.5, 3.0, 0.0],
+            is_new=[False, False, True],
+            labels=[[0], [0], [0]],
+        )
         rating = distill.BoostRule(predicate="rating_at_least", rho=4.0, beta=1.0)
-        assert rating.matches(high) and not rating.matches(low)
-        assert not rating.matches(new)  # new items carry rating 0
+        assert rating.match_mask(group).tolist() == [True, False, False]
         newness = distill.BoostRule(predicate="is_new", beta=1.0)
-        assert newness.matches(new) and not newness.matches(high)
+        assert newness.match_mask(group).tolist() == [False, False, True]
 
     def test_unknown_predicate(self):
         with pytest.raises(ConfigError):
@@ -278,7 +282,7 @@ class TestStudent:
         config = train_config(alpha=0.0, epochs=60, learning_rate=0.08)
         model = distill.train_student(dataset, soft, config)
         taus = [
-            score_tau(model.score_group(g), soft.scores[g.query_id], g.item_ids())
+            score_tau(model.score_group(g), soft.scores[g.query_id], g.item_ids)
             for g in dataset.groups
         ]
         assert float(np.mean(taus)) > 0.9
@@ -323,7 +327,7 @@ class TestSelfDistill:
             v0, new_data, train_config(epochs=30, alpha=0.0)
         )
         taus = [
-            score_tau(v1.score_group(g), v0.score_group(g), g.item_ids())
+            score_tau(v1.score_group(g), v0.score_group(g), g.item_ids)
             for g in new_data.groups
         ]
         assert float(np.mean(taus)) > 0.7

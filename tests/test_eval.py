@@ -34,6 +34,15 @@ class TestRankOrder:
         order = evaluation.rank_order(np.array([0.5, 0.5]), np.array([7, 3]))
         assert order.tolist() == [1, 0]
 
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=25), st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sorted_reference(self, int_scores, seed):
+        # Few distinct scores, so most items tie and the id order decides.
+        scores = np.array(int_scores, dtype=np.float64) / 2.0
+        ids = np.random.default_rng(seed).permutation(100)[: len(scores)]
+        want = sorted(range(len(scores)), key=lambda j: (-scores[j], ids[j]))
+        assert evaluation.rank_order(scores, ids).tolist() == want
+
 
 class TestNdcg:
     def test_perfect_ranking(self):
@@ -97,6 +106,20 @@ class TestExposure:
 
 
 class TestKendallTau:
+    @given(st.integers(0, 2**31), st.integers(2, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pair_loop_exactly(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = list(rng.permutation(n) + 10)
+        b = list(rng.permutation(a))
+        pos_b = {item: i for i, item in enumerate(b)}
+        concordant = sum(
+            pos_b[a[i]] < pos_b[a[j]] for i in range(n) for j in range(i + 1, n)
+        )
+        discordant = n * (n - 1) // 2 - concordant
+        want = (concordant - discordant) / (n * (n - 1) / 2)
+        assert evaluation.kendall_tau(a, b) == want
+
     def test_identical(self):
         assert evaluation.kendall_tau([1, 2, 3], [1, 2, 3]) == 1.0
 

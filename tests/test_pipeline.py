@@ -83,6 +83,14 @@ class TestExperimentConfig:
         assert config.generator.num_queries == 5000
         assert config.distill.mlp.input_dim == config.generator.m
 
+    def test_default_config_overrides_are_validated(self, tmp_path):
+        config = pipeline.default_experiment_config(str(tmp_path), eval_queries=50)
+        assert config.eval_queries == 50
+        with pytest.raises(ConfigError, match="num_seeds"):
+            pipeline.default_experiment_config(str(tmp_path), num_seeds=1)
+        with pytest.raises(ConfigError, match="eval_querys"):
+            pipeline.default_experiment_config(str(tmp_path), eval_querys=50)
+
 
 class TestBisection:
     def test_linear_function(self):
