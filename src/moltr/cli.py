@@ -41,8 +41,6 @@ def _distill_config(args, overrides=None) -> DistillConfig:
             doc[key] = val
     if overrides:
         doc.update(overrides)
-    if "mlp" not in doc:
-        raise ConfigError("distill config requires an 'mlp' section")
     return DistillConfig.from_dict(doc)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, ParseError, config_keys
 
 FORMAT_VERSION = 1
 # Rating-derived feature slot, masked to this sentinel for new items.
@@ -214,7 +214,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorConfig":
-        d = dict(d)
+        d = config_keys(d, cls, "generator")
         if "items_per_query" in d:
             d["items_per_query"] = tuple(d["items_per_query"])
         return cls(**d)
@@ -382,40 +382,45 @@ def _group_from_doc(doc: dict) -> QueryGroup:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a JSONL dataset file; errors carry the offending line number."""
+    """Parse a JSONL dataset file; errors carry the offending line number.
+
+    The file is read one line at a time, so no copy of the whole text is
+    held beside the parsed groups.
+    """
     with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("missing header line", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid header JSON: {e}", line=1) from e
-    for key in ("format_version", "m", "K", "objectives"):
-        if key not in header:
-            raise ParseError(f"header missing field {key!r}", line=1)
-    if header["format_version"] != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported format_version {header['format_version']}", line=1
-        )
-    objectives = [ObjectiveSpec(**o) for o in header["objectives"]]
-    groups = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+        first = f.readline().rstrip("\n")
+        if not first.strip():
+            raise ParseError("missing header line", line=1)
         try:
-            doc = json.loads(raw)
+            header = json.loads(first)
         except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}", line=lineno) from e
-        try:
-            group = _group_from_doc(doc)
-        except (KeyError, TypeError, InputError) as e:
-            raise ParseError(f"bad query group: {e}", line=lineno) from e
-        if group.features.shape[1] != header["m"] or group.labels.shape[1] != header["K"]:
+            raise ParseError(f"invalid header JSON: {e}", line=1) from e
+        for key in ("format_version", "m", "K", "objectives"):
+            if key not in header:
+                raise ParseError(f"header missing field {key!r}", line=1)
+        if header["format_version"] != FORMAT_VERSION:
             raise ParseError(
-                f"query {group.query_id}: items have {group.features.shape[1]} features "
-                f"and {group.labels.shape[1]} labels, header says m={header['m']}, K={header['K']}",
-                line=lineno,
+                f"unsupported format_version {header['format_version']}", line=1
             )
-        groups.append(group)
-    return Dataset(objectives=objectives, groups=groups, m=header["m"], K=header["K"])
+        objectives = [ObjectiveSpec(**o) for o in header["objectives"]]
+        groups = []
+        for lineno, raw in enumerate(f, start=2):
+            if not raw.strip():
+                continue
+            try:
+                doc = json.loads(raw.rstrip("\n"))
+            except json.JSONDecodeError as e:
+                raise ParseError(f"invalid JSON: {e}", line=lineno) from e
+            try:
+                group = _group_from_doc(doc)
+            except (KeyError, TypeError, InputError) as e:
+                raise ParseError(f"bad query group: {e}", line=lineno) from e
+            if group.features.shape[1] != header["m"] or group.labels.shape[1] != header["K"]:
+                raise ParseError(
+                    f"query {group.query_id}: items have {group.features.shape[1]} features "
+                    f"and {group.labels.shape[1]} labels, "
+                    f"header says m={header['m']}, K={header['K']}",
+                    line=lineno,
+                )
+            groups.append(group)
+        return Dataset(objectives=objectives, groups=groups, m=header["m"], K=header["K"])

@@ -1,10 +1,13 @@
 """Training pipelines: per-objective teachers, soft-label fusion, boost
 injection, student distillation, self-distillation, and baselines.
 
-All trainers share one deterministic engine: a seeded generator initializes
-the MLP and then drives one shuffle of the query-group order per epoch, and
-each group is a single SGD step. Two runs with the same config and seed are
-bit-identical.
+All trainers share one deterministic engine, _run_training: a seeded
+generator initializes the MLP and then drives one shuffle of the query-group
+order per epoch, and each group is a single SGD step. Targets are computed
+once per run; each step runs the forward pass and backprop inline, with
+nn's arithmetic op for op, and updates through nn.sgd_step. Two runs with
+the same config and seed are bit-identical, and equal to a loop over the
+public nn functions.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, QueryGroup
-from .errors import ConfigError, InputError, ParseError, TrainingError
+from .errors import ConfigError, InputError, ParseError, TrainingError, config_keys
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class DistillConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistillConfig":
-        d = dict(d)
+        d = config_keys(d, cls, "distill", required=("mlp",))
         d["mlp"] = nn.MlpConfig.from_dict(d["mlp"])
         return cls(**d)
 
@@ -170,11 +173,17 @@ class SoftLabelSet:
                 continue
             try:
                 doc = json.loads(raw)
-                scores[int(doc["query_id"])] = np.asarray(
-                    doc["scores"], dtype=np.float64
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+                qid = int(doc["query_id"])
+                row = np.asarray(doc["scores"], dtype=np.float64)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"bad soft-label row: {e}", line=lineno) from e
+            if qid in scores:
+                raise ParseError(f"duplicate query_id {qid}", line=lineno)
+            if row.ndim != 1:
+                raise ParseError(f"query_id {qid}: scores must be a list", line=lineno)
+            if not np.isfinite(row).all():
+                raise ParseError(f"query_id {qid}: non-finite scores", line=lineno)
+            scores[qid] = row
         return cls(scores=scores, provenance=provenance)
 
 
@@ -212,44 +221,75 @@ def _objective_target(group: QueryGroup, k: int) -> np.ndarray | None:
     return vals / total
 
 
+def _softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
+    """nn.listwise_softmax's arithmetic without its checks (scores are checked)."""
+    z = scores / temperature
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
+
+
 def _single_label_step(k: int):
-    """Training step for listwise CE against objective k's labels alone."""
+    """(prepare, grad) for listwise CE against objective k's labels alone."""
 
-    def step(group, scores):
-        target = _objective_target(group, k)
-        if target is None:
-            return None
-        _, grad = nn.distill_loss(scores, target, None, alpha=1.0)
-        return grad
+    def grad(scores, target):
+        return _softmax(scores, 1.0) - target
 
-    return step
+    return (lambda group: _objective_target(group, k)), grad
 
 
-def _run_training(dataset: Dataset, config: DistillConfig, group_step):
+def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
     """Shared deterministic SGD loop over query groups.
 
-    group_step(group, scores) returns the per-score gradient for the step,
-    or None to skip the group (the shuffle stream is unaffected either
-    way, which is what makes degenerate trainer comparisons bitwise).
+    prepare(group) runs once per group before the first epoch and gives its
+    target, or None to skip it; grad(scores, target) gives the per-score
+    gradient. Forward and backprop run inline, bit-identical to
+    nn.mlp_forward and nn.backward, with gradients written into arrays
+    reused across steps; nn.sgd_step makes each update and its finiteness
+    check, which names the layer. Skips touch neither the params nor the
+    shuffle stream, which is what makes degenerate trainer comparisons
+    bitwise.
     """
     if not dataset.groups:
         raise TrainingError("cannot train on an empty dataset")
     mlp = config.mlp
     if dataset.m != mlp.input_dim:
         raise InputError(f"dataset m={dataset.m} != mlp input dim {mlp.input_dim}")
+    steps = []
+    for group in dataset.groups:
+        if not np.isfinite(group.features).all():
+            raise InputError(f"query {group.query_id}: features contain non-finite values")
+        steps.append((group, prepare(group)))
     rng = np.random.default_rng(config.seed)
     params = nn.init_params(mlp, rng)
-    order = np.arange(len(dataset.groups))
+    grads = nn.zeros_like_params(params)
+    last, relu, lr = params.num_layers - 1, mlp.activation == "relu", config.learning_rate
+    order = np.arange(len(steps))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for gi in order:
-            group = dataset.groups[gi]
-            scores, trace = nn.mlp_forward(params, group.features, mlp.activation)
-            per_score_grad = group_step(group, scores)
-            if per_score_grad is None:
+            group, target = steps[gi]
+            if target is None:
                 continue
-            grads = nn.backward(trace, params, per_score_grad, mlp.activation)
-            params = nn.sgd_step(params, grads, config.learning_rate)
+            hs = [group.features]
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                z = hs[-1] @ w
+                z += b
+                if i < last:  # in place: backprop needs only post (post > 0 iff pre > 0)
+                    np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+                hs.append(z)
+            scores = hs[-1][:, 0]
+            if not np.isfinite(scores).all():
+                raise InputError(f"query {group.query_id}: forward pass produced non-finite scores")
+            delta = grad(scores, target)[:, None]
+            for i in range(last, -1, -1):
+                np.matmul(hs[i].T, delta, out=grads.weights[i])
+                delta.sum(axis=0, out=grads.biases[i])
+                if i > 0:  # multiplied, not np.where, so signed zeros match nn.backward
+                    delta = delta @ params.weights[i].T
+                    delta *= (hs[i] > 0.0) if relu else 1.0 - hs[i] * hs[i]
+            params = nn.sgd_step(params, grads, lr)
     return params
 
 
@@ -267,7 +307,7 @@ def train_teacher(
     subset = Dataset(
         objectives=list(dataset.objectives), groups=covered, m=dataset.m, K=dataset.K
     )
-    params = _run_training(subset, config, _single_label_step(objective_index))
+    params = _run_training(subset, config, *_single_label_step(objective_index))
     name = dataset.objectives[objective_index].name
     return Model(
         config=config.mlp, params=params, lineage=f"teacher:{name}", seed=config.seed
@@ -328,27 +368,32 @@ def train_student(
     scores; the student-side soft softmax uses config.temperature.
     """
     soft.check_alignment(dataset)
-    targets = {
-        qid: nn.listwise_softmax(s, config.teacher_temperature)
-        for qid, s in soft.scores.items()
-    }
+    alpha, temperature = config.alpha, config.temperature
 
-    def step(group, scores):
+    def prepare(group):
         hard = _objective_target(group, 0)
-        if hard is None and config.alpha == 1.0:
+        if hard is None and alpha == 1.0:
             return None
-        _, grad = nn.distill_loss(
-            scores, hard, targets[group.query_id], config.alpha, config.temperature
-        )
-        return grad
+        return hard, nn.listwise_softmax(soft.scores[group.query_id], config.teacher_temperature)
 
-    params = _run_training(dataset, config, step)
+    def grad(scores, target):
+        # nn.distill_loss's gradient: a term is skipped, not zero-weighted.
+        hard, target_soft = target
+        use_hard = alpha > 0.0 and hard is not None
+        if use_hard:
+            hg = _softmax(scores, 1.0) - hard
+            if alpha == 1.0:
+                return hg
+        sg = (_softmax(scores, temperature) - target_soft) / temperature
+        return alpha * hg + (1.0 - alpha) * sg if use_hard else sg
+
+    params = _run_training(dataset, config, prepare, grad)
     return Model(config=config.mlp, params=params, lineage=lineage, seed=config.seed)
 
 
 def train_hard_only(dataset: Dataset, config: DistillConfig) -> Model:
     """Hard-label-only trainer over the full dataset (baseline family)."""
-    params = _run_training(dataset, config, _single_label_step(0))
+    params = _run_training(dataset, config, *_single_label_step(0))
     return Model(
         config=config.mlp, params=params, lineage="baseline:hard_only", seed=config.seed
     )
@@ -400,24 +445,27 @@ def train_scalarized_baseline(
     if weights.sum() <= 0:
         raise ConfigError("objective_weights must not all be zero")
     counts = np.zeros(dataset.K, dtype=np.int64)
-    objective_steps = [_single_label_step(k) for k in range(dataset.K)]
 
-    def step(group, scores):
-        grad = None
+    def prepare(group):
+        terms = []
         for k in range(dataset.K):
-            if weights[k] == 0:
-                continue
-            g = objective_steps[k](group, scores)
-            if g is None:
-                continue
-            g = weights[k] * g
-            grad = g if grad is None else grad + g
-            counts[k] += 1
-        return grad
+            target = _objective_target(group, k) if weights[k] != 0 else None
+            if target is not None:
+                terms.append((weights[k], target))
+                counts[k] += 1
+        return terms or None
 
-    params = _run_training(dataset, config, step)
+    def grad(scores, terms):
+        p = _softmax(scores, 1.0)
+        total = None
+        for w, target in terms:  # summed in k order
+            g = w * (p - target)
+            total = g if total is None else total + g
+        return total
+
+    params = _run_training(dataset, config, prepare, grad)
     if batch_log is not None:
-        batch_log.append({"per_objective_steps": counts.tolist()})
+        batch_log.append({"per_objective_steps": (counts * config.epochs).tolist()})
     return Model(
         config=config.mlp,
         params=params,

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the config-key check."""
+
+import dataclasses
 
 
 class MoltrError(Exception):
@@ -29,3 +31,18 @@ class ParseError(MoltrError, ValueError):
 
 class CalibrationError(MoltrError, RuntimeError):
     """Boost calibration failed to converge or violated monotonicity."""
+
+
+def config_keys(d, cls, section: str, required=()) -> dict:
+    """A copy of config dict d, or a ConfigError naming the missing required
+    key or the key that is not one of dataclass cls's fields."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} config must be a JSON object")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{section} config requires {key!r}")
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown {section} config key {key!r}")
+    return dict(d)

@@ -3,8 +3,10 @@
 Everything here operates on plain numpy arrays; one forward pass scores the
 n items of a single query list. Losses are listwise: a softmax over the
 query's item scores is compared against a target distribution with cross
-entropy. All functions are pure; training state lives in ParameterSet
-values that are replaced, never mutated.
+entropy. All public functions are pure and check their inputs; training
+state lives in ParameterSet values that are replaced, never mutated. The
+trainers in distill run the forward pass and backprop inline, with the
+same arithmetic as mlp_forward and backward, and update through sgd_step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, TrainingError
+from .errors import ConfigError, InputError, ParseError, TrainingError, config_keys
 
 # Softmax outputs are clamped to this floor before any log, so cross
 # entropy is total even for extreme score gaps.
@@ -68,6 +70,9 @@ class MlpConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpConfig":
+        d = config_keys(d, cls, "mlp", required=("layer_dims",))
+        if not isinstance(d["layer_dims"], (list, tuple)):
+            raise ConfigError("mlp config key 'layer_dims' must be a list")
         return cls(
             layer_dims=tuple(d["layer_dims"]),
             activation=d.get("activation", "relu"),
@@ -334,23 +339,33 @@ def distill_loss(
 
 
 def sgd_step(params: ParameterSet, grads: GradientSet, lr: float) -> ParameterSet:
-    """theta <- theta - lr * g; raises if any layer goes non-finite."""
+    """theta <- theta - lr * g; raises if any layer goes non-finite.
+
+    The new layers are views into one fresh vector, so one finiteness check
+    covers them all; the failing layer is looked up only on failure.
+    """
     if not (lr >= 0):
         raise ConfigError("learning rate must be nonnegative")
     if params.num_layers != grads.num_layers:
         raise InputError("params and grads layer counts differ")
-    weights, biases = [], []
+    theta = np.empty(sum(w.size + b.size for w, b in zip(params.weights, params.biases)))
+    weights, biases, at = [], [], 0
     for i, (w, b, gw, gb) in enumerate(
         zip(params.weights, params.biases, grads.weights, grads.biases)
     ):
         if w.shape != gw.shape or b.shape != gb.shape:
             raise InputError(f"layer {i}: gradient shape mismatch")
-        nw = w - lr * gw
-        nb = b - lr * gb
-        if not (np.isfinite(nw).all() and np.isfinite(nb).all()):
-            raise TrainingError(f"non-finite update at layer {i}")
+        end = at + w.size
+        nw, nb = theta[at:end].reshape(w.shape), theta[end:end + b.size]
+        at = end + b.size
+        np.subtract(w, np.multiply(lr, gw, out=nw), out=nw)
+        np.subtract(b, np.multiply(lr, gb, out=nb), out=nb)
         weights.append(nw)
         biases.append(nb)
+    if not np.isfinite(theta).all():
+        i = next(i for i, (w, b) in enumerate(zip(weights, biases))
+                 if not (np.isfinite(w).all() and np.isfinite(b).all()))
+        raise TrainingError(f"non-finite update at layer {i}")
     return ParameterSet(weights, biases)
 
 
@@ -443,10 +458,25 @@ def checkpoint_document(
 
 
 def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
-    """Inverse of save_checkpoint; returns (config, params, full document)."""
+    """Inverse of save_checkpoint; returns (config, params, full document).
+
+    A file that is not a checkpoint document raises a ParseError naming it.
+    """
     with open(path) as f:
-        doc = json.load(f)
-    return checkpoint_from_document(doc) + (doc,)
+        text = f.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"checkpoint {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"checkpoint {path}: not a JSON object")
+    for key in ("config", "layers"):
+        if key not in doc:
+            raise ParseError(f"checkpoint {path}: missing {key!r}")
+    try:
+        return checkpoint_from_document(doc) + (doc,)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"checkpoint {path}: {e}") from e
 
 
 def checkpoint_from_document(doc: dict) -> tuple[MlpConfig, ParameterSet]:

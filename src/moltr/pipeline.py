@@ -31,7 +31,7 @@ from .distill import (
     train_student,
     train_teachers,
 )
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, config_keys
 
 
 @dataclass
@@ -130,13 +130,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
+        d = config_keys(d, cls, "experiment", required=("distill",))
         d["generator"] = GeneratorConfig.from_dict(d.get("generator", {}))
         d["distill"] = DistillConfig.from_dict(d["distill"])
         if "alpha_sweep" in d:
             d["alpha_sweep"] = tuple(d["alpha_sweep"])
         if "boost" in d:
-            b = dict(d["boost"])
+            b = config_keys(d["boost"], BoostStudyConfig, "boost")
             if b.get("items_per_query"):
                 b["items_per_query"] = tuple(b["items_per_query"])
             d["boost"] = BoostStudyConfig(**b)

@@ -284,6 +284,18 @@ class TestPersistence:
             data.load_dataset(path)
         assert e.value.line == 3
 
+    def test_line_endings_and_blank_lines(self, tmp_path):
+        ds = data.generate_dataset(tiny_config(num_queries=4))
+        lines = list(data.serialize_lines(ds))
+        path = tmp_path / "ds.jsonl"
+        # CRLF endings, a blank line and no final newline load as before.
+        path.write_bytes("\r\n".join(lines[:2] + ["  "] + lines[2:]).encode())
+        assert data.load_dataset(path).content_hash() == ds.content_hash()
+        path.write_bytes("\r\n".join(lines[:2] + [""] + ["{not json"]).encode())
+        with pytest.raises(ParseError) as e:
+            data.load_dataset(path)
+        assert e.value.line == 4
+
     @pytest.mark.parametrize(
         "field, value",
         [
