@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,19 +23,29 @@ from .distill import BoostRule, DistillConfig, Model, SoftLabelSet, TeacherEnsem
 from .errors import CalibrationError, ConfigError, InputError, ParseError, TrainingError
 
 
-def _load_json(path, kind="config"):
+def _load_json(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError:
-        raise ConfigError(f"{kind} file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid {kind} JSON in {path}: line {e.lineno}: {e.msg}")
+        raise ConfigError(f"invalid config JSON in {path}: line {e.lineno}: {e.msg}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return doc
+
+
+def _section(doc, section: str) -> dict:
+    """A copy of one config section, to which command-line flags are added."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} config must be a JSON object")
+    return dict(doc)
 
 
 def _distill_config(args, overrides=None) -> DistillConfig:
     doc = _load_json(args.config) if args.config else {}
-    doc = dict(doc.get("distill", doc))
+    doc = _section(doc.get("distill", doc), "distill")
     for key in ("alpha", "temperature", "epochs", "learning_rate", "seed"):
         val = getattr(args, key, None)
         if val is not None:
@@ -49,13 +60,14 @@ def _experiment_config(args) -> pipeline.ExperimentConfig:
         cfg = pipeline.ExperimentConfig.from_dict(_load_json(args.config))
     else:
         cfg = pipeline.default_experiment_config()
+    changes = {}
     if getattr(args, "out", None):
-        cfg.output_dir = args.out
+        changes["output_dir"] = args.out
     if getattr(args, "seeds", None) is not None:
-        cfg.num_seeds = args.seeds
+        changes["num_seeds"] = args.seeds
     if getattr(args, "seed", None) is not None:
-        cfg.distill = cfg.distill.with_seed(args.seed)
-    return cfg
+        changes["distill"] = cfg.distill.with_seed(args.seed)
+    return replace(cfg, **changes)
 
 
 def _boost_rule(args) -> BoostRule:
@@ -63,8 +75,8 @@ def _boost_rule(args) -> BoostRule:
 
 
 def cmd_gen_data(args):
-    doc = _load_json(args.config).get("generator") if args.config else {}
-    doc = dict(doc or {})
+    doc = _load_json(args.config) if args.config else {}
+    doc = _section(doc.get("generator", {}), "generator")
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.num_queries is not None:

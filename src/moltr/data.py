@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, config_keys
+from .errors import Config, ConfigError, InputError, ParseError
 
 FORMAT_VERSION = 1
 # Rating-derived feature slot, masked to this sentinel for new items.
@@ -148,7 +148,7 @@ class Dataset:
 
 
 @dataclass
-class GeneratorConfig:
+class GeneratorConfig(Config, section="generator"):
     """Knobs for the synthetic marketplace generator.
 
     objective_weights (K x m) define each objective's latent utility
@@ -203,21 +203,12 @@ class GeneratorConfig:
         if self.num_days < 1:
             raise ConfigError("num_days must be >= 1")
         if self.objective_weights is not None:
-            w = np.asarray(self.objective_weights, dtype=np.float64)
+            try:
+                w = np.asarray(self.objective_weights, dtype=np.float64)
+            except ValueError:
+                raise ConfigError("objective_weights must be K x m, got ragged rows") from None
             if w.shape != (self.K, self.m):
                 raise ConfigError(f"objective_weights must be K x m, got {w.shape}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["items_per_query"] = list(self.items_per_query)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        d = config_keys(d, cls, "generator")
-        if "items_per_query" in d:
-            d["items_per_query"] = tuple(d["items_per_query"])
-        return cls(**d)
 
 
 def default_objectives(config: GeneratorConfig) -> list[ObjectiveSpec]:

@@ -19,11 +19,11 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, QueryGroup
-from .errors import ConfigError, InputError, ParseError, TrainingError, config_keys
+from .errors import Config, ConfigError, InputError, ParseError, TrainingError
 
 
 @dataclass(frozen=True)
-class DistillConfig:
+class DistillConfig(Config, section="distill"):
     """Hyperparameters for one training run."""
 
     mlp: nn.MlpConfig
@@ -48,23 +48,6 @@ class DistillConfig:
 
     def with_seed(self, seed: int) -> "DistillConfig":
         return replace(self, mlp=replace(self.mlp, seed=seed), seed=seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "mlp": self.mlp.to_dict(),
-            "alpha": self.alpha,
-            "temperature": self.temperature,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "teacher_temperature": self.teacher_temperature,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DistillConfig":
-        d = config_keys(d, cls, "distill", required=("mlp",))
-        d["mlp"] = nn.MlpConfig.from_dict(d["mlp"])
-        return cls(**d)
 
 
 @dataclass

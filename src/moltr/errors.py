@@ -1,6 +1,14 @@
-"""Exception types shared across the toolkit, and the config-key check."""
+"""Exception types shared across the toolkit, and the config JSON codec.
 
-import dataclasses
+Every config dataclass inherits Config, whose to_dict/from_dict are driven
+by the dataclass fields and their annotations: from_dict rejects a
+non-object, an unknown key, a missing required field and a value of the
+wrong type with a ConfigError naming the section and key. Value ranges are
+checked by each class's __post_init__.
+"""
+
+import typing
+from dataclasses import MISSING, fields
 
 
 class MoltrError(Exception):
@@ -33,16 +41,70 @@ class CalibrationError(MoltrError, RuntimeError):
     """Boost calibration failed to converge or violated monotonicity."""
 
 
-def config_keys(d, cls, section: str, required=()) -> dict:
-    """A copy of config dict d, or a ConfigError naming the missing required
-    key or the key that is not one of dataclass cls's fields."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} config must be a JSON object")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{section} config requires {key!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"unknown {section} config key {key!r}")
-    return dict(d)
+class Config:
+    """JSON codec for a config dataclass; subclasses name their section,
+    as in ``class MlpConfig(Config, section="mlp")``."""
+
+    def __init_subclass__(cls, section: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.section = section
+
+    def to_dict(self) -> dict:
+        """Every field; nested configs become dicts and tuples become lists."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        """The config built from dict d, or a ConfigError naming the bad key."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.section} config must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        for name, f in known.items():
+            if name not in d and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{cls.section} config requires {name!r}")
+        for key in d:
+            if key not in known:
+                raise ConfigError(f"unknown {cls.section} config key {key!r}")
+        hints = typing.get_type_hints(cls)
+        return cls(
+            **{k: _decode(v, hints[k], f"{cls.section} config key {k!r}") for k, v in d.items()}
+        )
+
+
+def _encode(value):
+    if isinstance(value, Config):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(value, hint, where: str):
+    """value checked against annotation hint; lists become tuples for tuple
+    fields, and nothing else is converted (an int stays an int)."""
+    if type(None) in typing.get_args(hint):  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    origin = typing.get_origin(hint)
+    if origin is None and issubclass(hint, Config):
+        return hint.from_dict(value)
+    if not _fits(value, hint):
+        name = hint.__name__ if origin is None else str(hint)
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return tuple(value) if origin is tuple else value
+
+
+def _fits(value, hint) -> bool:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(_fits, value, args))
+        return all(_fits(v, args[0]) for v in value)
+    return isinstance(value, hint)

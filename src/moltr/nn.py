@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, TrainingError, config_keys
+from .errors import Config, ConfigError, InputError, ParseError, TrainingError
 
 # Softmax outputs are clamped to this floor before any log, so cross
 # entropy is total even for extreme score gaps.
@@ -28,7 +28,7 @@ ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
-class MlpConfig:
+class MlpConfig(Config, section="mlp"):
     """Architecture and initialization of the ranking MLP.
 
     layer_dims runs from the input feature dimension to the final scalar
@@ -59,26 +59,6 @@ class MlpConfig:
     @property
     def input_dim(self) -> int:
         return self.layer_dims[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "layer_dims": list(self.layer_dims),
-            "activation": self.activation,
-            "init_scale": self.init_scale,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpConfig":
-        d = config_keys(d, cls, "mlp", required=("layer_dims",))
-        if not isinstance(d["layer_dims"], (list, tuple)):
-            raise ConfigError("mlp config key 'layer_dims' must be a list")
-        return cls(
-            layer_dims=tuple(d["layer_dims"]),
-            activation=d.get("activation", "relu"),
-            init_scale=d.get("init_scale", 0.1),
-            seed=d.get("seed", 0),
-        )
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -31,11 +31,11 @@ from .distill import (
     train_student,
     train_teachers,
 )
-from .errors import CalibrationError, ConfigError, config_keys
+from .errors import CalibrationError, Config, ConfigError
 
 
 @dataclass
-class BoostStudyConfig:
+class BoostStudyConfig(Config, section="boost"):
     """Knobs for the ad-hoc boost study.
 
     Pages must be deeper than exposure_k for boosting to move exposure at
@@ -55,24 +55,9 @@ class BoostStudyConfig:
     items_per_query: tuple[int, int] | None = (20, 30)
     num_queries: int | None = 2500
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "exposure_k": self.exposure_k,
-            "target_lift": self.target_lift,
-            "exposure_tolerance": self.exposure_tolerance,
-            "max_iterations": self.max_iterations,
-            "gamma_max": self.gamma_max,
-            "beta_max": self.beta_max,
-            "items_per_query": list(self.items_per_query)
-            if self.items_per_query
-            else None,
-            "num_queries": self.num_queries,
-        }
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Config, section="experiment"):
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     distill: DistillConfig = None
     teacher_epochs: int | None = None
@@ -111,36 +96,6 @@ class ExperimentConfig:
         if epochs is None:
             epochs = self.distill.epochs
         return replace(self.distill, alpha=1.0, temperature=1.0, epochs=epochs)
-
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator.to_dict(),
-            "distill": self.distill.to_dict(),
-            "teacher_epochs": self.teacher_epochs,
-            "eval_queries": self.eval_queries,
-            "eval_seed_offset": self.eval_seed_offset,
-            "num_seeds": self.num_seeds,
-            "parity_seeds": self.parity_seeds,
-            "alpha_sweep": list(self.alpha_sweep),
-            "train_boundary_day": self.train_boundary_day,
-            "shift_start_day": self.shift_start_day,
-            "boost": self.boost.to_dict(),
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = config_keys(d, cls, "experiment", required=("distill",))
-        d["generator"] = GeneratorConfig.from_dict(d.get("generator", {}))
-        d["distill"] = DistillConfig.from_dict(d["distill"])
-        if "alpha_sweep" in d:
-            d["alpha_sweep"] = tuple(d["alpha_sweep"])
-        if "boost" in d:
-            b = config_keys(d["boost"], BoostStudyConfig, "boost")
-            if b.get("items_per_query"):
-                b["items_per_query"] = tuple(b["items_per_query"])
-            d["boost"] = BoostStudyConfig(**b)
-        return cls(**d)
 
 
 def default_experiment_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -190,9 +145,17 @@ class CheckpointStore:
             model.config, model.params, extra={"lineage": model.lineage}
         )
         path = os.path.join(self.dir, f"{digest}.json")
-        if not os.path.exists(path):
-            with open(path, "w") as f:
-                f.write(payload)
+        data = payload.encode()
+        # An existing file is reused only if it is whole: an interrupted run
+        # may have left it truncated.
+        if os.path.exists(path):
+            with open(path, "rb") as f:
+                if f.read() == data:
+                    return digest
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
         return digest
 
     def put_ensemble(self, teachers: TeacherEnsemble) -> list[str]:
@@ -205,12 +168,10 @@ def _mean(xs) -> float:
 
 def _prepare(config: ExperimentConfig):
     train_ds = generate_dataset(config.generator)
-    eval_gen = GeneratorConfig.from_dict(
-        {
-            **config.generator.to_dict(),
-            "num_queries": config.eval_queries,
-            "seed": config.generator.seed + config.eval_seed_offset,
-        }
+    eval_gen = replace(
+        config.generator,
+        num_queries=config.eval_queries,
+        seed=config.generator.seed + config.eval_seed_offset,
     )
     eval_ds = generate_dataset(eval_gen)
     return train_ds, eval_ds
@@ -356,8 +317,6 @@ def _pairwise_sxs(models: list[Model], dataset: Dataset, tau_threshold: float):
 
 def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.02) -> dict:
     """Seed-to-seed instability of hard-only vs distilled students."""
-    if config.num_seeds < 2:
-        raise ConfigError("num_seeds must be >= 2")
     train_ds, eval_ds = _prepare(config)
     store = CheckpointStore(config.output_dir)
     eval_hash = eval_ds.content_hash()
@@ -471,16 +430,10 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
     """Serving-time score boost vs soft-label boost at matched exposure."""
     overrides = {}
     if config.boost.items_per_query is not None:
-        overrides["items_per_query"] = list(config.boost.items_per_query)
+        overrides["items_per_query"] = tuple(config.boost.items_per_query)
     if config.boost.num_queries is not None:
         overrides["num_queries"] = config.boost.num_queries
-    if overrides:
-        import copy
-
-        config = copy.deepcopy(config)
-        config.generator = config.generator.from_dict(
-            {**config.generator.to_dict(), **overrides}
-        )
+    config = replace(config, generator=replace(config.generator, **overrides))
     train_ds, eval_ds = _prepare(config)
     store = CheckpointStore(config.output_dir)
     eval_hash = eval_ds.content_hash()

@@ -1,11 +1,13 @@
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from moltr import nn, pipeline
 from moltr.data import GeneratorConfig
-from moltr.distill import DistillConfig
+from moltr.distill import DistillConfig, Model
 from moltr.errors import CalibrationError, ConfigError
 
 
@@ -90,6 +92,73 @@ class TestExperimentConfig:
             pipeline.default_experiment_config(str(tmp_path), num_seeds=1)
         with pytest.raises(ConfigError, match="eval_querys"):
             pipeline.default_experiment_config(str(tmp_path), eval_querys=50)
+
+    def test_config_json_is_pinned(self):
+        # Digests taken before the configs shared one JSON codec.
+        config = pipeline.default_experiment_config()
+        text = json.dumps(config.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ac5b0ad9ed8e9df9c2b0ca76f38cc4252485a70025e04aaa9b97ce4a6218a75c"
+        )
+        assert config.distill.mlp.config_hash() == (
+            "88055199f728f0626e8fa6cca88ec060efa089868d8420e037d1a60502dc9222"
+        )
+
+    def test_from_dict_converts_only_tuples(self, tmp_path):
+        doc = small_experiment(tmp_path).to_dict()
+        doc["distill"]["alpha"] = 1
+        config = pipeline.ExperimentConfig.from_dict(doc)
+        assert config.alpha_sweep == (0.2,) and config.boost.items_per_query == (10, 14)
+        assert config.distill.mlp.layer_dims == (6, 8, 1)
+        assert config.generator.label_rates == [0.4, 0.4]
+        assert json.dumps(config.to_dict()["distill"]["alpha"]) == "1"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["distill"].update(epochs=True), "distill config key 'epochs' must be int"),
+            (lambda d: d["generator"].update(K=3.0), "generator config key 'K' must be int"),
+            (lambda d: d.update(teacher_epochs="2"), "experiment config key 'teacher_epochs'"),
+            (lambda d: d["boost"].update(rho=None), "boost config key 'rho' must be float"),
+            (lambda d: d["generator"].update(objective_names=["a", 1]), "'objective_names'"),
+            (lambda d: d["generator"].update(objective_weights=[1.0]), "'objective_weights'"),
+            (lambda d: d.update(generator=[]), "generator config must be a JSON object"),
+            (lambda d: d["distill"].pop("mlp"), "distill config requires 'mlp'"),
+        ],
+        ids=[
+            "bool_epochs", "float_K", "str_teacher_epochs", "null_rho",
+            "int_name", "flat_weights", "list_generator", "missing_mlp",
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, tmp_path, edit, message):
+        doc = small_experiment(tmp_path).to_dict()
+        edit(doc)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.ExperimentConfig.from_dict(doc)
+
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A minimal `config.json`:", 1)[1]
+        doc = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+        assert set(doc) == {"generator", "distill"}
+        gen = GeneratorConfig.from_dict(doc["generator"])
+        dc = DistillConfig.from_dict(doc["distill"])
+        assert dc.mlp.input_dim == gen.m
+
+
+class TestCheckpointStore:
+    def test_truncated_checkpoint_is_rewritten(self, tmp_path):
+        config = nn.MlpConfig(layer_dims=(6, 4, 1), seed=2)
+        model = Model(config=config, params=nn.init_params(config), lineage="teacher:x", seed=2)
+        store = pipeline.CheckpointStore(str(tmp_path))
+        digest = store.put_model(model)
+        path = Path(store.dir) / f"{digest}.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        assert store.put_model(model) == digest
+        assert path.read_bytes() == whole
+        assert Model.load(str(path)).params.params_hash() == model.params.params_hash()
+        assert sorted(p.name for p in Path(store.dir).iterdir()) == [path.name]
 
 
 class TestBisection:

@@ -254,6 +254,11 @@ def test_cli_rejects_duplicate_soft_query(files, capsys):
         ({"mlp": {"layer_dims": [6, 8, 1]}, "alpah": 0.3}, "alpah"),
         ({"mlp": {"layer_dims": [6, 8, 1], "actvation": "relu"}}, "actvation"),
         ({"mlp": {"activation": "relu"}}, "layer_dims"),
+        ({"mlp": {"layer_dims": [6, 8, 1]}, "epochs": "ten"}, "epochs"),
+        ({"mlp": {"layer_dims": ["a", 1]}}, "layer_dims"),
+        ({"mlp": {"layer_dims": [6, 8, 1]}, "epochs": 2.5}, "epochs"),
+        ({"mlp": {"layer_dims": [6, 8, 1]}, "epochs": True}, "epochs"),
+        ([1, 2], "distill"),
     ],
 )
 def test_cli_rejects_bad_distill_config(files, capsys, doc, key):
@@ -271,6 +276,33 @@ def test_cli_rejects_bad_distill_config(files, capsys, doc, key):
         ({"distill": {"mlp": {"layer_dims": [16, 1]}}, "num_seedz": 2}, "num_seedz"),
         ({"distill": {"mlp": {"layer_dims": [16, 1]}}, "boost": {"rhoo": 1.0}}, "rhoo"),
         ({"distill": {"mlp": {"layer_dims": [16, 1]}}, "generator": {"mm": 16}}, "mm"),
+        ({"distill": {"mlp": {"layer_dims": [16, 1]}}, "num_seeds": "4"}, "num_seeds"),
+        ({"distill": {"mlp": {"layer_dims": [16, 1]}}, "alpha_sweep": 0.5}, "alpha_sweep"),
+        (
+            {"distill": {"mlp": {"layer_dims": [16, 1]}}, "boost": {"items_per_query": 5}},
+            "items_per_query",
+        ),
+        (
+            {
+                "distill": {"mlp": {"layer_dims": [16, 1]}},
+                "generator": {"items_per_query": [3, 4, 5]},
+            },
+            "items_per_query",
+        ),
+        (
+            {"distill": {"mlp": {"layer_dims": [16, 1]}}, "generator": {"label_rates": 0.3}},
+            "label_rates",
+        ),
+        (
+            {
+                "distill": {"mlp": {"layer_dims": [16, 1]}},
+                "generator": {
+                    "K": 2, "label_rates": [0.3], "objective_weights": [[1.0], [1.0, 2.0]]
+                },
+            },
+            "objective_weights",
+        ),
+        ([1, 2], "JSON object"),
     ],
 )
 def test_cli_rejects_bad_study_config(files, capsys, doc, key):
@@ -279,6 +311,25 @@ def test_cli_rejects_bad_study_config(files, capsys, doc, key):
     argv = ["study-distill", "--config", str(path), "--out", str(files["work"] / "never")]
     code, err = run_cli(argv, capsys)
     assert code == 2 and key in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("gen-data", {"generator": {"num_queries": "many"}}, "num_queries"),
+        ("gen-data", {"generator": 5}, "generator"),
+        ("train-teacher", [1, 2], None),
+    ],
+)
+def test_cli_rejects_bad_stage_config(files, capsys, command, doc, key):
+    path = files["work"] / "stage_config.json"
+    path.write_text(json.dumps(doc))
+    out = str(files["work"] / "never.json")
+    argv = [command, "--config", str(path), "--out", out]
+    if command == "train-teacher":
+        argv += ["--data", files["data"], "--objective", "0"]
+    code, err = run_cli(argv, capsys)
+    assert code == 2 and (key or str(path)) in err
 
 
 @pytest.mark.parametrize(
