@@ -46,13 +46,15 @@ def _section(doc, section: str) -> dict:
 def _distill_config(args, overrides=None) -> DistillConfig:
     doc = _load_json(args.config) if args.config else {}
     doc = _section(doc.get("distill", doc), "distill")
-    for key in ("alpha", "temperature", "epochs", "learning_rate", "seed"):
+    for key in ("alpha", "temperature", "epochs", "learning_rate"):
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
     if overrides:
         doc.update(overrides)
-    return DistillConfig.from_dict(doc)
+    config = DistillConfig.from_dict(doc)
+    # --seed reseeds the init as well, so the checkpoint records the seed used.
+    return config if args.seed is None else config.with_seed(args.seed)
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
@@ -88,8 +90,8 @@ def cmd_gen_data(args):
 
 
 def cmd_train_teacher(args):
-    dataset = load_dataset(args.data)
     config = _distill_config(args, overrides={"alpha": 1.0})
+    dataset = load_dataset(args.data)
     model = distill.train_teacher(dataset, args.objective, config)
     model.save(args.out)
     print(f"wrote {model.lineage} checkpoint to {args.out}")
@@ -118,9 +120,9 @@ def cmd_inject_boost(args):
 
 
 def cmd_train_student(args):
+    config = _distill_config(args)
     dataset = load_dataset(args.data)
     soft = SoftLabelSet.load(args.soft)
-    config = _distill_config(args)
     model = distill.train_student(dataset, soft, config)
     model.save(args.out)
     print(f"wrote {model.lineage} checkpoint to {args.out}")
@@ -128,9 +130,9 @@ def cmd_train_student(args):
 
 
 def cmd_self_distill(args):
+    config = _distill_config(args)
     dataset = load_dataset(args.data)
     prev = Model.load(args.model)
-    config = _distill_config(args)
     model = distill.self_distill_step(prev, dataset, config)
     model.save(args.out)
     print(f"wrote {model.lineage} checkpoint to {args.out}")

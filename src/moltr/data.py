@@ -386,6 +386,8 @@ def load_dataset(path) -> Dataset:
             header = json.loads(first)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid header JSON: {e}", line=1) from e
+        if not isinstance(header, dict):
+            raise ParseError("header must be a JSON object", line=1)
         for key in ("format_version", "m", "K", "objectives"):
             if key not in header:
                 raise ParseError(f"header missing field {key!r}", line=1)
@@ -393,7 +395,10 @@ def load_dataset(path) -> Dataset:
             raise ParseError(
                 f"unsupported format_version {header['format_version']}", line=1
             )
-        objectives = [ObjectiveSpec(**o) for o in header["objectives"]]
+        try:
+            objectives = [ObjectiveSpec(**o) for o in header["objectives"]]
+        except (TypeError, ConfigError) as e:
+            raise ParseError(f"bad objectives: {e}", line=1) from e
         groups = []
         for lineno, raw in enumerate(f, start=2):
             if not raw.strip():

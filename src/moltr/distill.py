@@ -98,6 +98,8 @@ class TeacherEnsemble:
         self.fusion_weights = np.asarray(self.fusion_weights, dtype=np.float64)
         if self.fusion_weights.shape != (len(self.models),):
             raise ConfigError("fusion_weights length != model count")
+        if not np.isfinite(self.fusion_weights).all():
+            raise ConfigError("fusion_weights must be finite")
         if (self.fusion_weights < 0).any():
             raise ConfigError("fusion_weights must be nonnegative")
         total = self.fusion_weights.sum()

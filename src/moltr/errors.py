@@ -7,6 +7,7 @@ wrong type with a ConfigError naming the section and key. Value ranges are
 checked by each class's __post_init__.
 """
 
+import json
 import typing
 from dataclasses import MISSING, fields
 
@@ -91,7 +92,7 @@ def _decode(value, hint, where: str):
         return hint.from_dict(value)
     if not _fits(value, hint):
         name = hint.__name__ if origin is None else str(hint)
-        raise ConfigError(f"{where} must be {name}, got {value!r}")
+        raise ConfigError(f"{where} must be {name}, got {json.dumps(value, default=repr)}")
     return tuple(value) if origin is tuple else value
 
 

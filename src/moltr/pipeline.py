@@ -9,6 +9,7 @@ carries the content hashes of the checkpoint and dataset it came from.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -133,6 +134,15 @@ def default_experiment_config(output_dir: str = "out", **overrides) -> Experimen
     )
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write data through a temp file and os.replace, so an interrupted
+    write leaves any previous file at path whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
 class CheckpointStore:
     """Content-addressed checkpoint directory under the output dir."""
 
@@ -152,49 +162,74 @@ class CheckpointStore:
             with open(path, "rb") as f:
                 if f.read() == data:
                     return digest
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        _write_atomic(path, data)
         return digest
-
-    def put_ensemble(self, teachers: TeacherEnsemble) -> list[str]:
-        return [self.put_model(m) for m in teachers.models]
 
 
 def _mean(xs) -> float:
     return float(math.fsum(xs) / len(xs))
 
 
-def _prepare(config: ExperimentConfig):
-    train_ds = generate_dataset(config.generator)
-    eval_gen = replace(
-        config.generator,
-        num_queries=config.eval_queries,
-        seed=config.generator.seed + config.eval_seed_offset,
-    )
-    eval_ds = generate_dataset(eval_gen)
-    return train_ds, eval_ds
+class _Study:
+    """What every study shares: the train and eval splits, the checkpoint
+    store, the teachers, the seed family and the report header."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.train_ds = generate_dataset(config.generator)
+        self.eval_ds = generate_dataset(
+            replace(
+                config.generator,
+                num_queries=config.eval_queries,
+                seed=config.generator.seed + config.eval_seed_offset,
+            )
+        )
+        self.eval_hash = self.eval_ds.content_hash()
+        self.store = CheckpointStore(config.output_dir)
+        self.teacher_hashes = None
+
+    def teachers(self, dataset: Dataset) -> TeacherEnsemble:
+        """One teacher per objective on dataset, stored and named in the report."""
+        teachers = train_teachers(dataset, self.config.teacher_config)
+        self.teacher_hashes = [self.store.put_model(m) for m in teachers.models]
+        return teachers
+
+    def seed_configs(self, n: int) -> list[DistillConfig]:
+        """The student config reseeded n times, 1000 apart."""
+        dc = self.config.distill
+        return [dc.with_seed(dc.seed + 1000 * s) for s in range(n)]
+
+    def report(self, study: str, body: dict, per_query_scores=None) -> dict:
+        """The report: the shared header plus body, written to the output dir."""
+        report = {
+            "study": study,
+            "config": self.config.to_dict(),
+            "teacher_checkpoints": self.teacher_hashes,
+            "train_dataset_hash": self.train_ds.content_hash(),
+            "eval_dataset_hash": self.eval_hash,
+            **body,
+        }
+        _write_report(self.config.output_dir, report, per_query_scores, self.eval_ds)
+        return report
 
 
 def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
     """Distilled student vs model-fusion, scalarized, and hard-only arms."""
-    train_ds, eval_ds = _prepare(config)
-    store = CheckpointStore(config.output_dir)
-    eval_hash = eval_ds.content_hash()
+    study = _Study(config)
+    train_ds, eval_ds = study.train_ds, study.eval_ds
     rule = BoostRule(predicate="rating_at_least", rho=config.boost.rho)
-
-    teachers = train_teachers(train_ds, config.teacher_config)
-    teacher_hashes = store.put_ensemble(teachers)
+    teachers = study.teachers(train_ds)
     soft = fuse_soft_labels(teachers, train_ds)
 
     def trained(name, model, extra=None):
-        return name, model.lineage, store.put_model(model), score_dataset(model, eval_ds), extra
+        scores = score_dataset(model, eval_ds)
+        return name, model.lineage, study.store.put_model(model), scores, extra
 
     fusion_scores = {g.query_id: fusion_serve_scores(teachers, g) for g in eval_ds.groups}
+    teacher_hashes = ",".join(study.teacher_hashes)
     # Each run is (arm name, lineage, checkpoint hash, eval scores, extra fields).
     arm_runs = [
-        ("fusion_baseline", "baseline:model_fusion", ",".join(teacher_hashes), fusion_scores, None),
+        ("fusion_baseline", "baseline:model_fusion", teacher_hashes, fusion_scores, None),
         trained(
             "scalarized_baseline",
             train_scalarized_baseline(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill),
@@ -221,7 +256,7 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
                 "arm": name,
                 "lineage": lineage,
                 "checkpoint_hash": checkpoint,
-                "dataset_hash": eval_hash,
+                "dataset_hash": study.eval_hash,
                 "metrics": evaluation.ranking_metrics_report(scores, eval_ds, rule).to_dict(),
                 **(extra or {}),
             }
@@ -229,80 +264,66 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
         ]
 
     arms = entries(arm_runs)
-    sweep = entries(sweep_runs)
-    per_query = {run[0]: run[3] for run in arm_runs}
     baseline_ndcg = arms[0]["metrics"]["ndcg_at_10"]
-    report = {
-        "study": "distill_vs_baselines",
-        "config": config.to_dict(),
-        "teacher_checkpoints": teacher_hashes,
-        "train_dataset_hash": train_ds.content_hash(),
-        "eval_dataset_hash": eval_hash,
-        "arms": arms,
-        "alpha_sweep": sweep,
-        "deltas_vs_fusion_ndcg10": {
-            a["arm"]: a["metrics"]["ndcg_at_10"] - baseline_ndcg for a in arms
+    return study.report(
+        "distill_vs_baselines",
+        {
+            "arms": arms,
+            "alpha_sweep": entries(sweep_runs),
+            "deltas_vs_fusion_ndcg10": {
+                a["arm"]: a["metrics"]["ndcg_at_10"] - baseline_ndcg for a in arms
+            },
         },
-    }
-    _write_report(config.output_dir, report, per_query, eval_ds)
-    return report
+        per_query_scores={run[0]: run[3] for run in arm_runs},
+    )
 
 
 def study_self_distillation(config: ExperimentConfig) -> dict:
     """V1 (self-distilled on shifted window) vs V0 retrained from teachers."""
-    train_ds, eval_ds = _prepare(config)
-    store = CheckpointStore(config.output_dir)
-    eval_hash = eval_ds.content_hash()
-
-    window_a, _ = split_by_time(train_ds, config.train_boundary_day)
-    _, window_b = split_by_time(train_ds, config.shift_start_day)
+    study = _Study(config)
+    window_a, _ = split_by_time(study.train_ds, config.train_boundary_day)
+    _, window_b = split_by_time(study.train_ds, config.shift_start_day)
     if not window_a.groups or not window_b.groups:
         raise ConfigError("time shift leaves an empty training window")
 
-    teachers = train_teachers(window_a, config.teacher_config)
-    teacher_hashes = store.put_ensemble(teachers)
+    teachers = study.teachers(window_a)
     soft_a = fuse_soft_labels(teachers, window_a)
     soft_b = fuse_soft_labels(teachers, window_b)
 
+    def ndcg10(model):
+        return evaluation.mean_ndcg(score_dataset(model, study.eval_ds), study.eval_ds, 10)
+
     rows = []
-    ndcg_v1, ndcg_rv0 = [], []
-    for s in range(config.parity_seeds):
-        cfg = config.distill.with_seed(config.distill.seed + 1000 * s)
+    for cfg in study.seed_configs(config.parity_seeds):
         v0 = train_student(window_a, soft_a, cfg)
         v1 = self_distill_step(v0, window_b, cfg)
         rv0 = train_student(window_b, soft_b, cfg, lineage="student_v0")
-        n_v1 = evaluation.mean_ndcg(score_dataset(v1, eval_ds), eval_ds, 10)
-        n_rv0 = evaluation.mean_ndcg(score_dataset(rv0, eval_ds), eval_ds, 10)
-        ndcg_v1.append(n_v1)
-        ndcg_rv0.append(n_rv0)
         rows.append(
             {
                 "seed": cfg.seed,
-                "v0_checkpoint": store.put_model(v0),
-                "v1_checkpoint": store.put_model(v1),
-                "retrained_v0_checkpoint": store.put_model(rv0),
+                "v0_checkpoint": study.store.put_model(v0),
+                "v1_checkpoint": study.store.put_model(v1),
+                "retrained_v0_checkpoint": study.store.put_model(rv0),
                 "v1_lineage": v1.lineage,
-                "ndcg10_v1": n_v1,
-                "ndcg10_retrained_v0": n_rv0,
-                "dataset_hash": eval_hash,
+                "ndcg10_v1": ndcg10(v1),
+                "ndcg10_retrained_v0": ndcg10(rv0),
+                "dataset_hash": study.eval_hash,
             }
         )
 
-    report = {
-        "study": "self_distillation",
-        "config": config.to_dict(),
-        "teacher_checkpoints": teacher_hashes,
-        "train_dataset_hash": train_ds.content_hash(),
-        "eval_dataset_hash": eval_hash,
-        "window_a_queries": len(window_a.groups),
-        "window_b_queries": len(window_b.groups),
-        "per_seed": rows,
-        "mean_ndcg10_v1": _mean(ndcg_v1),
-        "mean_ndcg10_retrained_v0": _mean(ndcg_rv0),
-        "parity_gap": abs(_mean(ndcg_v1) - _mean(ndcg_rv0)),
-    }
-    _write_report(config.output_dir, report)
-    return report
+    mean_v1 = _mean([r["ndcg10_v1"] for r in rows])
+    mean_rv0 = _mean([r["ndcg10_retrained_v0"] for r in rows])
+    return study.report(
+        "self_distillation",
+        {
+            "window_a_queries": len(window_a.groups),
+            "window_b_queries": len(window_b.groups),
+            "per_seed": rows,
+            "mean_ndcg10_v1": mean_v1,
+            "mean_ndcg10_retrained_v0": mean_rv0,
+            "parity_gap": abs(mean_v1 - mean_rv0),
+        },
+    )
 
 
 def _pairwise_sxs(models: list[Model], dataset: Dataset, tau_threshold: float):
@@ -317,52 +338,30 @@ def _pairwise_sxs(models: list[Model], dataset: Dataset, tau_threshold: float):
 
 def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.02) -> dict:
     """Seed-to-seed instability of hard-only vs distilled students."""
-    train_ds, eval_ds = _prepare(config)
-    store = CheckpointStore(config.output_dir)
-    eval_hash = eval_ds.content_hash()
+    study = _Study(config)
+    train_ds = study.train_ds
+    soft = fuse_soft_labels(study.teachers(train_ds), train_ds)
 
-    teachers = train_teachers(train_ds, config.teacher_config)
-    teacher_hashes = store.put_ensemble(teachers)
-    soft = fuse_soft_labels(teachers, train_ds)
+    families = {"hard_only": [], "distilled": []}
+    for cfg in study.seed_configs(config.num_seeds):
+        families["hard_only"].append(train_hard_only(train_ds, cfg))
+        families["distilled"].append(train_student(train_ds, soft, cfg))
 
-    hard_family, dist_family = [], []
-    hard_rows, dist_rows = [], []
-    for s in range(config.num_seeds):
-        cfg = config.distill.with_seed(config.distill.seed + 1000 * s)
-        h = train_hard_only(train_ds, cfg)
-        d = train_student(train_ds, soft, cfg)
-        hard_family.append(h)
-        dist_family.append(d)
-        hard_rows.append({"seed": cfg.seed, "checkpoint_hash": store.put_model(h)})
-        dist_rows.append({"seed": cfg.seed, "checkpoint_hash": store.put_model(d)})
-
-    hard_rate, hard_pd = _pairwise_sxs(hard_family, eval_ds, tau_threshold)
-    dist_rate, dist_pd = _pairwise_sxs(dist_family, eval_ds, tau_threshold)
-
-    report = {
-        "study": "irreproducibility",
-        "config": config.to_dict(),
-        "tau_threshold": tau_threshold,
-        "teacher_checkpoints": teacher_hashes,
-        "train_dataset_hash": train_ds.content_hash(),
-        "eval_dataset_hash": eval_hash,
-        "hard_only": {
-            "models": hard_rows,
-            "mean_change_rate": hard_rate,
-            "mean_pd": hard_pd,
-        },
-        "distilled": {
-            "models": dist_rows,
-            "mean_change_rate": dist_rate,
-            "mean_pd": dist_pd,
-        },
-        "change_rate_reduction_pct": (
-            100.0 * (hard_rate - dist_rate) / hard_rate if hard_rate > 0 else 0.0
-        ),
-        "pd_reduction_pct": 100.0 * (hard_pd - dist_pd) / hard_pd if hard_pd > 0 else 0.0,
-    }
-    _write_report(config.output_dir, report)
-    return report
+    body = {"tau_threshold": tau_threshold}
+    for name, models in families.items():
+        rate, pd = _pairwise_sxs(models, study.eval_ds, tau_threshold)
+        body[name] = {
+            "models": [
+                {"seed": m.seed, "checkpoint_hash": study.store.put_model(m)} for m in models
+            ],
+            "mean_change_rate": rate,
+            "mean_pd": pd,
+        }
+    reductions = {"change_rate_reduction_pct": "mean_change_rate", "pd_reduction_pct": "mean_pd"}
+    for key, metric in reductions.items():
+        hard, dist = body["hard_only"][metric], body["distilled"][metric]
+        body[key] = 100.0 * (hard - dist) / hard if hard > 0 else 0.0
+    return study.report("irreproducibility", body)
 
 
 def _bisect_exposure(measure, target: float, tolerance: float, hi_max: float, max_iter: int):
@@ -428,49 +427,35 @@ def _check_monotone(evals, slack: float = 0.02) -> None:
 
 def study_adhoc_boost(config: ExperimentConfig) -> dict:
     """Serving-time score boost vs soft-label boost at matched exposure."""
-    overrides = {}
-    if config.boost.items_per_query is not None:
-        overrides["items_per_query"] = tuple(config.boost.items_per_query)
-    if config.boost.num_queries is not None:
-        overrides["num_queries"] = config.boost.num_queries
-    config = replace(config, generator=replace(config.generator, **overrides))
-    train_ds, eval_ds = _prepare(config)
-    store = CheckpointStore(config.output_dir)
-    eval_hash = eval_ds.content_hash()
     bc = config.boost
+    overrides = {"items_per_query": bc.items_per_query, "num_queries": bc.num_queries}
+    generator = replace(config.generator, **{k: v for k, v in overrides.items() if v is not None})
+    config = replace(config, generator=generator)
+    study = _Study(config)
+    train_ds, eval_ds = study.train_ds, study.eval_ds
     rule = BoostRule(predicate="rating_at_least", rho=bc.rho)
+    soft = fuse_soft_labels(study.teachers(train_ds), train_ds)
 
-    teachers = train_teachers(train_ds, config.teacher_config)
-    teacher_hashes = store.put_ensemble(teachers)
-    soft = fuse_soft_labels(teachers, train_ds)
+    def exposure(scores):
+        return evaluation.mean_boosted_exposure(scores, eval_ds, rule, bc.exposure_k)
 
     rows = []
-    serve_losses, soft_losses = [], []
-    for s in range(config.parity_seeds):
-        cfg = config.distill.with_seed(config.distill.seed + 1000 * s)
+    for cfg in study.seed_configs(config.parity_seeds):
         base = train_student(train_ds, soft, cfg)
         base_scores = score_dataset(base, eval_ds)
-        base_ndcg = evaluation.mean_ndcg(base_scores, eval_ds, 10)
-        base_exp = evaluation.mean_boosted_exposure(
-            base_scores, eval_ds, rule, bc.exposure_k
-        )
+        base_exp = exposure(base_scores)
         target = base_exp + bc.target_lift
 
-        def serve_exposure(gamma):
-            scored = {
+        def serve_scores(gamma):
+            return {
                 g.query_id: evaluation.serve_with_boost(base, g, rule, gamma)
                 for g in eval_ds.groups
             }
-            return evaluation.mean_boosted_exposure(scored, eval_ds, rule, bc.exposure_k)
 
         gamma, serve_exp, _ = _bisect_exposure(
-            serve_exposure, target, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations
+            lambda gamma: exposure(serve_scores(gamma)),
+            target, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations,
         )
-        serve_scores = {
-            g.query_id: evaluation.serve_with_boost(base, g, rule, gamma)
-            for g in eval_ds.groups
-        }
-        serve_ndcg = evaluation.mean_ndcg(serve_scores, eval_ds, 10)
 
         soft_models = {}
 
@@ -481,49 +466,43 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
             m = train_student(train_ds, boosted, cfg)
             scored = score_dataset(m, eval_ds)
             soft_models[beta] = (m, scored)
-            return evaluation.mean_boosted_exposure(scored, eval_ds, rule, bc.exposure_k)
+            return exposure(scored)
 
         beta, soft_exp, _ = _bisect_exposure(
             soft_exposure, target, bc.exposure_tolerance, bc.beta_max, bc.max_iterations
         )
         soft_model, soft_scores = soft_models[beta]
-        soft_ndcg = evaluation.mean_ndcg(soft_scores, eval_ds, 10)
-
-        serve_losses.append(base_ndcg - serve_ndcg)
-        soft_losses.append(base_ndcg - soft_ndcg)
         rows.append(
             {
                 "seed": cfg.seed,
-                "baseline_checkpoint": store.put_model(base),
-                "soft_boost_checkpoint": store.put_model(soft_model),
-                "dataset_hash": eval_hash,
-                "baseline_ndcg10": base_ndcg,
+                "baseline_checkpoint": study.store.put_model(base),
+                "soft_boost_checkpoint": study.store.put_model(soft_model),
+                "dataset_hash": study.eval_hash,
+                "baseline_ndcg10": evaluation.mean_ndcg(base_scores, eval_ds, 10),
                 "baseline_exposure": base_exp,
                 "target_exposure": target,
                 "gamma": gamma,
                 "serve_exposure": serve_exp,
-                "serve_ndcg10": serve_ndcg,
+                "serve_ndcg10": evaluation.mean_ndcg(serve_scores(gamma), eval_ds, 10),
                 "beta": beta,
                 "soft_exposure": soft_exp,
-                "soft_ndcg10": soft_ndcg,
+                "soft_ndcg10": evaluation.mean_ndcg(soft_scores, eval_ds, 10),
                 "exposure_gap": abs(serve_exp - soft_exp),
             }
         )
 
-    report = {
-        "study": "adhoc_boost",
-        "config": config.to_dict(),
-        "teacher_checkpoints": teacher_hashes,
-        "train_dataset_hash": train_ds.content_hash(),
-        "eval_dataset_hash": eval_hash,
-        "boost_rule": rule.describe(),
-        "per_seed": rows,
-        "mean_serve_ndcg_loss": _mean(serve_losses),
-        "mean_soft_ndcg_loss": _mean(soft_losses),
-        "max_exposure_gap": max(r["exposure_gap"] for r in rows),
-    }
-    _write_report(config.output_dir, report)
-    return report
+    return study.report(
+        "adhoc_boost",
+        {
+            "boost_rule": rule.describe(),
+            "per_seed": rows,
+            "mean_serve_ndcg_loss": _mean(
+                [r["baseline_ndcg10"] - r["serve_ndcg10"] for r in rows]
+            ),
+            "mean_soft_ndcg_loss": _mean([r["baseline_ndcg10"] - r["soft_ndcg10"] for r in rows]),
+            "max_exposure_gap": max(r["exposure_gap"] for r in rows),
+        },
+    )
 
 
 def _report_markdown(report: dict) -> str:
@@ -583,32 +562,20 @@ def _report_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_report(output_dir, report, per_query_scores=None, eval_ds=None) -> None:
-    os.makedirs(output_dir, exist_ok=True)
-    path = os.path.join(output_dir, "report.json")
-    with open(path, "w") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-        f.write("\n")
-    with open(os.path.join(output_dir, "report.md"), "w") as f:
-        f.write(_report_markdown(report))
-    if per_query_scores and eval_ds is not None:
-        with open(os.path.join(output_dir, "metrics.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["arm", "query_id", "ndcg_at_10"])
-            for arm in sorted(per_query_scores):
-                scores = per_query_scores[arm]
-                for g in eval_ds.groups:
-                    writer.writerow(
-                        [
-                            arm,
-                            g.query_id,
-                            repr(
-                                evaluation.ndcg_at_k(
-                                    scores[g.query_id], g.primary_labels(), 10
-                                )
-                            ),
-                        ]
-                    )
+def _write_report(output_dir, report, per_query_scores, eval_ds) -> None:
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _write_atomic(os.path.join(output_dir, "report.json"), text.encode())
+    _write_atomic(os.path.join(output_dir, "report.md"), _report_markdown(report).encode())
+    if per_query_scores:
+        rows = io.StringIO()
+        writer = csv.writer(rows)
+        writer.writerow(["arm", "query_id", "ndcg_at_10"])
+        for arm in sorted(per_query_scores):
+            scores = per_query_scores[arm]
+            for g in eval_ds.groups:
+                ndcg = evaluation.ndcg_at_k(scores[g.query_id], g.primary_labels(), 10)
+                writer.writerow([arm, g.query_id, repr(ndcg)])
+        _write_atomic(os.path.join(output_dir, "metrics.csv"), rows.getvalue().encode())
 
 
 STUDIES = {

@@ -274,6 +274,23 @@ class TestPersistence:
         with pytest.raises(ParseError, match="format_version"):
             data.load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"format_version": 1, "m": 4, "K": 1,
+             "objectives": [{"index": 0, "name": "booking", "primary": True, "foo": 1}]},
+            {"format_version": 1, "m": 4, "K": 1, "objectives": 5},
+            5,
+        ],
+        ids=["unknown_objective_key", "objectives_number", "number_header"],
+    )
+    def test_bad_header_names_line_one(self, tmp_path, header):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ParseError) as e:
+            data.load_dataset(path)
+        assert e.value.line == 1
+
     def test_bad_group_line_number(self, tmp_path):
         ds = data.generate_dataset(tiny_config(num_queries=3))
         path = tmp_path / "ds.jsonl"

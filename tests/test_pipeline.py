@@ -116,11 +116,27 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d["distill"].update(epochs=True), "distill config key 'epochs' must be int"),
-            (lambda d: d["generator"].update(K=3.0), "generator config key 'K' must be int"),
-            (lambda d: d.update(teacher_epochs="2"), "experiment config key 'teacher_epochs'"),
-            (lambda d: d["boost"].update(rho=None), "boost config key 'rho' must be float"),
-            (lambda d: d["generator"].update(objective_names=["a", 1]), "'objective_names'"),
+            # The offending value is spelled as JSON, as the user wrote it.
+            (
+                lambda d: d["distill"].update(epochs=True),
+                "distill config key 'epochs' must be int, got true",
+            ),
+            (
+                lambda d: d["generator"].update(K=3.0),
+                "generator config key 'K' must be int, got 3.0",
+            ),
+            (
+                lambda d: d.update(teacher_epochs="2"),
+                "experiment config key 'teacher_epochs' must be int, got \"2\"",
+            ),
+            (
+                lambda d: d["boost"].update(rho=None),
+                "boost config key 'rho' must be float, got null",
+            ),
+            (
+                lambda d: d["generator"].update(objective_names=["a", 1]),
+                "'objective_names' must be list[str], got [\"a\", 1]",
+            ),
             (lambda d: d["generator"].update(objective_weights=[1.0]), "'objective_weights'"),
             (lambda d: d.update(generator=[]), "generator config must be a JSON object"),
             (lambda d: d["distill"].pop("mlp"), "distill config requires 'mlp'"),
@@ -282,3 +298,43 @@ class TestDeterminism:
         pipeline.study_distill_vs_baselines(small_experiment(out))
         assert (out / "report.json").read_bytes() == first_json
         assert (out / "metrics.csv").read_bytes() == first_csv
+
+
+# sha256 of each study's report files at small_experiment, taken before the
+# studies shared one setup; metrics.csv is written by the distill study only.
+GOLDEN_STUDY_BYTES = {
+    "distill/metrics.csv": "02bf4029a42c406e8b85698532a865f1bdc6cf8eea55eda7d1e8051208082bbd",
+    "distill/report.json": "5821ddf3d599405d852cc7f9db52fd6fc94e05f47bd15646859bdc47d159917d",
+    "distill/report.md": "fb85e00d555121bb7cc8f01e9f66068b772d267b707d3fce46bfdf666a537d4b",
+    "self/report.json": "ed993d316ae861c151159e1f3c7199182da4b592be17099785aabd9042ad618f",
+    "self/report.md": "4ec178d3a3717c58311d8228f27f824124ddb931a29627710491184ee8c82124",
+    "repro/report.json": "68d882381cd5b30b03df242fa51a56cc723a97beaeb3d21c6562d44442d50b30",
+    "repro/report.md": "66b4f31f27f460c2f8e5fd9a7e632584730b6158187be9ff3bc172581710592e",
+    "boost/report.json": "c27e31ece6ceaa92c498dc16463ed4d5ebf11274a8102af464f5c6d9d637a213",
+    "boost/report.md": "61fba617e1f462ba3cb8260031220b1f78d3a45f9ed785149ff5c3e94b7fad81",
+}
+
+
+def test_study_reports_are_pinned(tmp_path, monkeypatch):
+    # Reports record their output directory, so it is a fixed relative path.
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for key, study in pipeline.STUDIES.items():
+        study(small_experiment(f"golden_{key}"))
+        for path in sorted(Path(f"golden_{key}").glob("*.*")):
+            digests[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_STUDY_BYTES
+
+
+def test_interrupted_report_leaves_previous_files_whole(tmp_path, monkeypatch):
+    config = small_experiment(tmp_path)
+    pipeline.study_self_distillation(config)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def interrupted(report):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_report_markdown", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.study_self_distillation(config)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before

@@ -350,3 +350,44 @@ def test_cli_rejects_bad_checkpoint(files, capsys, mangle):
             "--out", str(files["work"] / "scores.jsonl")]
     code, err = run_cli(argv, capsys)
     assert code == 2 and str(path) in err
+
+
+def stage_argv(files, command, config, data=None):
+    """argv for a training stage; data defaults to the valid dataset file."""
+    argv = [command, "--config", config, "--data", data or files["data"],
+            "--out", str(files["work"] / f"{command}.json")]
+    if command == "train-teacher":
+        return argv + ["--objective", "0"]
+    if command == "train-student":
+        return argv + ["--soft", files["soft"]]
+    return argv + ["--model", files["model"]]
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-student", "self-distill"])
+def test_cli_reports_bad_config_before_reading_data(files, capsys, command):
+    path = files["work"] / "bad_epochs.json"
+    path.write_text(json.dumps({"distill": {"mlp": {"layer_dims": [6, 8, 1]}, "epochs": "ten"}}))
+    missing = str(files["work"] / "missing.jsonl")
+    code, err = run_cli(stage_argv(files, command, str(path), missing), capsys)
+    assert code == 2 and "'epochs'" in err and "missing.jsonl" not in err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_cli_rejects_non_finite_fusion_weights(files, capsys, weight):
+    argv = ["fuse", "--data", files["data"], "--teachers", *[files["model"]] * 3,
+            "--weights", weight, "1", "1", "--out", str(files["work"] / "never.jsonl")]
+    code, err = run_cli(argv, capsys)
+    assert code == 2 and "fusion_weights" in err
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-student", "self-distill"])
+def test_cli_seed_flag_is_recorded(files, command):
+    cfg = train_config(seed=0, mlp=nn.MlpConfig(layer_dims=(6, 8, 4, 1), init_scale=0.3, seed=0))
+    path = files["work"] / "seed0.json"
+    path.write_text(json.dumps({"distill": cfg.to_dict()}))
+    argv = stage_argv(files, command, str(path))
+    assert cli.main(argv + ["--seed", "5"]) == 0
+    with open(argv[argv.index("--out") + 1]) as f:
+        doc = json.load(f)
+    assert doc["seed"] == 5 and doc["config"]["seed"] == 5
+    assert distill.Model.load(argv[argv.index("--out") + 1]).seed == 5
