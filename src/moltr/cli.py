@@ -20,7 +20,9 @@ import numpy as np
 from . import distill, evaluation, nn, pipeline
 from .data import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from .distill import BoostRule, DistillConfig, Model, SoftLabelSet, TeacherEnsemble
-from .errors import CalibrationError, ConfigError, InputError, ParseError, TrainingError
+from .errors import (
+    CalibrationError, ConfigError, InputError, ParseError, TrainingError, write_atomic,
+)
 
 
 def _load_json(path) -> dict:
@@ -143,7 +145,7 @@ def cmd_score(args):
     dataset = load_dataset(args.data)
     model = Model.load(args.model)
     scores = distill.score_dataset(model, dataset)
-    with open(args.out, "w") as f:
+    with write_atomic(args.out) as f:
         for qid in scores:
             f.write(
                 json.dumps({"query_id": qid, "scores": scores[qid].tolist()}) + "\n"

@@ -16,11 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Config, ConfigError, InputError, ParseError
+from .errors import Config, ConfigError, InputError, ParseError, write_atomic
 
 FORMAT_VERSION = 1
 # Rating-derived feature slot, masked to this sentinel for new items.
@@ -100,7 +100,7 @@ class QueryGroup:
 
 
 @dataclass(frozen=True)
-class ObjectiveSpec:
+class ObjectiveSpec(Config, section="objective"):
     index: int
     name: str
     polarity: str = "reward"  # or "cost"; descriptive metadata only
@@ -135,9 +135,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([g.timestamp for g in self.groups], dtype=np.int64)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -329,7 +326,7 @@ def serialize_lines(dataset: Dataset):
         "format_version": FORMAT_VERSION,
         "m": dataset.m,
         "K": dataset.K,
-        "objectives": [asdict(o) for o in dataset.objectives],
+        "objectives": [o.to_dict() for o in dataset.objectives],
     }
     yield json.dumps(header, sort_keys=True)
     for g in dataset.groups:
@@ -350,7 +347,7 @@ def serialize_lines(dataset: Dataset):
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    with open(path, "w") as f:
+    with write_atomic(path) as f:
         for line in serialize_lines(dataset):
             f.write(line)
             f.write("\n")
@@ -391,15 +388,22 @@ def load_dataset(path) -> Dataset:
         for key in ("format_version", "m", "K", "objectives"):
             if key not in header:
                 raise ParseError(f"header missing field {key!r}", line=1)
+        for key in ("format_version", "m", "K"):
+            if type(header[key]) is not int:
+                raise ParseError(
+                    f"header field {key!r} must be int, got {json.dumps(header[key])}", line=1
+                )
         if header["format_version"] != FORMAT_VERSION:
             raise ParseError(
                 f"unsupported format_version {header['format_version']}", line=1
             )
+        if not isinstance(header["objectives"], list):
+            raise ParseError("header field 'objectives' must be a list", line=1)
         try:
-            objectives = [ObjectiveSpec(**o) for o in header["objectives"]]
-        except (TypeError, ConfigError) as e:
+            objectives = [ObjectiveSpec.from_dict(o) for o in header["objectives"]]
+            dataset = Dataset(objectives=objectives, groups=[], m=header["m"], K=header["K"])
+        except ConfigError as e:
             raise ParseError(f"bad objectives: {e}", line=1) from e
-        groups = []
         for lineno, raw in enumerate(f, start=2):
             if not raw.strip():
                 continue
@@ -418,5 +422,5 @@ def load_dataset(path) -> Dataset:
                     f"header says m={header['m']}, K={header['K']}",
                     line=lineno,
                 )
-            groups.append(group)
-        return Dataset(objectives=objectives, groups=groups, m=header["m"], K=header["K"])
+            dataset.groups.append(group)
+    return dataset

@@ -4,10 +4,10 @@ injection, student distillation, self-distillation, and baselines.
 All trainers share one deterministic engine, _run_training: a seeded
 generator initializes the MLP and then drives one shuffle of the query-group
 order per epoch, and each group is a single SGD step. Targets are computed
-once per run; each step runs the forward pass and backprop inline, with
-nn's arithmetic op for op, and updates through nn.sgd_step. Two runs with
-the same config and seed are bit-identical, and equal to a loop over the
-public nn functions.
+once per run; each step calls nn's forward, gradient and backprop kernels,
+the same code behind nn's public functions, and updates through
+nn.sgd_step. Two runs with the same config and seed are bit-identical, and
+equal to a loop over the public nn functions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, QueryGroup
-from .errors import Config, ConfigError, InputError, ParseError, TrainingError
+from .errors import Config, ConfigError, InputError, ParseError, TrainingError, write_atomic
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class SoftLabelSet:
                 )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with write_atomic(path) as f:
             f.write(json.dumps({"provenance": self.provenance}, sort_keys=True) + "\n")
             for qid in self.scores:
                 doc = {"query_id": qid, "scores": self.scores[qid].tolist()}
@@ -206,20 +206,11 @@ def _objective_target(group: QueryGroup, k: int) -> np.ndarray | None:
     return vals / total
 
 
-def _softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
-    """nn.listwise_softmax's arithmetic without its checks (scores are checked)."""
-    z = scores / temperature
-    z -= z.max()
-    np.exp(z, out=z)
-    z /= z.sum()
-    return z
-
-
 def _single_label_step(k: int):
     """(prepare, grad) for listwise CE against objective k's labels alone."""
 
     def grad(scores, target):
-        return _softmax(scores, 1.0) - target
+        return nn.distill_grad(scores, target, None, 1.0, 1.0)
 
     return (lambda group: _objective_target(group, k)), grad
 
@@ -229,12 +220,12 @@ def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
 
     prepare(group) runs once per group before the first epoch and gives its
     target, or None to skip it; grad(scores, target) gives the per-score
-    gradient. Forward and backprop run inline, bit-identical to
-    nn.mlp_forward and nn.backward, with gradients written into arrays
-    reused across steps; nn.sgd_step makes each update and its finiteness
-    check, which names the layer. Skips touch neither the params nor the
-    shuffle stream, which is what makes degenerate trainer comparisons
-    bitwise.
+    gradient. Each step runs nn.layer_outputs and nn.backprop_into, the
+    kernels of nn.mlp_forward and nn.backward, with gradients written into
+    arrays reused across steps; nn.sgd_step makes each update and its
+    finiteness check, which names the layer. Skips touch neither the params
+    nor the shuffle stream, which is what makes degenerate trainer
+    comparisons bitwise.
     """
     if not dataset.groups:
         raise TrainingError("cannot train on an empty dataset")
@@ -249,7 +240,7 @@ def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
     rng = np.random.default_rng(config.seed)
     params = nn.init_params(mlp, rng)
     grads = nn.zeros_like_params(params)
-    last, relu, lr = params.num_layers - 1, mlp.activation == "relu", config.learning_rate
+    relu, lr = mlp.activation == "relu", config.learning_rate
     order = np.arange(len(steps))
     for _ in range(config.epochs):
         rng.shuffle(order)
@@ -257,23 +248,11 @@ def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
             group, target = steps[gi]
             if target is None:
                 continue
-            hs = [group.features]
-            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-                z = hs[-1] @ w
-                z += b
-                if i < last:  # in place: backprop needs only post (post > 0 iff pre > 0)
-                    np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
-                hs.append(z)
+            hs = nn.layer_outputs(params, group.features, relu)
             scores = hs[-1][:, 0]
             if not np.isfinite(scores).all():
                 raise InputError(f"query {group.query_id}: forward pass produced non-finite scores")
-            delta = grad(scores, target)[:, None]
-            for i in range(last, -1, -1):
-                np.matmul(hs[i].T, delta, out=grads.weights[i])
-                delta.sum(axis=0, out=grads.biases[i])
-                if i > 0:  # multiplied, not np.where, so signed zeros match nn.backward
-                    delta = delta @ params.weights[i].T
-                    delta *= (hs[i] > 0.0) if relu else 1.0 - hs[i] * hs[i]
+            nn.backprop_into(grads, hs, params, grad(scores, target), relu)
             params = nn.sgd_step(params, grads, lr)
     return params
 
@@ -362,15 +341,7 @@ def train_student(
         return hard, nn.listwise_softmax(soft.scores[group.query_id], config.teacher_temperature)
 
     def grad(scores, target):
-        # nn.distill_loss's gradient: a term is skipped, not zero-weighted.
-        hard, target_soft = target
-        use_hard = alpha > 0.0 and hard is not None
-        if use_hard:
-            hg = _softmax(scores, 1.0) - hard
-            if alpha == 1.0:
-                return hg
-        sg = (_softmax(scores, temperature) - target_soft) / temperature
-        return alpha * hg + (1.0 - alpha) * sg if use_hard else sg
+        return nn.distill_grad(scores, *target, alpha, temperature)
 
     params = _run_training(dataset, config, prepare, grad)
     return Model(config=config.mlp, params=params, lineage=lineage, seed=config.seed)
@@ -441,7 +412,7 @@ def train_scalarized_baseline(
         return terms or None
 
     def grad(scores, terms):
-        p = _softmax(scores, 1.0)
+        p = nn.softmax(scores, 1.0)
         total = None
         for w, target in terms:  # summed in k order
             g = w * (p - target)

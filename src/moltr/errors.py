@@ -1,14 +1,20 @@
-"""Exception types shared across the toolkit, and the config JSON codec.
+"""Exception types shared across the toolkit, the config JSON codec, and
+the atomic file writer.
 
 Every config dataclass inherits Config, whose to_dict/from_dict are driven
 by the dataclass fields and their annotations: from_dict rejects a
 non-object, an unknown key, a missing required field and a value of the
 wrong type with a ConfigError naming the section and key. Value ranges are
 checked by each class's __post_init__.
+
+Every file the toolkit writes goes through write_atomic, so an interrupted
+write leaves any previous file whole.
 """
 
 import json
+import os
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 
 
@@ -109,3 +115,18 @@ def _fits(value, hint) -> bool:
             return len(value) == len(args) and all(map(_fits, value, args))
         return all(_fits(v, args[0]) for v in value)
     return isinstance(value, hint)
+
+
+@contextmanager
+def write_atomic(path):
+    """A text file to stream into; on success it replaces path with
+    os.replace, and on any error it is deleted and path is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

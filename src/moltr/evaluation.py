@@ -135,10 +135,6 @@ def prediction_difference(preds_a, preds_b) -> float:
     return float(math.fsum(terms) / a.size)
 
 
-def _group_probabilities(model: Model, group: QueryGroup) -> np.ndarray:
-    return listwise_softmax(model.score_group(group), 1.0)
-
-
 def sxs_change_rate(
     model_a: Model,
     model_b: Model,

@@ -3,22 +3,27 @@
 Everything here operates on plain numpy arrays; one forward pass scores the
 n items of a single query list. Losses are listwise: a softmax over the
 query's item scores is compared against a target distribution with cross
-entropy. All public functions are pure and check their inputs; training
-state lives in ParameterSet values that are replaced, never mutated. The
-trainers in distill run the forward pass and backprop inline, with the
-same arithmetic as mlp_forward and backward, and update through sgd_step.
+entropy.
+
+The arithmetic exists once, in four unchecked kernels: layer_outputs (the
+forward pass), backprop_into (gradients written into reused arrays),
+softmax, and distill_grad (the blended loss's score gradient). The public
+mlp_forward, backward, listwise_softmax and distill_loss check their inputs
+and call a kernel; they leave their inputs unchanged and return fresh
+arrays. The trainers in distill call the kernels on inputs they check once
+per run, and update through sgd_step, which returns a new ParameterSet.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Config, ConfigError, InputError, ParseError, TrainingError
+from .errors import Config, ConfigError, InputError, ParseError, TrainingError, write_atomic
 
 # Softmax outputs are clamped to this floor before any log, so cross
 # entropy is total even for extreme score gaps.
@@ -114,15 +119,6 @@ class ParameterSet:
         )
 
 
-@dataclass
-class ForwardTrace:
-    """Cached intermediates of one forward pass, enough for exact backprop."""
-
-    inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    activations: list[np.ndarray] = field(default_factory=list)
-
-
 # GradientSet has the same structure as ParameterSet; keep one class and an
 # alias so signatures stay readable.
 GradientSet = ParameterSet
@@ -147,24 +143,41 @@ def zeros_like_params(params: ParameterSet) -> GradientSet:
     )
 
 
-def _activate(x: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    return np.tanh(x)
+def layer_outputs(params: ParameterSet, features: np.ndarray, relu: bool) -> list[np.ndarray]:
+    """[features, h_1, ..., h_L], h_L (n x 1) holding the scores. Unchecked
+    kernel of mlp_forward. Activation is in place: backprop needs no
+    pre-activations, as relu's post > 0 exactly when pre > 0 and tanh's
+    derivative is 1 - post^2."""
+    hs = [features]
+    last = params.num_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = hs[-1] @ w
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+        hs.append(z)
+    return hs
 
 
-def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (pre > 0.0).astype(pre.dtype)
-    return 1.0 - post * post
+def backprop_into(grads: GradientSet, hs, params: ParameterSet, per_score_grad, relu: bool):
+    """Write d(loss)/d(each parameter) into grads, given layer_outputs and
+    d(loss)/d(score). Unchecked kernel of backward; it only reads hs and
+    per_score_grad."""
+    delta = per_score_grad[:, None]
+    for i in range(params.num_layers - 1, -1, -1):
+        np.matmul(hs[i].T, delta, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
+        if i > 0:  # multiplied, not np.where, so a masked entry keeps its signed zero
+            delta = delta @ params.weights[i].T
+            delta *= (hs[i] > 0.0) if relu else 1.0 - hs[i] * hs[i]
 
 
 def mlp_forward(
     params: ParameterSet, features: np.ndarray, activation: str = "relu"
-) -> tuple[np.ndarray, ForwardTrace]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Score each of the n items; the output layer is linear.
 
-    Returns the (n,) score vector and a trace for backward().
+    Returns the (n,) score vector and the layer outputs for backward().
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -175,49 +188,42 @@ def mlp_forward(
         raise InputError(
             f"feature dim {features.shape[1]} != input dim {params.weights[0].shape[0]}"
         )
-    trace = ForwardTrace(inputs=features)
-    h = features
-    last = params.num_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        trace.pre_activations.append(z)
-        h = z if i == last else _activate(z, activation)
-        trace.activations.append(h)
-    scores = trace.activations[-1][:, 0]
+    hs = layer_outputs(params, features, activation == "relu")
+    scores = hs[-1][:, 0]
     if not np.isfinite(scores).all():
         raise InputError("forward pass produced non-finite scores")
-    return scores, trace
+    return scores, hs
 
 
 def backward(
-    trace: ForwardTrace,
+    trace: list[np.ndarray],
     params: ParameterSet,
     per_score_grad: np.ndarray,
     activation: str = "relu",
 ) -> GradientSet:
-    """Exact gradients of the loss w.r.t. every parameter.
+    """Exact gradients of the loss w.r.t. every parameter, in fresh arrays.
 
     per_score_grad is d(loss)/d(score) per item, as returned by
     distill_loss. The trace must come from mlp_forward with these params.
     """
-    if len(trace.pre_activations) != params.num_layers:
+    if len(trace) != params.num_layers + 1:
         raise InputError("trace does not match parameter layer count")
     per_score_grad = np.asarray(per_score_grad, dtype=np.float64)
-    delta = per_score_grad[:, None]  # grad w.r.t. final pre-activation
-    g_weights = [np.empty(0)] * params.num_layers
-    g_biases = [np.empty(0)] * params.num_layers
-    for i in range(params.num_layers - 1, -1, -1):
-        layer_in = trace.inputs if i == 0 else trace.activations[i - 1]
-        if layer_in.shape[0] != delta.shape[0]:
-            raise InputError("trace item count does not match gradient length")
-        g_weights[i] = layer_in.T @ delta
-        g_biases[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ params.weights[i].T
-            delta = delta * _activate_grad(
-                trace.pre_activations[i - 1], trace.activations[i - 1], activation
-            )
-    return ParameterSet(g_weights, g_biases)
+    if any(h.shape[0] != per_score_grad.shape[0] for h in trace):
+        raise InputError("trace item count does not match gradient length")
+    grads = zeros_like_params(params)
+    backprop_into(grads, trace, params, per_score_grad, activation == "relu")
+    return grads
+
+
+def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
+    """Max-stabilized temperature softmax in a fresh array. Unchecked kernel
+    of listwise_softmax."""
+    z = scores / temperature
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def listwise_softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -229,10 +235,7 @@ def listwise_softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray
         raise InputError("scores contain non-finite values")
     if not (temperature > 0):
         raise InputError("temperature must be positive")
-    z = scores / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax(scores, temperature)
 
 
 def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
@@ -288,34 +291,26 @@ def distill_loss(
         raise InputError("scores contain non-finite values")
     use_hard = alpha > 0.0 and hard is not None
     use_soft = alpha < 1.0 and soft is not None
-    if not use_hard and not use_soft:
-        return 0.0, np.zeros_like(scores)
-
     loss = 0.0
-    grad = None
     if use_hard:
-        p1 = listwise_softmax(scores, 1.0)
         hard = np.asarray(hard, dtype=np.float64)
-        hl = cross_entropy(p1, hard)
-        hg = p1 - hard
-        if use_soft:
-            loss += alpha * hl
-            grad = alpha * hg
-        else:
-            loss = hl
-            grad = hg
+        loss = cross_entropy(listwise_softmax(scores, 1.0), hard)
     if use_soft:
-        pt = listwise_softmax(scores, temperature)
         soft = np.asarray(soft, dtype=np.float64)
-        sl = cross_entropy(pt, soft)
-        sg = (pt - soft) / temperature
-        if use_hard:
-            loss += (1.0 - alpha) * sl
-            grad = grad + (1.0 - alpha) * sg
-        else:
-            loss = sl
-            grad = sg
-    return float(loss), grad
+        sl = cross_entropy(listwise_softmax(scores, temperature), soft)
+        loss = alpha * loss + (1.0 - alpha) * sl if use_hard else sl
+    return float(loss), distill_grad(scores, hard, soft, alpha, temperature)
+
+
+def distill_grad(scores, hard, soft, alpha: float, temperature: float) -> np.ndarray:
+    """d(distill_loss)/d(scores) in a fresh array. Unchecked kernel of
+    distill_loss; a skipped term is never computed, so alpha == 1 with a
+    hard target is exactly hard-label training."""
+    use_hard = alpha > 0.0 and hard is not None
+    if not (alpha < 1.0 and soft is not None):
+        return softmax(scores, 1.0) - hard if use_hard else np.zeros_like(scores)
+    sg = (softmax(scores, temperature) - soft) / temperature
+    return alpha * (softmax(scores, 1.0) - hard) + (1.0 - alpha) * sg if use_hard else sg
 
 
 def sgd_step(params: ParameterSet, grads: GradientSet, lr: float) -> ParameterSet:
@@ -403,7 +398,7 @@ def save_checkpoint(
     round-trips doubles exactly, so load is value-exact.
     """
     payload, digest = checkpoint_payload(config, params, extra)
-    with open(path, "w") as f:
+    with write_atomic(path) as f:
         f.write(payload)
     return digest
 

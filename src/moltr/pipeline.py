@@ -9,7 +9,6 @@ carries the content hashes of the checkpoint and dataset it came from.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from .distill import (
     train_student,
     train_teachers,
 )
-from .errors import CalibrationError, Config, ConfigError
+from .errors import CalibrationError, Config, ConfigError, write_atomic
 
 
 @dataclass
@@ -134,15 +133,6 @@ def default_experiment_config(output_dir: str = "out", **overrides) -> Experimen
     )
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write data through a temp file and os.replace, so an interrupted
-    write leaves any previous file at path whole."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
-
-
 class CheckpointStore:
     """Content-addressed checkpoint directory under the output dir."""
 
@@ -155,14 +145,14 @@ class CheckpointStore:
             model.config, model.params, extra={"lineage": model.lineage}
         )
         path = os.path.join(self.dir, f"{digest}.json")
-        data = payload.encode()
         # An existing file is reused only if it is whole: an interrupted run
         # may have left it truncated.
         if os.path.exists(path):
             with open(path, "rb") as f:
-                if f.read() == data:
+                if f.read() == payload.encode():
                     return digest
-        _write_atomic(path, data)
+        with write_atomic(path) as f:
+            f.write(payload)
         return digest
 
 
@@ -563,19 +553,20 @@ def _report_markdown(report: dict) -> str:
 
 
 def _write_report(output_dir, report, per_query_scores, eval_ds) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    _write_atomic(os.path.join(output_dir, "report.json"), text.encode())
-    _write_atomic(os.path.join(output_dir, "report.md"), _report_markdown(report).encode())
+    markdown = _report_markdown(report)
+    with write_atomic(os.path.join(output_dir, "report.json")) as f:
+        f.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with write_atomic(os.path.join(output_dir, "report.md")) as f:
+        f.write(markdown)
     if per_query_scores:
-        rows = io.StringIO()
-        writer = csv.writer(rows)
-        writer.writerow(["arm", "query_id", "ndcg_at_10"])
-        for arm in sorted(per_query_scores):
-            scores = per_query_scores[arm]
-            for g in eval_ds.groups:
-                ndcg = evaluation.ndcg_at_k(scores[g.query_id], g.primary_labels(), 10)
-                writer.writerow([arm, g.query_id, repr(ndcg)])
-        _write_atomic(os.path.join(output_dir, "metrics.csv"), rows.getvalue().encode())
+        with write_atomic(os.path.join(output_dir, "metrics.csv")) as f:
+            writer = csv.writer(f)
+            writer.writerow(["arm", "query_id", "ndcg_at_10"])
+            for arm in sorted(per_query_scores):
+                scores = per_query_scores[arm]
+                for g in eval_ds.groups:
+                    ndcg = evaluation.ndcg_at_k(scores[g.query_id], g.primary_labels(), 10)
+                    writer.writerow([arm, g.query_id, repr(ndcg)])
 
 
 STUDIES = {

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from moltr import cli
-from moltr.data import load_dataset
+from moltr import cli, errors
+from moltr.data import load_dataset, save_dataset
 from moltr.distill import Model, SoftLabelSet
 
 
@@ -268,6 +268,39 @@ class TestErrorHandling:
 
     def test_missing_required_flag(self):
         assert run(["gen-data"]) != 0
+
+    @pytest.mark.parametrize("writer", ["save_dataset", "soft_labels", "checkpoint", "score"])
+    def test_interrupted_write_leaves_old_file_whole(
+        self, tmp_path, monkeypatch, dataset_path, soft_path, student_path, writer
+    ):
+        dataset, soft = load_dataset(dataset_path), SoftLabelSet.load(soft_path)
+        model = Model.load(student_path)
+        target = tmp_path / "out"
+        target.write_bytes(b"previous contents\n")
+        write = {
+            "save_dataset": lambda: save_dataset(dataset, target),
+            "soft_labels": lambda: soft.save(target),
+            "checkpoint": lambda: model.save(target),
+            "score": lambda: run(["score", "--data", dataset_path, "--model", student_path,
+                                  "--out", str(target)]),
+        }[writer]
+
+        def interrupted_open(*args, **kwargs):
+            f = open(*args, **kwargs)
+            whole_write = f.write
+
+            def half_write(text):
+                whole_write(text[: len(text) // 2])
+                raise KeyboardInterrupt
+
+            f.write = half_write
+            return f
+
+        monkeypatch.setattr(errors, "open", interrupted_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write()
+        assert target.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_missing_model_file(self, workdir, dataset_path):
         code = run(

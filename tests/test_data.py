@@ -275,21 +275,37 @@ class TestPersistence:
             data.load_dataset(path)
 
     @pytest.mark.parametrize(
-        "header",
+        "header, key",
         [
-            {"format_version": 1, "m": 4, "K": 1,
-             "objectives": [{"index": 0, "name": "booking", "primary": True, "foo": 1}]},
-            {"format_version": 1, "m": 4, "K": 1, "objectives": 5},
-            5,
+            ({"format_version": 1, "m": 4, "K": 1,
+              "objectives": [{"index": 0, "name": "booking", "primary": True, "foo": 1}]},
+             "foo"),
+            ({"format_version": 1, "m": 4, "K": 1, "objectives": 5}, "objectives"),
+            (5, None),
+            ({"format_version": 1, "m": 4, "K": "3",
+              "objectives": [{"index": 0, "name": "booking", "primary": True}]}, "'K'"),
+            ({"format_version": 1, "m": 4, "K": 1,
+              "objectives": [{"index": "0", "name": "booking", "primary": True}]}, "'index'"),
+            ({"format_version": 1, "m": 4, "K": 1,
+              "objectives": [{"index": 0, "name": "booking"}]}, "primary"),
+            ({"format_version": True, "m": 4, "K": 1,
+              "objectives": [{"index": 0, "name": "booking", "primary": True}]},
+             "'format_version'"),
         ],
-        ids=["unknown_objective_key", "objectives_number", "number_header"],
+        ids=["unknown_objective_key", "objectives_number", "number_header",
+             "K_string", "index_string", "no_primary", "version_bool"],
     )
-    def test_bad_header_names_line_one(self, tmp_path, header):
+    def test_bad_header_names_line_one(self, tmp_path, header, key):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(header) + "\n")
+        # A valid group follows, so a header error must not wait for it.
+        group = {"query_id": 0, "timestamp": 0, "labels": [[1], [0]], "items": [
+            {"item_id": i, "features": [0.0] * 4, "review_rating": 3.0, "is_new": False}
+            for i in range(2)]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(group) + "\n")
         with pytest.raises(ParseError) as e:
             data.load_dataset(path)
-        assert e.value.line == 1
+        assert e.value.line == 1 and str(e.value).startswith("line 1: ")
+        assert key is None or key in str(e.value)
 
     def test_bad_group_line_number(self, tmp_path):
         ds = data.generate_dataset(tiny_config(num_queries=3))

@@ -257,6 +257,38 @@ class TestBackward:
         )
         assert nn.max_relative_grad_error(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_public_functions_leave_inputs_unchanged(self, activation):
+        params = nn.init_params(small_config(dims=(3, 6, 4, 1), seed=4, activation=activation))
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, 3))
+        hard = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        soft = rng.dirichlet(np.ones(5))
+        saved = params.copy()
+        scores, trace = nn.mlp_forward(params, x, activation)
+        inputs = [x, hard, soft, scores, *trace]
+        before = [a.tobytes() for a in inputs]
+        _, g = nn.distill_loss(scores, hard, soft, 0.3, 2.0)
+        g_before = g.tobytes()
+        nn.backward(trace, params, g, activation)
+        assert [a.tobytes() for a in inputs] == before  # bitwise, signed zeros too
+        assert g.tobytes() == g_before
+        assert params == saved
+
+    def test_backward_returns_independent_arrays(self):
+        params = nn.init_params(small_config(dims=(3, 6, 4, 1), seed=4))
+        scores, trace = nn.mlp_forward(params, np.random.default_rng(2).normal(size=(5, 3)))
+        g = np.linspace(-1.0, 1.0, 5)
+        first = nn.backward(trace, params, g)
+        saved = first.copy()
+        second = nn.backward(trace, params, -g)
+        assert first == saved
+        for a, b in zip(first.weights + first.biases, second.weights + second.biases):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(b, -a)
+        for a in first.weights + first.biases:
+            assert not any(np.shares_memory(a, p) for p in params.weights + params.biases)
+
 
 class TestFiniteDiff:
     def test_quadratic(self):

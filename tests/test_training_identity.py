@@ -157,6 +157,10 @@ def test_trainers_equal_the_public_nn_loop(activation, alpha):
     assert student.params == reference_train(ds, cfg, lambda g: primary(g, 0), alpha, soft)
     hard_only = distill.train_hard_only(ds, cfg)
     assert hard_only.params == reference_train(ds, cfg, lambda g: primary(g, 0))
+    teacher = distill.train_teacher(ds, 1, cfg)
+    covered = [g for g in ds.groups if g.has_labels_for(1)]
+    covered_ds = data.Dataset(objectives=ds.objectives, groups=covered, m=ds.m, K=ds.K)
+    assert teacher.params == reference_train(covered_ds, cfg, lambda g: primary(g, 1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
