@@ -5,9 +5,9 @@ All trainers share one deterministic engine, _run_training: a seeded
 generator initializes the MLP and then drives one shuffle of the query-group
 order per epoch, and each group is a single SGD step. Targets are computed
 once per run; each step calls nn's forward, gradient and backprop kernels,
-the same code behind nn's public functions, and updates through
-nn.sgd_step. Two runs with the same config and seed are bit-identical, and
-equal to a loop over the public nn functions.
+the same code behind nn's public functions, and nn.sgd_step updates the
+one flat parameter buffer in place. Two runs with the same config and seed
+are bit-identical, and equal to a loop over the public nn functions.
 """
 
 from __future__ import annotations
@@ -222,10 +222,10 @@ def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
     target, or None to skip it; grad(scores, target) gives the per-score
     gradient. Each step runs nn.layer_outputs and nn.backprop_into, the
     kernels of nn.mlp_forward and nn.backward, with gradients written into
-    arrays reused across steps; nn.sgd_step makes each update and its
-    finiteness check, which names the layer. Skips touch neither the params
-    nor the shuffle stream, which is what makes degenerate trainer
-    comparisons bitwise.
+    arrays reused across steps; nn.sgd_step updates the params' one flat
+    buffer in place, with one finiteness check that names the layer on
+    failure. Skips touch neither the params nor the shuffle stream, which is
+    what makes degenerate trainer comparisons bitwise.
     """
     if not dataset.groups:
         raise TrainingError("cannot train on an empty dataset")
@@ -253,7 +253,7 @@ def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
             if not np.isfinite(scores).all():
                 raise InputError(f"query {group.query_id}: forward pass produced non-finite scores")
             nn.backprop_into(grads, hs, params, grad(scores, target), relu)
-            params = nn.sgd_step(params, grads, lr)
+            nn.sgd_step(params, grads, lr)
     return params
 
 

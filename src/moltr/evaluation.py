@@ -60,21 +60,22 @@ def ndcg_at_k(scores: np.ndarray, primary_labels: np.ndarray, k: int | None) -> 
     labels = np.asarray(primary_labels, dtype=np.float64)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size < 1:
         raise InputError("scores and labels must be matching 1-d vectors")
-    n = scores.size
-    if k is None:
-        k = n
-    if k < 1:
+    if k is not None and k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    k = min(k, n)
-    order = rank_order(scores)
+    return _ndcg(rank_order(scores), labels > 0, k)
+
+
+def _ndcg(order: np.ndarray, relevant: np.ndarray, k: int | None) -> float:
+    """NDCG of a ranking order over a relevance mask, cut at k (None or
+    more than n means the full list)."""
+    k = order.size if k is None else min(k, order.size)
     dcg = 0.0
-    for rank, j in enumerate(order[:k], start=1):
-        if labels[j] > 0:
-            dcg += 1.0 / math.log2(rank + 1)
-    relevant = int((labels > 0).sum())
-    if relevant == 0:
+    for rank in (np.flatnonzero(relevant[order[:k]]) + 2).tolist():
+        dcg += 1.0 / math.log2(rank)
+    total = int(relevant.sum())
+    if total == 0:
         return 0.0
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(relevant, k) + 1))
+    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(total, k) + 1))
     return dcg / ideal
 
 
@@ -86,8 +87,11 @@ def exposure_rate(scores: np.ndarray, flags: np.ndarray, k: int) -> float:
         raise InputError("scores and flags must have matching shapes")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    k = min(k, scores.size)
-    order = rank_order(scores)
+    return _exposure(rank_order(scores), flags, k)
+
+
+def _exposure(order: np.ndarray, flags: np.ndarray, k: int) -> float:
+    k = min(k, order.size)
     return float(flags[order[:k]].sum()) / k
 
 
@@ -184,26 +188,32 @@ def ranking_metrics_report(
 ) -> RankingMetricsReport:
     """Aggregate NDCG and exposure rates over a scored dataset.
 
-    Per-objective exposure flags an item when its label for that objective
-    is present and positive. Boosted exposure uses the rule's predicate.
+    Each query is ranked once; its NDCG@5, NDCG@10, full NDCG and every
+    exposure rate come from that one order. Per-objective exposure flags an
+    item when its label for that objective is present and positive. Boosted
+    exposure uses the rule's predicate.
     """
     if not dataset.groups:
         raise InputError("dataset is empty")
+    if exposure_k < 1:
+        raise InputError(f"k must be >= 1, got {exposure_k}")
     ndcg5, ndcg10, ndcgf = [], [], []
     obj_exp = [[] for _ in range(dataset.K)]
     boost_exp = []
     for g in dataset.groups:
-        s = scores_by_query[g.query_id]
-        labels = g.primary_labels()
-        ndcg5.append(ndcg_at_k(s, labels, 5))
-        ndcg10.append(ndcg_at_k(s, labels, 10))
-        ndcgf.append(ndcg_at_k(s, labels, None))
+        s = np.asarray(scores_by_query[g.query_id], dtype=np.float64)
+        if s.shape != (g.size,):
+            raise InputError(f"query {g.query_id}: {s.shape} scores for {g.size} items")
+        order = rank_order(s)
+        relevant = g.primary_labels() > 0
+        ndcg5.append(_ndcg(order, relevant, 5))
+        ndcg10.append(_ndcg(order, relevant, 10))
+        ndcgf.append(_ndcg(order, relevant, None))
         for k in range(dataset.K):
             vals, mask = g.objective_labels(k)
-            flags = mask & (vals > 0)
-            obj_exp[k].append(exposure_rate(s, flags, exposure_k))
+            obj_exp[k].append(_exposure(order, mask & (vals > 0), exposure_k))
         if boost_rule is not None:
-            boost_exp.append(exposure_rate(s, boost_rule.match_mask(g), exposure_k))
+            boost_exp.append(_exposure(order, boost_rule.match_mask(g), exposure_k))
     mean = lambda xs: float(math.fsum(xs) / len(xs))
     return RankingMetricsReport(
         ndcg_at_5=mean(ndcg5),

@@ -11,14 +11,15 @@ softmax, and distill_grad (the blended loss's score gradient). The public
 mlp_forward, backward, listwise_softmax and distill_loss check their inputs
 and call a kernel; they leave their inputs unchanged and return fresh
 arrays. The trainers in distill call the kernels on inputs they check once
-per run, and update through sgd_step, which returns a new ParameterSet.
+per run. A ParameterSet keeps every layer in one flat buffer, and sgd_step
+updates that buffer in place with one finiteness check per step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,19 +71,34 @@ class MlpConfig(Config, section="mlp"):
         return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)
 class ParameterSet:
-    """Per-layer weight matrices (d_in x d_out) and bias vectors."""
+    """Per-layer weight matrices (d_in x d_out) and bias vectors.
+
+    Construction copies the layers into one C-contiguous float64 vector,
+    flat, in the order w0, b0, w1, b1, ...; weights and biases are views
+    into it, so an in-place update of flat updates every layer.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+    shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases):
             raise InputError("weights and biases layer counts differ")
+        if not self.weights:
+            raise InputError("a ParameterSet needs at least one layer")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise InputError(f"layer {i}: inconsistent shapes {w.shape} / {b.shape}")
+        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
+        self.shapes = tuple(a.shape for a in arrays)
+        self.flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        views = [self.flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def num_layers(self) -> int:
@@ -94,29 +110,18 @@ class ParameterSet:
         return tuple(dims)
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
+        return ParameterSet(self.weights, self.biases)
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
+        return bool(np.isfinite(self.flat).all())
 
     def params_hash(self) -> str:
-        h = hashlib.sha256()
-        for w, b in zip(self.weights, self.biases):
-            h.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
-            h.update(np.ascontiguousarray(b, dtype=np.float64).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.flat.tobytes()).hexdigest()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterSet):
             return NotImplemented
-        return self.num_layers == other.num_layers and all(
-            np.array_equal(a, b)
-            for a, b in zip(self.weights + self.biases, other.weights + other.biases)
-        )
+        return self.shapes == other.shapes and np.array_equal(self.flat, other.flat)
 
 
 # GradientSet has the same structure as ParameterSet; keep one class and an
@@ -137,10 +142,9 @@ def init_params(config: MlpConfig, rng: np.random.Generator | None = None) -> Pa
 
 
 def zeros_like_params(params: ParameterSet) -> GradientSet:
-    return ParameterSet(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+    grads = params.copy()
+    grads.flat[:] = 0.0
+    return grads
 
 
 def layer_outputs(params: ParameterSet, features: np.ndarray, relu: bool) -> list[np.ndarray]:
@@ -305,43 +309,35 @@ def distill_loss(
 def distill_grad(scores, hard, soft, alpha: float, temperature: float) -> np.ndarray:
     """d(distill_loss)/d(scores) in a fresh array. Unchecked kernel of
     distill_loss; a skipped term is never computed, so alpha == 1 with a
-    hard target is exactly hard-label training."""
+    hard target is exactly hard-label training. At temperature 1 both terms
+    share one softmax, as scores / 1.0 is scores bit for bit."""
     use_hard = alpha > 0.0 and hard is not None
     if not (alpha < 1.0 and soft is not None):
         return softmax(scores, 1.0) - hard if use_hard else np.zeros_like(scores)
-    sg = (softmax(scores, temperature) - soft) / temperature
-    return alpha * (softmax(scores, 1.0) - hard) + (1.0 - alpha) * sg if use_hard else sg
+    p = softmax(scores, temperature)
+    sg = (p - soft) / temperature
+    if not use_hard:
+        return sg
+    p1 = p if temperature == 1.0 else softmax(scores, 1.0)
+    return alpha * (p1 - hard) + (1.0 - alpha) * sg
 
 
 def sgd_step(params: ParameterSet, grads: GradientSet, lr: float) -> ParameterSet:
-    """theta <- theta - lr * g; raises if any layer goes non-finite.
+    """theta <- theta - lr * g on params.flat, in place; returns params.
 
-    The new layers are views into one fresh vector, so one finiteness check
-    covers them all; the failing layer is looked up only on failure.
+    One finiteness check covers every layer; the failing layer is looked up
+    only on failure, and the params then hold the non-finite update.
     """
     if not (lr >= 0):
         raise ConfigError("learning rate must be nonnegative")
-    if params.num_layers != grads.num_layers:
-        raise InputError("params and grads layer counts differ")
-    theta = np.empty(sum(w.size + b.size for w, b in zip(params.weights, params.biases)))
-    weights, biases, at = [], [], 0
-    for i, (w, b, gw, gb) in enumerate(
-        zip(params.weights, params.biases, grads.weights, grads.biases)
-    ):
-        if w.shape != gw.shape or b.shape != gb.shape:
-            raise InputError(f"layer {i}: gradient shape mismatch")
-        end = at + w.size
-        nw, nb = theta[at:end].reshape(w.shape), theta[end:end + b.size]
-        at = end + b.size
-        np.subtract(w, np.multiply(lr, gw, out=nw), out=nw)
-        np.subtract(b, np.multiply(lr, gb, out=nb), out=nb)
-        weights.append(nw)
-        biases.append(nb)
-    if not np.isfinite(theta).all():
-        i = next(i for i, (w, b) in enumerate(zip(weights, biases))
+    if params.shapes != grads.shapes:
+        raise InputError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
+    params.flat -= lr * grads.flat
+    if not np.isfinite(params.flat).all():
+        i = next(i for i, (w, b) in enumerate(zip(params.weights, params.biases))
                  if not (np.isfinite(w).all() and np.isfinite(b).all()))
         raise TrainingError(f"non-finite update at layer {i}")
-    return ParameterSet(weights, biases)
+    return params
 
 
 def finite_diff_grad(
@@ -352,20 +348,14 @@ def finite_diff_grad(
     """Central-difference gradient estimate, test oracle only (slow)."""
     grads = zeros_like_params(params)
     work = params.copy()
-    arrays = list(zip(work.weights, grads.weights)) + list(
-        zip(work.biases, grads.biases)
-    )
-    for arr, out in arrays:
-        flat = arr.reshape(-1)
-        gout = out.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + epsilon
-            lp = loss_evaluator(work)
-            flat[j] = orig - epsilon
-            lm = loss_evaluator(work)
-            flat[j] = orig
-            gout[j] = (lp - lm) / (2.0 * epsilon)
+    for j in range(work.flat.size):
+        orig = work.flat[j]
+        work.flat[j] = orig + epsilon
+        lp = loss_evaluator(work)
+        work.flat[j] = orig - epsilon
+        lm = loss_evaluator(work)
+        work.flat[j] = orig
+        grads.flat[j] = (lp - lm) / (2.0 * epsilon)
     return grads
 
 
@@ -378,15 +368,9 @@ def max_relative_grad_error(
     1e-11 at epsilon 1e-5) from dominating the ratio on near-zero
     gradient entries.
     """
-    worst = 0.0
-    for a, n in zip(
-        analytic.weights + analytic.biases, numeric.weights + numeric.biases
-    ):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        err = np.abs(a - n) / denom
-        if err.size:
-            worst = max(worst, float(err.max()))
-    return worst
+    a, n = analytic.flat, numeric.flat
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    return float((np.abs(a - n) / denom).max())
 
 
 def save_checkpoint(
@@ -455,13 +439,18 @@ def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
 
 
 def checkpoint_from_document(doc: dict) -> tuple[MlpConfig, ParameterSet]:
+    """The config and params of a checkpoint document. A layer count that
+    layer_dims does not describe, or a non-finite parameter, raises a
+    ParseError."""
     config = MlpConfig.from_dict(doc["config"])
-    dims = config.layer_dims
-    weights, biases = [], []
-    for i, layer in enumerate(doc["layers"]):
-        d_in, d_out = dims[i], dims[i + 1]
-        w = np.asarray(layer["weights"], dtype=np.float64).reshape(d_in, d_out)
-        b = np.asarray(layer["biases"], dtype=np.float64)
-        weights.append(w)
-        biases.append(b)
-    return config, ParameterSet(weights, biases)
+    dims, layers = config.layer_dims, doc["layers"]
+    if len(layers) != len(dims) - 1:
+        raise ParseError(f"{len(layers)} layers, but layer_dims {list(dims)} needs {len(dims) - 1}")
+    weights = [
+        np.asarray(layer["weights"], dtype=np.float64).reshape(d_in, d_out)
+        for layer, d_in, d_out in zip(layers, dims, dims[1:])
+    ]
+    params = ParameterSet(weights, [np.asarray(layer["biases"], dtype=np.float64) for layer in layers])
+    if not params.all_finite():
+        raise ParseError("non-finite parameters")
+    return config, params

@@ -255,6 +255,55 @@ class TestReport:
         report = evaluation.ranking_metrics_report(scores, ds)
         assert report.boosted_exposure_at_10 is None
 
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "distinct"])
+    @pytest.mark.parametrize("rule", [
+        None,
+        distill.BoostRule(predicate="is_new"),
+        distill.BoostRule(predicate="rating_at_least", rho=3.0),
+    ], ids=["no_rule", "is_new", "rating"])
+    def test_report_equals_the_per_metric_loop(self, tied, rule):
+        # Lists of 2 to 14 items, so the cutoffs 5 and 10 both clamp on some
+        # queries; tied scores make the id tie-break decide the order.
+        ds = data.generate_dataset(data.GeneratorConfig(
+            num_queries=80, items_per_query=(2, 14), m=6, K=3, seed=4, new_item_fraction=0.3
+        ))
+        rng = np.random.default_rng(9)
+        scores = {
+            g.query_id: rng.integers(0, 3, size=g.size).astype(float) if tied
+            else rng.normal(size=g.size)
+            for g in ds.groups
+        }
+
+        def mean(metric):
+            vals = [metric(scores[g.query_id], g) for g in ds.groups]
+            return float(math.fsum(vals) / len(vals))
+
+        def objective_exposure(k):
+            def metric(s, g):
+                vals, mask = g.objective_labels(k)
+                return evaluation.exposure_rate(s, mask & (vals > 0), 10)
+            return metric
+
+        want = evaluation.RankingMetricsReport(
+            ndcg_at_5=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 5)),
+            ndcg_at_10=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 10)),
+            ndcg_full=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), None)),
+            objective_exposure_at_10=[mean(objective_exposure(k)) for k in range(ds.K)],
+            boosted_exposure_at_10=None if rule is None else mean(
+                lambda s, g: evaluation.exposure_rate(s, rule.match_mask(g), 10)
+            ),
+            query_count=len(ds),
+        )
+        assert evaluation.ranking_metrics_report(scores, ds, rule) == want
+
+    def test_report_names_the_query_with_wrong_score_count(self):
+        ds = small_dataset(num_queries=5)
+        scores = {g.query_id: np.zeros(g.size) for g in ds.groups}
+        bad = ds.groups[3].query_id
+        scores[bad] = scores[bad][:-1]
+        with pytest.raises(InputError, match=f"query {bad}:"):
+            evaluation.ranking_metrics_report(scores, ds)
+
     def test_mean_boosted_exposure_matches_report(self):
         ds = small_dataset(new_item_fraction=0.3)
         scores = distill.score_dataset(model_for(ds, epochs=1), ds)

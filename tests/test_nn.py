@@ -207,6 +207,24 @@ class TestDistillLoss:
                 lm, _ = nn.distill_loss(down, hard, soft, alpha, temp)
                 assert grad[j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("with_hard", [True, False])
+    def test_grad_at_unit_temperature_equals_the_two_softmax_formula(self, alpha, with_hard):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 9):
+            scores = rng.normal(size=n) * 3.0
+            hard = np.eye(n)[rng.integers(n)] if with_hard else None
+            soft = rng.dirichlet(np.ones(n))
+            if alpha == 1.0:
+                want = nn.softmax(scores, 1.0) - hard if with_hard else np.zeros(n)
+            elif alpha == 0.0 or not with_hard:
+                want = (nn.softmax(scores, 1.0) - soft) / 1.0
+            else:
+                want = (alpha * (nn.softmax(scores, 1.0) - hard)
+                        + (1.0 - alpha) * ((nn.softmax(scores, 1.0) - soft) / 1.0))
+            got = nn.distill_grad(scores, hard, soft, alpha, 1.0)
+            assert got.tobytes() == want.tobytes()
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
             nn.distill_loss(np.zeros(2), np.array([1.0, 0.0]), None, alpha=1.5)
@@ -313,8 +331,40 @@ class TestFiniteDiff:
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = nn.init_params(small_config())
+        before = params.copy()
         grads = nn.init_params(small_config(seed=5))
-        assert nn.sgd_step(params, grads, 0.0) == params
+        assert nn.sgd_step(params, grads, 0.0) == before
+
+    def test_in_place_update_equals_the_per_layer_formula(self):
+        params = nn.init_params(small_config(dims=(3, 5, 4, 1), seed=1))
+        grads = nn.init_params(small_config(dims=(3, 5, 4, 1), seed=2))
+        lr = 0.037
+        want = [w - lr * g for w, g in zip(params.weights + params.biases,
+                                           grads.weights + grads.biases)]
+        out = nn.sgd_step(params, grads, lr)
+        assert out is params
+        got = params.weights + params.biases
+        assert all(a.shape == b.shape and (a == b).all() for a, b in zip(got, want))
+
+    def test_layers_are_views_of_one_copied_buffer(self):
+        weights = [np.ones((2, 3)), np.full((3, 1), 2.0)]
+        biases = [np.zeros(3), np.array([5.0])]
+        params = nn.ParameterSet(weights, biases)
+        assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+        assert params.flat.tolist() == [1.0] * 6 + [0.0] * 3 + [2.0] * 3 + [5.0]
+        assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
+        weights[0][0, 0] = 9.0  # construction copied its input
+        assert params.weights[0][0, 0] == 1.0
+        params.flat[-1] = 7.0
+        assert params.biases[1][0] == 7.0
+        copy = params.copy()
+        copy.weights[1][0, 0] = -1.0
+        assert params.weights[1][0, 0] == 2.0
+        assert not np.shares_memory(copy.flat, params.flat)
+
+    def test_zero_layers_rejected(self):
+        with pytest.raises(InputError, match="at least one layer"):
+            nn.ParameterSet([], [])
 
     def test_scalar_arithmetic(self):
         params = nn.ParameterSet([np.array([[1.0]])], [np.array([0.0])])

@@ -336,14 +336,35 @@ def test_cli_rejects_bad_stage_config(files, capsys, command, doc, key):
     assert code == 2 and (key or str(path)) in err
 
 
+def edit_layers(edit):
+    """A mangle that replaces the checkpoint's layer list with edit(layers)."""
+
+    def mangle(text):
+        doc = json.loads(text)
+        doc["layers"] = edit(doc["layers"])
+        return json.dumps(doc)
+
+    return mangle
+
+
+def nan_first_weight(layers):
+    first = dict(layers[0], weights=[float("nan")] + layers[0]["weights"][1:])
+    return [first] + layers[1:]
+
+
 @pytest.mark.parametrize(
     "mangle",
     [
         lambda text: text[: len(text) // 2],
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "layers"}),
+        edit_layers(lambda layers: layers + layers[-1:]),
+        edit_layers(lambda layers: []),
+        edit_layers(lambda layers: layers[:-1]),
+        edit_layers(nan_first_weight),
     ],
-    ids=["truncated", "no_config", "no_layers"],
+    ids=["truncated", "no_config", "no_layers", "extra_layer", "empty_layers",
+         "missing_layer", "nan_weight"],
 )
 def test_cli_rejects_bad_checkpoint(files, capsys, mangle):
     with open(files["model"]) as f:
