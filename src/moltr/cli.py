@@ -55,7 +55,6 @@ def _distill_config(args, overrides=None) -> DistillConfig:
     if overrides:
         doc.update(overrides)
     config = DistillConfig.from_dict(doc)
-    # --seed reseeds the init as well, so the checkpoint records the seed used.
     return config if args.seed is None else config.with_seed(args.seed)
 
 

@@ -9,6 +9,10 @@ booked, rest 0) or fully missing (no conversion happened for that query).
 Secondary labels are observed only on the booked item, with a per-objective
 observation rate, which reproduces the heavy label imbalance of real
 marketplace logs.
+
+Files are JSONL, format version 2: a header (format_version, m, K and each
+objective's index, name and primary flag), then one line per query group,
+with JSON integer ids and no repeated query_id.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import Config, ConfigError, InputError, ParseError, write_atomic
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Rating-derived feature slot, masked to this sentinel for new items.
 RATING_FEATURE_INDEX = 0
 NEW_ITEM_SENTINEL = -1.0
@@ -103,12 +107,7 @@ class QueryGroup:
 class ObjectiveSpec(Config, section="objective"):
     index: int
     name: str
-    polarity: str = "reward"  # or "cost"; descriptive metadata only
     primary: bool = False
-
-    def __post_init__(self):
-        if self.polarity not in ("reward", "cost"):
-            raise ConfigError(f"polarity must be reward|cost, got {self.polarity}")
 
 
 @dataclass
@@ -171,7 +170,6 @@ class GeneratorConfig(Config, section="generator"):
     weights_seed: int = 0
     num_days: int = 20
     objective_names: list[str] | None = None
-    objective_polarities: list[str] | None = None
 
     def __post_init__(self):
         lo, hi = self.items_per_query
@@ -218,17 +216,7 @@ def default_objectives(config: GeneratorConfig) -> list[ObjectiveSpec]:
             names[2] = "quality"
     if len(names) != config.K:
         raise ConfigError("objective_names needs K entries")
-    polarities = config.objective_polarities
-    if polarities is None:
-        polarities = ["reward"] * config.K
-        if config.K >= 2:
-            polarities[1] = "cost"
-    if len(polarities) != config.K:
-        raise ConfigError("objective_polarities needs K entries")
-    return [
-        ObjectiveSpec(index=k, name=names[k], polarity=polarities[k], primary=(k == 0))
-        for k in range(config.K)
-    ]
+    return [ObjectiveSpec(index=k, name=names[k], primary=(k == 0)) for k in range(config.K)]
 
 
 def resolve_objective_weights(config: GeneratorConfig) -> np.ndarray:
@@ -354,13 +342,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _group_from_doc(doc: dict) -> QueryGroup:
-    items = doc["items"]
+    # Exact type checks: numpy would truncate 1.5 or true to an int id.
+    query_id, timestamp, items = doc["query_id"], doc["timestamp"], doc["items"]
+    if type(query_id) is not int or type(timestamp) is not int:
+        raise InputError(f"query_id and timestamp must be int: {json.dumps([query_id, timestamp])}")
     for item in items:
         if set(item) != _ITEM_FIELDS:
             raise InputError(f"item fields {sorted(item)} != {sorted(_ITEM_FIELDS)}")
+        if type(item["item_id"]) is not int or type(item["is_new"]) is not bool:
+            got = json.dumps([item["item_id"], item["is_new"]])
+            raise InputError(f"item_id and is_new must be an int and a bool: {got}")
     return QueryGroup(
-        query_id=doc["query_id"],
-        timestamp=doc["timestamp"],
+        query_id=query_id,
+        timestamp=timestamp,
         features=[item["features"] for item in items],
         item_ids=[item["item_id"] for item in items],
         ratings=[item["review_rating"] for item in items],
@@ -373,7 +367,8 @@ def load_dataset(path) -> Dataset:
     """Parse a JSONL dataset file; errors carry the offending line number.
 
     The file is read one line at a time, so no copy of the whole text is
-    held beside the parsed groups.
+    held beside the parsed groups. Scores and soft labels are keyed by
+    query_id, so a repeated query_id is an error.
     """
     with open(path) as f:
         first = f.readline().rstrip("\n")
@@ -404,6 +399,7 @@ def load_dataset(path) -> Dataset:
             dataset = Dataset(objectives=objectives, groups=[], m=header["m"], K=header["K"])
         except ConfigError as e:
             raise ParseError(f"bad objectives: {e}", line=1) from e
+        seen = set()
         for lineno, raw in enumerate(f, start=2):
             if not raw.strip():
                 continue
@@ -422,5 +418,8 @@ def load_dataset(path) -> Dataset:
                     f"header says m={header['m']}, K={header['K']}",
                     line=lineno,
                 )
+            if group.query_id in seen:
+                raise ParseError(f"duplicate query_id {group.query_id}", line=lineno)
+            seen.add(group.query_id)
             dataset.groups.append(group)
     return dataset

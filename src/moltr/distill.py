@@ -1,13 +1,14 @@
 """Training pipelines: per-objective teachers, soft-label fusion, boost
 injection, student distillation, self-distillation, and baselines.
 
-All trainers share one deterministic engine, _run_training: a seeded
-generator initializes the MLP and then drives one shuffle of the query-group
-order per epoch, and each group is a single SGD step. Targets are computed
-once per run; each step calls nn's forward, gradient and backprop kernels,
-the same code behind nn's public functions, and nn.sgd_step updates the
-one flat parameter buffer in place. Two runs with the same config and seed
-are bit-identical, and equal to a loop over the public nn functions.
+All trainers share one deterministic engine, _run_training: a generator
+seeded with the run's one seed, mlp.seed, draws the initial weights and
+then one shuffle of the query-group order per epoch, and each group is a
+single SGD step. Targets are computed once per run; each step calls nn's
+forward, gradient and backprop kernels, the same code behind nn's public
+functions, and nn.sgd_step updates the one flat parameter buffer in place.
+Two runs with the same config and seed are bit-identical, and equal to a
+loop over the public nn functions.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from .errors import Config, ConfigError, InputError, ParseError, TrainingError, 
 
 @dataclass(frozen=True)
 class DistillConfig(Config, section="distill"):
-    """Hyperparameters for one training run."""
+    """Hyperparameters for one training run. Its only seed is mlp.seed,
+    which checkpoints store: it draws the initial weights, then every
+    epoch's shuffle."""
 
     mlp: nn.MlpConfig
     alpha: float = 0.2
     temperature: float = 1.0
     epochs: int = 10
     learning_rate: float = 0.05
-    seed: int = 0
     # Temperature of the softmax turning fused teacher scores into a target
     # distribution; kept separate from the student-side temperature.
     teacher_temperature: float = 1.0
@@ -46,8 +48,12 @@ class DistillConfig(Config, section="distill"):
         if not (self.learning_rate > 0):
             raise ConfigError("learning_rate must be positive")
 
+    @property
+    def seed(self) -> int:
+        return self.mlp.seed
+
     def with_seed(self, seed: int) -> "DistillConfig":
-        return replace(self, mlp=replace(self.mlp, seed=seed), seed=seed)
+        return replace(self, mlp=replace(self.mlp, seed=seed))
 
 
 @dataclass
@@ -57,11 +63,14 @@ class Model:
     config: nn.MlpConfig
     params: nn.ParameterSet
     lineage: str
-    seed: int
 
     def __post_init__(self):
         if self.params.layer_dims() != self.config.layer_dims:
             raise InputError("params do not match config")
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     def score_group(self, group: QueryGroup) -> np.ndarray:
         scores, _ = nn.mlp_forward(self.params, group.features, self.config.activation)
@@ -75,12 +84,22 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         config, params, doc = nn.load_checkpoint(path)
-        return cls(
-            config=config,
-            params=params,
-            lineage=doc.get("lineage", "unknown"),
-            seed=config.seed,
-        )
+        return cls(config=config, params=params, lineage=doc.get("lineage", "unknown"))
+
+
+def _weight_vector(weights, n: int, name: str) -> np.ndarray:
+    """weights as n finite nonnegative floats, not all zero, or a
+    ConfigError naming the parameter."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ConfigError(f"{name} must have {n} entries, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ConfigError(f"{name} must be finite")
+    if (w < 0).any():
+        raise ConfigError(f"{name} must be nonnegative")
+    if w.sum() <= 0:
+        raise ConfigError(f"{name} must not all be zero")
+    return w
 
 
 @dataclass
@@ -95,17 +114,8 @@ class TeacherEnsemble:
             raise ConfigError("ensemble needs at least one model")
         if self.fusion_weights is None:
             self.fusion_weights = np.full(len(self.models), 1.0 / len(self.models))
-        self.fusion_weights = np.asarray(self.fusion_weights, dtype=np.float64)
-        if self.fusion_weights.shape != (len(self.models),):
-            raise ConfigError("fusion_weights length != model count")
-        if not np.isfinite(self.fusion_weights).all():
-            raise ConfigError("fusion_weights must be finite")
-        if (self.fusion_weights < 0).any():
-            raise ConfigError("fusion_weights must be nonnegative")
-        total = self.fusion_weights.sum()
-        if total <= 0:
-            raise ConfigError("fusion_weights must not all be zero")
-        self.fusion_weights = self.fusion_weights / total
+        w = _weight_vector(self.fusion_weights, len(self.models), "fusion_weights")
+        self.fusion_weights = w / w.sum()
 
     def params_hashes(self) -> list[str]:
         return [m.params.params_hash() for m in self.models]
@@ -149,19 +159,23 @@ class SoftLabelSet:
             raise ParseError("empty soft-label file", line=1)
         try:
             header = json.loads(lines[0])
-            provenance = header["provenance"]
-        except (json.JSONDecodeError, KeyError) as e:
+        except json.JSONDecodeError as e:
             raise ParseError(f"bad soft-label header: {e}", line=1) from e
+        if not (isinstance(header, dict) and isinstance(header.get("provenance"), str)):
+            raise ParseError("header must be an object with a string 'provenance'", line=1)
+        provenance = header["provenance"]
         scores = {}
         for lineno, raw in enumerate(lines[1:], start=2):
             if not raw.strip():
                 continue
             try:
                 doc = json.loads(raw)
-                qid = int(doc["query_id"])
+                qid = doc["query_id"]
                 row = np.asarray(doc["scores"], dtype=np.float64)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"bad soft-label row: {e}", line=lineno) from e
+            if type(qid) is not int:
+                raise ParseError(f"query_id must be an int, got {json.dumps(qid)}", line=lineno)
             if qid in scores:
                 raise ParseError(f"duplicate query_id {qid}", line=lineno)
             if row.ndim != 1:
@@ -273,17 +287,13 @@ def train_teacher(
     )
     params = _run_training(subset, config, *_single_label_step(objective_index))
     name = dataset.objectives[objective_index].name
-    return Model(
-        config=config.mlp, params=params, lineage=f"teacher:{name}", seed=config.seed
-    )
+    return Model(config=config.mlp, params=params, lineage=f"teacher:{name}")
 
 
-def train_teachers(dataset: Dataset, config: DistillConfig, seeds=None) -> TeacherEnsemble:
-    """One teacher per objective; seed offset per objective by default."""
-    if seeds is None:
-        seeds = [config.seed + k for k in range(dataset.K)]
+def train_teachers(dataset: Dataset, config: DistillConfig) -> TeacherEnsemble:
+    """One teacher per objective, objective k's seeded with config.seed + k."""
     models = [
-        train_teacher(dataset, k, config.with_seed(seeds[k])) for k in range(dataset.K)
+        train_teacher(dataset, k, config.with_seed(config.seed + k)) for k in range(dataset.K)
     ]
     return TeacherEnsemble(models=models)
 
@@ -344,15 +354,13 @@ def train_student(
         return nn.distill_grad(scores, *target, alpha, temperature)
 
     params = _run_training(dataset, config, prepare, grad)
-    return Model(config=config.mlp, params=params, lineage=lineage, seed=config.seed)
+    return Model(config=config.mlp, params=params, lineage=lineage)
 
 
 def train_hard_only(dataset: Dataset, config: DistillConfig) -> Model:
     """Hard-label-only trainer over the full dataset (baseline family)."""
     params = _run_training(dataset, config, *_single_label_step(0))
-    return Model(
-        config=config.mlp, params=params, lineage="baseline:hard_only", seed=config.seed
-    )
+    return Model(config=config.mlp, params=params, lineage="baseline:hard_only")
 
 
 def student_version(model: Model) -> int | None:
@@ -393,13 +401,7 @@ def train_scalarized_baseline(
     so sparse objectives show up in fewer batches; pass batch_log to
     capture the per-objective step counts.
     """
-    weights = np.asarray(objective_weights, dtype=np.float64)
-    if weights.shape != (dataset.K,):
-        raise ConfigError(f"objective_weights must have {dataset.K} entries")
-    if (weights < 0).any():
-        raise ConfigError("objective_weights must be nonnegative")
-    if weights.sum() <= 0:
-        raise ConfigError("objective_weights must not all be zero")
+    weights = _weight_vector(objective_weights, dataset.K, "objective_weights")
     counts = np.zeros(dataset.K, dtype=np.int64)
 
     def prepare(group):
@@ -422,9 +424,4 @@ def train_scalarized_baseline(
     params = _run_training(dataset, config, prepare, grad)
     if batch_log is not None:
         batch_log.append({"per_objective_steps": (counts * config.epochs).tolist()})
-    return Model(
-        config=config.mlp,
-        params=params,
-        lineage="baseline:scalarized",
-        seed=config.seed,
-    )
+    return Model(config=config.mlp, params=params, lineage="baseline:scalarized")

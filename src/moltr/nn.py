@@ -57,8 +57,8 @@ class MlpConfig(Config, section="mlp"):
             raise ConfigError("last layer dim must be 1 (scalar score per item)")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
-        if not (self.init_scale > 0):
-            raise ConfigError("init_scale must be positive")
+        if not (0 < 2.0 * self.init_scale < np.inf):  # the init range is 2 * init_scale wide
+            raise ConfigError("init_scale must be positive with 2 * init_scale finite")
         if int(self.seed) < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -429,7 +429,7 @@ def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
         raise ParseError(f"checkpoint {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path}: not a JSON object")
-    for key in ("config", "layers"):
+    for key in ("config", "config_hash", "seed", "layers"):
         if key not in doc:
             raise ParseError(f"checkpoint {path}: missing {key!r}")
     try:
@@ -439,10 +439,14 @@ def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
 
 
 def checkpoint_from_document(doc: dict) -> tuple[MlpConfig, ParameterSet]:
-    """The config and params of a checkpoint document. A layer count that
-    layer_dims does not describe, or a non-finite parameter, raises a
-    ParseError."""
+    """The config and params of a checkpoint document. A stored config_hash
+    or seed that the config does not give, a layer count that layer_dims
+    does not describe, or a non-finite parameter raises a ParseError."""
     config = MlpConfig.from_dict(doc["config"])
+    if doc["config_hash"] != config.config_hash():
+        raise ParseError("stored config_hash does not match the config")
+    if type(doc["seed"]) is not int or doc["seed"] != config.seed:
+        raise ParseError(f"stored seed {json.dumps(doc['seed'])} != config seed {config.seed}")
     dims, layers = config.layer_dims, doc["layers"]
     if len(layers) != len(dims) - 1:
         raise ParseError(f"{len(layers)} layers, but layer_dims {list(dims)} needs {len(dims) - 1}")

@@ -118,7 +118,6 @@ def default_experiment_config(output_dir: str = "out", **overrides) -> Experimen
         temperature=1.0,
         epochs=8,
         learning_rate=0.05,
-        seed=11,
         # Softer teacher-side targets regularize better and keep the
         # learned ad-hoc boost gentler than the serving-time boost.
         teacher_temperature=2.5,

@@ -113,7 +113,6 @@ def test_criterion_3_blend_degeneracy():
     config = DistillConfig(
         mlp=MlpConfig(layer_dims=(6, 8, 1), init_scale=0.3, seed=7),
         epochs=3,
-        seed=7,
     )
     teachers = train_teachers(dataset, DistillConfig.from_dict({**config.to_dict(), "alpha": 1.0}))
     soft = fuse_soft_labels(teachers, dataset)
@@ -316,18 +315,16 @@ def test_criterion_8_sparsity_mitigation():
             alpha=1.0,
             epochs=8 if k == 0 else 16,
             learning_rate=0.05,
-            seed=11 + k,
             teacher_temperature=2.5,
         )
-        teachers.append(train_teacher(train_ds, k, cfg))
+        teachers.append(train_teacher(train_ds, k, cfg.with_seed(11 + k)))
     ensemble = TeacherEnsemble(
         models=teachers, fusion_weights=np.array([0.3, 0.1, 0.6])
     )
     soft = fuse_soft_labels(ensemble, train_ds)
     rule = BoostRule(predicate="rating_at_least", rho=3.8)
     student_cfg = DistillConfig(
-        mlp=mlp, alpha=0.2, epochs=8, learning_rate=0.05, seed=11,
-        teacher_temperature=2.5,
+        mlp=mlp, alpha=0.2, epochs=8, learning_rate=0.05, teacher_temperature=2.5,
     )
 
     teacher_exp = evaluation.mean_boosted_exposure(
@@ -372,7 +369,6 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
             "mlp": {"layer_dims": [6, 8, 1], "init_scale": 0.3, "seed": 5},
             "alpha": 0.2,
             "epochs": 2,
-            "seed": 5,
         },
         "eval_queries": 60,
         "num_seeds": 2,

@@ -34,7 +34,6 @@ def config_path(workdir):
                     },
                     "alpha": 0.2,
                     "epochs": 2,
-                    "seed": 5,
                 },
             }
         )

@@ -116,15 +116,11 @@ class TestDataset:
         with pytest.raises(ConfigError):
             data.Dataset(objectives=objectives, groups=[], m=4, K=2)
 
-    def test_polarity_validated(self):
-        with pytest.raises(ConfigError):
-            data.ObjectiveSpec(index=0, name="a", polarity="neutral")
-
     def test_content_hash_is_stable(self):
-        # Pins the JSONL v1 bytes: the digest of a generated dataset must
-        # not change while the format version stays 1.
+        # Pins the JSONL v2 bytes: the digest of a generated dataset must
+        # not change while the format version stays 2.
         assert data.generate_dataset(tiny_config()).content_hash() == (
-            "b6cdaf247ea6cb4c8d0f0fd2773218c2a955f3c4d822ba5f3e64f12a847128cd"
+            "ed820873d0c7737982fcf0b80bef9c3a122402eb6e2da4bbaf90f17f6c219d61"
         )
 
     def test_content_hash_changes_with_content(self):
@@ -277,16 +273,16 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "header, key",
         [
-            ({"format_version": 1, "m": 4, "K": 1,
+            ({"format_version": 2, "m": 4, "K": 1,
               "objectives": [{"index": 0, "name": "booking", "primary": True, "foo": 1}]},
              "foo"),
-            ({"format_version": 1, "m": 4, "K": 1, "objectives": 5}, "objectives"),
+            ({"format_version": 2, "m": 4, "K": 1, "objectives": 5}, "objectives"),
             (5, None),
-            ({"format_version": 1, "m": 4, "K": "3",
+            ({"format_version": 2, "m": 4, "K": "3",
               "objectives": [{"index": 0, "name": "booking", "primary": True}]}, "'K'"),
-            ({"format_version": 1, "m": 4, "K": 1,
+            ({"format_version": 2, "m": 4, "K": 1,
               "objectives": [{"index": "0", "name": "booking", "primary": True}]}, "'index'"),
-            ({"format_version": 1, "m": 4, "K": 1,
+            ({"format_version": 2, "m": 4, "K": 1,
               "objectives": [{"index": 0, "name": "booking"}]}, "primary"),
             ({"format_version": True, "m": 4, "K": 1,
               "objectives": [{"index": 0, "name": "booking", "primary": True}]},
@@ -354,6 +350,32 @@ class TestPersistence:
         with pytest.raises(ParseError) as e:
             data.load_dataset(path)
         assert e.value.line == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("query_id", 0),  # the query on line 2
+            ("query_id", "x"),
+            ("query_id", 1.5),
+            ("query_id", None),
+            ("timestamp", "x"),
+            ("item_id", 1.5),
+            ("is_new", "yes"),
+        ],
+        ids=["repeated_query_id", "query_id_string", "query_id_float", "query_id_null",
+             "timestamp_string", "item_id_float", "is_new_string"],
+    )
+    def test_bad_ids_name_the_line(self, tmp_path, field, value):
+        ds = data.generate_dataset(tiny_config(num_queries=3))
+        lines = list(data.serialize_lines(ds))
+        doc = json.loads(lines[2])
+        (doc if field in doc else doc["items"][0])[field] = value
+        lines[2] = json.dumps(doc)
+        path = tmp_path / "ds.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as e:
+            data.load_dataset(path)
+        assert e.value.line == 3 and field in str(e.value)
 
     @given(st.integers(0, 2**31), st.integers(5, 25))
     @settings(max_examples=20, deadline=None)

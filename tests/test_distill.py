@@ -24,7 +24,6 @@ def train_config(**kwargs):
         alpha=0.2,
         epochs=4,
         learning_rate=0.05,
-        seed=5,
     )
     defaults.update(kwargs)
     return distill.DistillConfig(**defaults)
@@ -82,7 +81,7 @@ class TestModel:
         config = nn.MlpConfig(layer_dims=(6, 8, 1), seed=0)
         params = nn.init_params(nn.MlpConfig(layer_dims=(6, 4, 1), seed=0))
         with pytest.raises(InputError):
-            distill.Model(config=config, params=params, lineage="x", seed=0)
+            distill.Model(config=config, params=params, lineage="x")
 
 
 class TestTeacherEnsemble:
@@ -139,10 +138,7 @@ class TestTeachers:
         config = train_config(alpha=1.0, epochs=12)
         model = distill.train_teacher(dataset, 0, config)
         fresh = distill.Model(
-            config=config.mlp,
-            params=nn.init_params(config.mlp),
-            lineage="untrained",
-            seed=config.seed,
+            config=config.mlp, params=nn.init_params(config.mlp), lineage="untrained"
         )
 
         def top1_hits(m):
@@ -341,6 +337,9 @@ class TestScalarized:
             distill.train_scalarized_baseline(dataset, [0.0, 0.0, 0.0], train_config())
         with pytest.raises(ConfigError):
             distill.train_scalarized_baseline(dataset, [1.0, -1.0, 1.0], train_config())
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="objective_weights must be finite"):
+                distill.train_scalarized_baseline(dataset, [bad, 1.0, 1.0], train_config())
 
     def test_sparse_objectives_take_fewer_steps(self, dataset):
         log = []

@@ -20,7 +20,6 @@ def model_for(dataset, seed=1, epochs=3):
         mlp=nn.MlpConfig(layer_dims=(dataset.m, 8, 1), init_scale=0.3, seed=seed),
         alpha=1.0,
         epochs=epochs,
-        seed=seed,
     )
     return distill.train_teacher(dataset, 0, config)
 

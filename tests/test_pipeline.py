@@ -26,7 +26,6 @@ def small_experiment(output_dir, **overrides):
         alpha=0.2,
         epochs=2,
         learning_rate=0.05,
-        seed=5,
         teacher_temperature=2.0,
     )
     boost = pipeline.BoostStudyConfig(
@@ -94,11 +93,12 @@ class TestExperimentConfig:
             pipeline.default_experiment_config(str(tmp_path), eval_querys=50)
 
     def test_config_json_is_pinned(self):
-        # Digests taken before the configs shared one JSON codec.
+        # The JSON digest was taken before the configs shared one JSON codec,
+        # and re-taken once distill.seed and objective_polarities were deleted.
         config = pipeline.default_experiment_config()
         text = json.dumps(config.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "ac5b0ad9ed8e9df9c2b0ca76f38cc4252485a70025e04aaa9b97ce4a6218a75c"
+            "2e867f9b37b07ee9974523efecc4242b4f2584b06ba71130046fad644f77007a"
         )
         assert config.distill.mlp.config_hash() == (
             "88055199f728f0626e8fa6cca88ec060efa089868d8420e037d1a60502dc9222"
@@ -165,7 +165,7 @@ class TestExperimentConfig:
 class TestCheckpointStore:
     def test_truncated_checkpoint_is_rewritten(self, tmp_path):
         config = nn.MlpConfig(layer_dims=(6, 4, 1), seed=2)
-        model = Model(config=config, params=nn.init_params(config), lineage="teacher:x", seed=2)
+        model = Model(config=config, params=nn.init_params(config), lineage="teacher:x")
         store = pipeline.CheckpointStore(str(tmp_path))
         digest = store.put_model(model)
         path = Path(store.dir) / f"{digest}.json"
@@ -302,16 +302,19 @@ class TestDeterminism:
 
 # sha256 of each study's report files at small_experiment, taken before the
 # studies shared one setup; metrics.csv is written by the distill study only.
+# The four report.json and the self and boost report.md were re-taken when
+# distill.seed and objective polarity were deleted: only the config and the
+# dataset hashes changed.
 GOLDEN_STUDY_BYTES = {
     "distill/metrics.csv": "02bf4029a42c406e8b85698532a865f1bdc6cf8eea55eda7d1e8051208082bbd",
-    "distill/report.json": "5821ddf3d599405d852cc7f9db52fd6fc94e05f47bd15646859bdc47d159917d",
+    "distill/report.json": "4c4c7e577b3335f08276702b10c331b2ebf1ba2a0c15d1fef3058e4ba7a43922",
     "distill/report.md": "fb85e00d555121bb7cc8f01e9f66068b772d267b707d3fce46bfdf666a537d4b",
-    "self/report.json": "ed993d316ae861c151159e1f3c7199182da4b592be17099785aabd9042ad618f",
-    "self/report.md": "4ec178d3a3717c58311d8228f27f824124ddb931a29627710491184ee8c82124",
-    "repro/report.json": "68d882381cd5b30b03df242fa51a56cc723a97beaeb3d21c6562d44442d50b30",
+    "self/report.json": "85a855dd9256b8bab6ba0e48594c29e8678c85861433a05a4d7eb0cd80e96b54",
+    "self/report.md": "a7301a312a725d1eb71a984323a8e349dd9c25a67a605bf98341a4db19a70d26",
+    "repro/report.json": "078ab2bb14cbdc590f66d5246eb0cdd529a1fd333eb4a4a698f03ab616e9f04f",
     "repro/report.md": "66b4f31f27f460c2f8e5fd9a7e632584730b6158187be9ff3bc172581710592e",
-    "boost/report.json": "c27e31ece6ceaa92c498dc16463ed4d5ebf11274a8102af464f5c6d9d637a213",
-    "boost/report.md": "61fba617e1f462ba3cb8260031220b1f78d3a45f9ed785149ff5c3e94b7fad81",
+    "boost/report.json": "c388f99c055979424f928d52ebf90d069bec63401812665a9114f634bd93406d",
+    "boost/report.md": "b89c122003cb3dfddf5b1df2021cf019ff59196a3a5369d787facf62fb40a75c",
 }
 
 

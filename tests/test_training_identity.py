@@ -28,7 +28,6 @@ def train_config(activation="relu", **kwargs):
         alpha=0.2,
         epochs=3,
         learning_rate=0.05,
-        seed=5,
     )
     defaults.update(kwargs)
     return distill.DistillConfig(**defaults)
@@ -65,7 +64,7 @@ def trained_hashes():
     boosted = distill.inject_boost(soft, distill.BoostRule("rating_at_least", beta=1.5), ds)
     out["student_relu_boosted"] = phash(distill.train_student(ds, boosted, train_config()))
     v0 = distill.train_student(ds, soft, train_config())
-    out["self_distill_v1"] = phash(distill.self_distill_step(v0, ds, train_config(seed=6)))
+    out["self_distill_v1"] = phash(distill.self_distill_step(v0, ds, train_config().with_seed(6)))
     for act, weights in (("relu", [1 / 3] * 3), ("tanh", [1.0, 0.0, 0.5])):
         log = []
         model = distill.train_scalarized_baseline(ds, weights, train_config(act), batch_log=log)
@@ -253,6 +252,36 @@ def test_cli_rejects_duplicate_soft_query(files, capsys):
 
 
 @pytest.mark.parametrize(
+    "index, replace",
+    [
+        (0, lambda line: "[1]"),
+        (0, lambda line: '"x"'),
+        (0, lambda line: '{"provenance": 5}'),
+        (2, lambda line: json.dumps(dict(json.loads(line), query_id=1.7))),
+        (2, lambda line: json.dumps(dict(json.loads(line), query_id=True))),
+    ],
+    ids=["header_list", "header_string", "provenance_number", "query_id_float", "query_id_bool"],
+)
+def test_cli_rejects_bad_soft_line(files, capsys, index, replace):
+    def edit(lines):
+        lines[index] = replace(lines[index])
+
+    path = edit_soft(files, "bad_line.jsonl", edit)
+    code, err = run_cli(train_student_argv(files, path), capsys)
+    assert code == 2 and f"line {index + 1}: " in err
+
+
+def test_cli_rejects_format_version_1(files, capsys):
+    with open(files["data"]) as f:
+        lines = f.read().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), format_version=1))
+    path = files["work"] / "v1.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, err = run_cli(["eval", "--data", str(path), "--model", files["model"]], capsys)
+    assert code == 2 and "line 1: unsupported format_version 1" in err
+
+
+@pytest.mark.parametrize(
     "doc, key",
     [
         ({"mlp": {"layer_dims": [6, 8, 1]}, "alpah": 0.3}, "alpah"),
@@ -263,6 +292,7 @@ def test_cli_rejects_duplicate_soft_query(files, capsys):
         ({"mlp": {"layer_dims": [6, 8, 1]}, "epochs": 2.5}, "epochs"),
         ({"mlp": {"layer_dims": [6, 8, 1]}, "epochs": True}, "epochs"),
         ([1, 2], "distill"),
+        ({"mlp": {"layer_dims": [6, 8, 1]}, "seed": 3}, "'seed'"),
     ],
 )
 def test_cli_rejects_bad_distill_config(files, capsys, doc, key):
@@ -336,12 +366,12 @@ def test_cli_rejects_bad_stage_config(files, capsys, command, doc, key):
     assert code == 2 and (key or str(path)) in err
 
 
-def edit_layers(edit):
-    """A mangle that replaces the checkpoint's layer list with edit(layers)."""
+def edit_key(key, edit):
+    """A mangle that replaces the checkpoint's value at key with edit(value)."""
 
     def mangle(text):
         doc = json.loads(text)
-        doc["layers"] = edit(doc["layers"])
+        doc[key] = edit(doc[key])
         return json.dumps(doc)
 
     return mangle
@@ -358,13 +388,15 @@ def nan_first_weight(layers):
         lambda text: text[: len(text) // 2],
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "layers"}),
-        edit_layers(lambda layers: layers + layers[-1:]),
-        edit_layers(lambda layers: []),
-        edit_layers(lambda layers: layers[:-1]),
-        edit_layers(nan_first_weight),
+        edit_key("layers", lambda layers: layers + layers[-1:]),
+        edit_key("layers", lambda layers: []),
+        edit_key("layers", lambda layers: layers[:-1]),
+        edit_key("layers", nan_first_weight),
+        edit_key("config", lambda config: dict(config, activation="tanh")),
+        edit_key("seed", lambda seed: seed + 1),
     ],
     ids=["truncated", "no_config", "no_layers", "extra_layer", "empty_layers",
-         "missing_layer", "nan_weight"],
+         "missing_layer", "nan_weight", "activation_edited", "seed_edited"],
 )
 def test_cli_rejects_bad_checkpoint(files, capsys, mangle):
     with open(files["model"]) as f:
@@ -407,7 +439,7 @@ def test_cli_rejects_non_finite_fusion_weights(files, capsys, weight):
 
 @pytest.mark.parametrize("command", ["train-teacher", "train-student", "self-distill"])
 def test_cli_seed_flag_is_recorded(files, command):
-    cfg = train_config(seed=0, mlp=nn.MlpConfig(layer_dims=(6, 8, 4, 1), init_scale=0.3, seed=0))
+    cfg = train_config(mlp=nn.MlpConfig(layer_dims=(6, 8, 4, 1), init_scale=0.3, seed=0))
     path = files["work"] / "seed0.json"
     path.write_text(json.dumps({"distill": cfg.to_dict()}))
     argv = stage_argv(files, command, str(path))
