@@ -11,8 +11,16 @@ observation rate, which reproduces the heavy label imbalance of real
 marketplace logs.
 
 Files are JSONL, format version 2: a header (format_version, m, K and each
-objective's index, name and primary flag), then one line per query group,
-with JSON integer ids and no repeated query_id.
+objective's index, name and primary flag, the index equal to its position),
+then one line per query group, with JSON integer ids, labels that are the
+integers 0 or 1 or null for missing, and no repeated query_id.
+
+Dataset.content_hash is the sha256 of the header line, then for each group
+in order struct.pack("<3q", query_id, timestamp, n) and the bytes of its
+features (<f8, n x m), item_ids (<i8), ratings (<f8), is_new (one byte per
+item) and labels (int8, n x K). n comes first, so the encoding is
+prefix-free: two datasets hash equal exactly when their JSONL texts are
+equal. The digest is not the sha256 of the saved file.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +41,9 @@ RATING_FEATURE_INDEX = 0
 NEW_ITEM_SENTINEL = -1.0
 # Label value for an outcome that was never observed.
 MISSING_LABEL = -1
+# content_hash packs query_id and timestamp as int64.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _ITEM_FIELDS = frozenset({"item_id", "features", "review_rating", "is_new"})
-# JSONL stores a missing label as null; a value not in this map is malformed.
-_LABEL_FROM_JSON = {None: MISSING_LABEL, 0: 0, 1: 1}
 
 
 @dataclass
@@ -51,13 +60,17 @@ class QueryGroup:
 
     def __post_init__(self):
         q = f"query {self.query_id}"
+        if not (_INT64_MIN <= self.query_id <= _INT64_MAX
+                and _INT64_MIN <= self.timestamp <= _INT64_MAX):
+            raise InputError(f"{q}: query_id and timestamp must fit in int64")
         try:
-            self.features = np.array(self.features, dtype=np.float64, order="C")
-            self.item_ids = np.array(self.item_ids, dtype=np.int64)
-            self.ratings = np.array(self.ratings, dtype=np.float64)
+            # Little-endian on every host, so content_hash is too.
+            self.features = np.array(self.features, dtype="<f8", order="C")
+            self.item_ids = np.array(self.item_ids, dtype="<i8")
+            self.ratings = np.array(self.ratings, dtype="<f8")
             self.is_new = np.array(self.is_new, dtype=bool)
             labels = np.array(self.labels, dtype=np.float64)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InputError(f"{q}: item fields must be rectangular numeric arrays: {e}") from e
         if self.features.ndim != 2:
             raise InputError(f"{q}: features must be n x m, got shape {self.features.shape}")
@@ -69,12 +82,13 @@ class QueryGroup:
                 raise InputError(f"{q}: {name} must have shape ({n},)")
         if labels.ndim != 2 or labels.shape[0] != n or labels.shape[1] < 1:
             raise InputError(f"{q}: labels must be n x K, got shape {labels.shape}")
-        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
-        if bad.size:
-            raise InputError(f"item {self.item_ids[bad[0]]}: non-finite features")
-        bad = np.flatnonzero(~((self.ratings >= 0.0) & (self.ratings <= 5.0)))
-        if bad.size:
-            j = bad[0]
+        finite = np.isfinite(self.features)
+        if not finite.all():
+            j = np.flatnonzero(~finite.all(axis=1))[0]
+            raise InputError(f"item {self.item_ids[j]}: non-finite features")
+        in_range = (self.ratings >= 0.0) & (self.ratings <= 5.0)
+        if not in_range.all():
+            j = np.flatnonzero(~in_range)[0]
             raise InputError(
                 f"item {self.item_ids[j]}: review_rating {self.ratings[j]} out of [0, 5]"
             )
@@ -83,7 +97,7 @@ class QueryGroup:
             v = labels[~valid][0]
             raise InputError(f"{q}: label {v} not in {{-1,0,1}}")
         self.labels = labels.astype(np.int8)
-        positives = int((self.labels[:, 0] == 1).sum())
+        positives = np.count_nonzero(self.labels[:, 0] == 1)
         if positives > 1:
             raise InputError(f"{q}: {positives} primary-positive items (max 1)")
 
@@ -120,6 +134,9 @@ class Dataset:
     def __post_init__(self):
         if len(self.objectives) != self.K:
             raise ConfigError("objectives count != K")
+        for i, o in enumerate(self.objectives):
+            if o.index != i:
+                raise ConfigError(f"objective {o.name!r} has index {o.index}, must be {i}")
         primaries = [o for o in self.objectives if o.primary]
         if len(primaries) != 1 or primaries[0].index != 0:
             raise ConfigError("exactly one primary objective required, at index 0")
@@ -136,10 +153,15 @@ class Dataset:
         return len(self.groups)
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for line in serialize_lines(self):
-            h.update(line.encode())
-            h.update(b"\n")
+        """The array digest the module docstring defines; not the sha256 of
+        a saved file."""
+        h = hashlib.sha256(next(serialize_lines(self)).encode())
+        for g in self.groups:
+            h.update(struct.pack("<3q", g.query_id, g.timestamp, g.size))
+            # tobytes, not the buffer protocol: numpy would keep buffer info
+            # alive on every array it exported.
+            for a in (g.features, g.item_ids, g.ratings, g.is_new, g.labels):
+                h.update(a.tobytes())
         return h.hexdigest()
 
 
@@ -359,8 +381,17 @@ def _group_from_doc(doc: dict) -> QueryGroup:
         item_ids=[item["item_id"] for item in items],
         ratings=[item["review_rating"] for item in items],
         is_new=[item["is_new"] for item in items],
-        labels=[[_LABEL_FROM_JSON[v] for v in row] for row in doc["labels"]],
+        # type(v) is int: 1.0 and true compare equal to 1 but are not labels.
+        labels=[
+            [MISSING_LABEL if v is None else v if type(v) is int and 0 <= v <= 1 else _bad_label(v)
+             for v in row]
+            for row in doc["labels"]
+        ],
     )
+
+
+def _bad_label(value):
+    raise InputError(f"label {json.dumps(value)} must be 0, 1 or null")
 
 
 def load_dataset(path) -> Dataset:

@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset, QueryGroup
 from .distill import BoostRule, Model
 from .errors import InputError
-from .nn import listwise_softmax
+from .nn import softmax
 
 
 @dataclass
@@ -62,20 +62,21 @@ def ndcg_at_k(scores: np.ndarray, primary_labels: np.ndarray, k: int | None) -> 
         raise InputError("scores and labels must be matching 1-d vectors")
     if k is not None and k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    return _ndcg(rank_order(scores), labels > 0, k)
+    ranks = (np.flatnonzero((labels > 0)[rank_order(scores)]) + 1).tolist()
+    return _ndcg(ranks, scores.size if k is None else k)
 
 
-def _ndcg(order: np.ndarray, relevant: np.ndarray, k: int | None) -> float:
-    """NDCG of a ranking order over a relevance mask, cut at k (None or
-    more than n means the full list)."""
-    k = order.size if k is None else min(k, order.size)
-    dcg = 0.0
-    for rank in (np.flatnonzero(relevant[order[:k]]) + 2).tolist():
-        dcg += 1.0 / math.log2(rank)
-    total = int(relevant.sum())
-    if total == 0:
+def _ndcg(ranks: list[int], k: int) -> float:
+    """NDCG cut at k from the ascending 1-based ranks of every relevant item
+    in the full list; k at or past the list's end means the full list."""
+    if not ranks:
         return 0.0
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(total, k) + 1))
+    dcg = 0.0
+    for rank in ranks:
+        if rank > k:
+            break
+        dcg += 1.0 / math.log2(rank + 1)
+    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(ranks), k) + 1))
     return dcg / ideal
 
 
@@ -115,14 +116,19 @@ def kendall_tau(ranking_a, ranking_b) -> float:
         raise InputError("rankings have different lengths")
     if set(a) != set(b):
         raise InputError("rankings must be permutations of the same items")
-    n = len(a)
+    pos_b = {item: i for i, item in enumerate(b)}
+    return _tau(np.array([pos_b[item] for item in a]))
+
+
+def _tau(seq: np.ndarray) -> float:
+    """Kendall tau of a permutation seq of range(n): the positions in ranking
+    b of the items taken in ranking a's order."""
+    n = seq.size
     if n < 2:
         return 1.0
-    pos_b = {item: i for i, item in enumerate(b)}
-    # Positions in b of items taken in a's order; tau counts pair inversions.
-    seq = np.array([pos_b[item] for item in a])
     pairs = n * (n - 1) // 2
-    concordant = int(np.triu(seq[:, None] < seq[None, :], k=1).sum())
+    i = np.arange(n)
+    concordant = np.count_nonzero((seq[:, None] < seq) & (i[:, None] < i))
     discordant = pairs - concordant
     return (concordant - discordant) / pairs
 
@@ -159,17 +165,19 @@ def sxs_change_rate(
     probs_a = []
     probs_b = []
     for g in dataset.groups:
-        ids = g.item_ids
         sa = model_a.score_group(g)
         sb = model_b.score_group(g)
-        ra = ids[rank_order(sa, ids)]
-        rb = ids[rank_order(sb, ids)]
-        tau = kendall_tau(ra, rb)
+        oa = rank_order(sa, g.item_ids)
+        ob = rank_order(sb, g.item_ids)
+        pos_b = np.empty(g.size, dtype=np.intp)
+        pos_b[ob] = np.arange(g.size)
+        tau = _tau(pos_b[oa])
         taus.append(tau)
         if (1.0 - tau) / 2.0 > tau_threshold:
             changed += 1
-        probs_a.append(listwise_softmax(sa, 1.0))
-        probs_b.append(listwise_softmax(sb, 1.0))
+        # score_group's forward pass has checked these scores for finiteness.
+        probs_a.append(softmax(sa, 1.0))
+        probs_b.append(softmax(sb, 1.0))
     pd = prediction_difference(np.concatenate(probs_a), np.concatenate(probs_b))
     return SxSReport(
         change_rate=changed / len(dataset.groups),
@@ -188,10 +196,10 @@ def ranking_metrics_report(
 ) -> RankingMetricsReport:
     """Aggregate NDCG and exposure rates over a scored dataset.
 
-    Each query is ranked once; its NDCG@5, NDCG@10, full NDCG and every
-    exposure rate come from that one order. Per-objective exposure flags an
-    item when its label for that objective is present and positive. Boosted
-    exposure uses the rule's predicate.
+    Each query is ranked once and its label rows gathered once in that
+    order; its NDCG@5, NDCG@10, full NDCG and every per-objective exposure
+    come from those rows. Per-objective exposure flags an item when its label
+    for that objective is 1. Boosted exposure uses the rule's predicate.
     """
     if not dataset.groups:
         raise InputError("dataset is empty")
@@ -205,13 +213,14 @@ def ranking_metrics_report(
         if s.shape != (g.size,):
             raise InputError(f"query {g.query_id}: {s.shape} scores for {g.size} items")
         order = rank_order(s)
-        relevant = g.primary_labels() > 0
-        ndcg5.append(_ndcg(order, relevant, 5))
-        ndcg10.append(_ndcg(order, relevant, 10))
-        ndcgf.append(_ndcg(order, relevant, None))
-        for k in range(dataset.K):
-            vals, mask = g.objective_labels(k)
-            obj_exp[k].append(_exposure(order, mask & (vals > 0), exposure_k))
+        positive = g.labels[order] == 1
+        ranks = (np.flatnonzero(positive[:, 0]) + 1).tolist()
+        ndcg5.append(_ndcg(ranks, 5))
+        ndcg10.append(_ndcg(ranks, 10))
+        ndcgf.append(_ndcg(ranks, g.size))
+        k = min(exposure_k, g.size)
+        for col, count in zip(obj_exp, np.count_nonzero(positive[:k], axis=0).tolist()):
+            col.append(count / k)
         if boost_rule is not None:
             boost_exp.append(_exposure(order, boost_rule.match_mask(g), exposure_k))
     mean = lambda xs: float(math.fsum(xs) / len(xs))

@@ -1,8 +1,10 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from moltr import data
 from moltr.errors import ConfigError, InputError, ParseError
@@ -62,6 +64,14 @@ class TestQueryGroup:
         with pytest.raises(InputError):
             make_group(n=2, K=1, labels=[[0.5], [0]])
 
+    def test_rejects_ids_past_int64(self):
+        g = make_group()
+        with pytest.raises(InputError, match="rectangular numeric"):
+            replace(g, item_ids=[0, 2**63, 1])
+        with pytest.raises(InputError, match="int64"):
+            replace(g, query_id=2**63)
+        replace(g, query_id=2**63 - 1, timestamp=-(2**63))
+
     def test_rejects_ragged_labels(self):
         with pytest.raises(InputError):
             make_group(n=2, labels=[[0, 1], [0]])
@@ -117,10 +127,15 @@ class TestDataset:
             data.Dataset(objectives=objectives, groups=[], m=4, K=2)
 
     def test_content_hash_is_stable(self):
-        # Pins the JSONL v2 bytes: the digest of a generated dataset must
-        # not change while the format version stays 2.
-        assert data.generate_dataset(tiny_config()).content_hash() == (
+        # Pins the JSONL v2 bytes and the array digest of one generated
+        # dataset: neither may change while the format version stays 2.
+        ds = data.generate_dataset(tiny_config())
+        text = "".join(line + "\n" for line in data.serialize_lines(ds))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
             "ed820873d0c7737982fcf0b80bef9c3a122402eb6e2da4bbaf90f17f6c219d61"
+        )
+        assert ds.content_hash() == (
+            "a6cc5a234ea1c97e00c02136872baf825ce765fc3f1dec2d92f2d0f899c84af7"
         )
 
     def test_content_hash_changes_with_content(self):
@@ -129,6 +144,40 @@ class TestDataset:
         c = data.generate_dataset(tiny_config(seed=2))
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != c.content_hash()
+
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from(["none", "negative_zero", "label", "move_item", "swap_groups", "rename"]),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_content_hash_equal_exactly_when_text_equal(self, seed, mutation, i, j):
+        ds = data.generate_dataset(tiny_config(seed=seed, num_queries=6))
+        ds.groups[i].features[0, 1] = 0.0
+        other = replace(ds, objectives=list(ds.objectives), groups=[replace(g) for g in ds.groups])
+        a, b = other.groups[i], other.groups[i + 1]
+        if mutation == "negative_zero":
+            a.features[0, 1] = -0.0
+        elif mutation == "label":
+            # Any change of a secondary label keeps the group valid.
+            row, col = j % a.size, 1 + j % (ds.K - 1)
+            a.labels[row, col] = (a.labels[row, col] + 2) % 3 - 1
+        elif mutation == "move_item":
+            # The item rows in file order stay the same; only the sizes move.
+            assume(a.labels[-1, 0] != 1 or not (b.labels[:, 0] == 1).any())
+            fields = ("features", "item_ids", "ratings", "is_new", "labels")
+            other.groups[i] = replace(a, **{f: getattr(a, f)[:-1] for f in fields})
+            other.groups[i + 1] = replace(b, **{
+                f: np.concatenate([getattr(a, f)[-1:], getattr(b, f)]) for f in fields
+            })
+        elif mutation == "swap_groups":
+            other.groups[i], other.groups[j] = other.groups[j], other.groups[i]
+        elif mutation == "rename":
+            other.objectives[1] = replace(other.objectives[1], name="renamed")
+        same_text = list(data.serialize_lines(ds)) == list(data.serialize_lines(other))
+        assert (ds.content_hash() == other.content_hash()) == same_text
+        assert same_text == (mutation == "none" or (mutation == "swap_groups" and i == j))
 
 
 class TestGeneratorConfig:
@@ -287,13 +336,17 @@ class TestPersistence:
             ({"format_version": True, "m": 4, "K": 1,
               "objectives": [{"index": 0, "name": "booking", "primary": True}]},
              "'format_version'"),
+            ({"format_version": 2, "m": 4, "K": 2,
+              "objectives": [{"index": 0, "name": "booking", "primary": True},
+                             {"index": 7, "name": "cancellation", "primary": False}]},
+             "index 7"),
         ],
         ids=["unknown_objective_key", "objectives_number", "number_header",
-             "K_string", "index_string", "no_primary", "version_bool"],
+             "K_string", "index_string", "no_primary", "version_bool", "index_not_position"],
     )
     def test_bad_header_names_line_one(self, tmp_path, header, key):
         path = tmp_path / "bad.jsonl"
-        # A valid group follows, so a header error must not wait for it.
+        # A group follows, so a header error must not wait for it.
         group = {"query_id": 0, "timestamp": 0, "labels": [[1], [0]], "items": [
             {"item_id": i, "features": [0.0] * 4, "review_rating": 3.0, "is_new": False}
             for i in range(2)]}
@@ -331,6 +384,10 @@ class TestPersistence:
             ("features", [[0.5] * 6, [0.5] * 5]),  # ragged rows
             ("features", [[0.5] * 5, [0.5] * 5]),  # narrower than the header's m
             ("labels", [[-1, None, None], [1, None, None]]),  # -1 is not a JSONL label
+            ("labels", [[True, None, None], [0, None, None]]),  # JSONL labels are integers
+            ("labels", [[1, None, None], [False, None, None]]),
+            ("labels", [[1.0, None, None], [0, None, None]]),
+            ("labels", [[1, None, None], [0.0, None, None]]),
         ],
     )
     def test_bad_item_arrays_name_the_line(self, tmp_path, field, value):
@@ -361,9 +418,12 @@ class TestPersistence:
             ("timestamp", "x"),
             ("item_id", 1.5),
             ("is_new", "yes"),
+            ("query_id", 2**63),
+            ("timestamp", -(2**63) - 1),
         ],
         ids=["repeated_query_id", "query_id_string", "query_id_float", "query_id_null",
-             "timestamp_string", "item_id_float", "is_new_string"],
+             "timestamp_string", "item_id_float", "is_new_string", "query_id_past_int64",
+             "timestamp_past_int64"],
     )
     def test_bad_ids_name_the_line(self, tmp_path, field, value):
         ds = data.generate_dataset(tiny_config(num_queries=3))

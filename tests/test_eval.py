@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,25 @@ class TestNdcg:
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
             evaluation.ndcg_at_k([1.0], [1, 0], 1)
+
+    @given(st.integers(2, 14), st.integers(0, 2**31), st.sampled_from([1, 3, 5, 10, None]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_definition_exactly(self, n, seed, k):
+        # Any number of relevant items, tied scores, and cutoffs on both
+        # sides of n; the sums run best rank first.
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 3, size=n).astype(float)
+        labels = rng.integers(0, 2, size=n)
+        order = sorted(range(n), key=lambda j: (-scores[j], j))
+        cut = n if k is None else min(k, n)
+        dcg = 0.0
+        for pos in range(cut):
+            if labels[order[pos]]:
+                dcg += 1.0 / math.log2(pos + 2)
+        total = int(labels.sum())
+        ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(total, cut) + 1))
+        want = dcg / ideal if total else 0.0
+        assert evaluation.ndcg_at_k(scores, labels, k) == want
 
     @given(st.integers(2, 10), st.integers(0, 2**31))
     @settings(max_examples=100, deadline=None)
@@ -186,6 +206,16 @@ class TestServeWithBoost:
         )
 
 
+class FixedScores:
+    """Stands in for a Model whose scores are given per query."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score_group(self, group):
+        return self.scores[group.query_id]
+
+
 class TestSxS:
     def test_self_comparison_is_clean(self):
         ds = small_dataset()
@@ -211,6 +241,43 @@ class TestSxS:
         strict = evaluation.sxs_change_rate(a, b, ds, tau_threshold=0.0)
         loose = evaluation.sxs_change_rate(a, b, ds, tau_threshold=0.9)
         assert strict.change_rate >= loose.change_rate
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "distinct"])
+    def test_report_equals_the_kendall_tau_loop(self, tied):
+        # Lists of 2 to 30 items with shuffled ids, so a tie is broken by an
+        # id order that differs from the row order.
+        ds = data.generate_dataset(data.GeneratorConfig(
+            num_queries=60, items_per_query=(2, 30), m=6, K=2, seed=5
+        ))
+        rng = np.random.default_rng(3)
+        ds.groups = [replace(g, item_ids=rng.permutation(g.item_ids)) for g in ds.groups]
+
+        def draw(g):
+            if tied:
+                return rng.integers(0, 3, size=g.size).astype(float)
+            return rng.normal(size=g.size)
+
+        a, b = ({g.query_id: draw(g) for g in ds.groups} for _ in range(2))
+        changed, taus, probs_a, probs_b = 0, [], [], []
+        for g in ds.groups:
+            sa, sb, ids = a[g.query_id], b[g.query_id], g.item_ids
+            tau = evaluation.kendall_tau(
+                ids[evaluation.rank_order(sa, ids)], ids[evaluation.rank_order(sb, ids)]
+            )
+            taus.append(tau)
+            changed += (1.0 - tau) / 2.0 > 0.1
+            probs_a.append(nn.listwise_softmax(sa, 1.0))
+            probs_b.append(nn.listwise_softmax(sb, 1.0))
+        want = evaluation.SxSReport(
+            change_rate=changed / len(ds),
+            mean_tau=float(math.fsum(taus) / len(taus)),
+            pd=evaluation.prediction_difference(np.concatenate(probs_a), np.concatenate(probs_b)),
+            tau_threshold=0.1,
+            query_count=len(ds),
+        )
+        assert 0 < changed < len(ds)
+        got = evaluation.sxs_change_rate(FixedScores(a), FixedScores(b), ds, tau_threshold=0.1)
+        assert got == want
 
     def test_empty_dataset(self):
         ds = small_dataset()
@@ -261,12 +328,16 @@ class TestReport:
         distill.BoostRule(predicate="rating_at_least", rho=3.0),
     ], ids=["no_rule", "is_new", "rating"])
     def test_report_equals_the_per_metric_loop(self, tied, rule):
-        # Lists of 2 to 14 items, so the cutoffs 5 and 10 both clamp on some
-        # queries; tied scores make the id tie-break decide the order.
+        # Lists of 2 to 14 items, so the cutoffs 3, 5 and 10 all clamp on
+        # some queries; tied scores make the id tie-break decide the order.
         ds = data.generate_dataset(data.GeneratorConfig(
             num_queries=80, items_per_query=(2, 14), m=6, K=3, seed=4, new_item_fraction=0.3
         ))
         rng = np.random.default_rng(9)
+        # Secondary objectives with any number of positives, not just the
+        # booked item's outcome.
+        for g in ds.groups:
+            g.labels[:, 1:] = rng.integers(-1, 2, size=(g.size, ds.K - 1))
         scores = {
             g.query_id: rng.integers(0, 3, size=g.size).astype(float) if tied
             else rng.normal(size=g.size)
@@ -277,23 +348,26 @@ class TestReport:
             vals = [metric(scores[g.query_id], g) for g in ds.groups]
             return float(math.fsum(vals) / len(vals))
 
-        def objective_exposure(k):
+        def objective_exposure(k, exposure_k):
             def metric(s, g):
                 vals, mask = g.objective_labels(k)
-                return evaluation.exposure_rate(s, mask & (vals > 0), 10)
+                return evaluation.exposure_rate(s, mask & (vals > 0), exposure_k)
             return metric
 
-        want = evaluation.RankingMetricsReport(
-            ndcg_at_5=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 5)),
-            ndcg_at_10=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 10)),
-            ndcg_full=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), None)),
-            objective_exposure_at_10=[mean(objective_exposure(k)) for k in range(ds.K)],
-            boosted_exposure_at_10=None if rule is None else mean(
-                lambda s, g: evaluation.exposure_rate(s, rule.match_mask(g), 10)
-            ),
-            query_count=len(ds),
-        )
-        assert evaluation.ranking_metrics_report(scores, ds, rule) == want
+        for exposure_k in (10, 3):
+            want = evaluation.RankingMetricsReport(
+                ndcg_at_5=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 5)),
+                ndcg_at_10=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 10)),
+                ndcg_full=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), None)),
+                objective_exposure_at_10=[
+                    mean(objective_exposure(k, exposure_k)) for k in range(ds.K)
+                ],
+                boosted_exposure_at_10=None if rule is None else mean(
+                    lambda s, g: evaluation.exposure_rate(s, rule.match_mask(g), exposure_k)
+                ),
+                query_count=len(ds),
+            )
+            assert evaluation.ranking_metrics_report(scores, ds, rule, exposure_k) == want
 
     def test_report_names_the_query_with_wrong_score_count(self):
         ds = small_dataset(num_queries=5)

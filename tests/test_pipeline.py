@@ -303,18 +303,19 @@ class TestDeterminism:
 # sha256 of each study's report files at small_experiment, taken before the
 # studies shared one setup; metrics.csv is written by the distill study only.
 # The four report.json and the self and boost report.md were re-taken when
-# distill.seed and objective polarity were deleted: only the config and the
-# dataset hashes changed.
+# distill.seed and objective polarity were deleted (only the config and the
+# dataset hashes changed), and again when content_hash came to hash arrays
+# instead of JSONL text (only the dataset hashes changed).
 GOLDEN_STUDY_BYTES = {
     "distill/metrics.csv": "02bf4029a42c406e8b85698532a865f1bdc6cf8eea55eda7d1e8051208082bbd",
-    "distill/report.json": "4c4c7e577b3335f08276702b10c331b2ebf1ba2a0c15d1fef3058e4ba7a43922",
+    "distill/report.json": "391b33d078b74503b8988f00b2ddd2e92e13886d32a520e5b13b05bfe77ef075",
     "distill/report.md": "fb85e00d555121bb7cc8f01e9f66068b772d267b707d3fce46bfdf666a537d4b",
-    "self/report.json": "85a855dd9256b8bab6ba0e48594c29e8678c85861433a05a4d7eb0cd80e96b54",
-    "self/report.md": "a7301a312a725d1eb71a984323a8e349dd9c25a67a605bf98341a4db19a70d26",
-    "repro/report.json": "078ab2bb14cbdc590f66d5246eb0cdd529a1fd333eb4a4a698f03ab616e9f04f",
+    "self/report.json": "ac001787bea331163ac2b49a2540b40ab79e0bdabfaf483e27a1e9b704621ea2",
+    "self/report.md": "9e54da0c9c4fe2335036db31c3ec25979f9aba16ce47ec9a79df76ae78d3ef57",
+    "repro/report.json": "b973a5aa96f8305191f6cc1b80f258beace08e469c5054c00d13a460606aab32",
     "repro/report.md": "66b4f31f27f460c2f8e5fd9a7e632584730b6158187be9ff3bc172581710592e",
-    "boost/report.json": "c388f99c055979424f928d52ebf90d069bec63401812665a9114f634bd93406d",
-    "boost/report.md": "b89c122003cb3dfddf5b1df2021cf019ff59196a3a5369d787facf62fb40a75c",
+    "boost/report.json": "4f03fa398c9a80acddb227fa8cf044489d624404d7587fe64837c41cf7cc722e",
+    "boost/report.md": "9509220ed3e118cd807408d8e6b04d2ee65256a27d440e9c03f1445b48415bdf",
 }
 
 
