@@ -44,6 +44,7 @@ MISSING_LABEL = -1
 # content_hash packs query_id and timestamp as int64.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _ITEM_FIELDS = frozenset({"item_id", "features", "review_rating", "is_new"})
+_NUMBERS = frozenset({int, float})
 
 
 @dataclass
@@ -80,6 +81,9 @@ class QueryGroup:
         for name in ("item_ids", "ratings", "is_new"):
             if getattr(self, name).shape != (n,):
                 raise InputError(f"{q}: {name} must have shape ({n},)")
+        # Rankings, tau and the side-by-side report identify items by id.
+        if len(set(self.item_ids.tolist())) != n:
+            raise InputError(f"{q}: item_ids repeat an id")
         if labels.ndim != 2 or labels.shape[0] != n or labels.shape[1] < 1:
             raise InputError(f"{q}: labels must be n x K, got shape {labels.shape}")
         finite = np.isfinite(self.features)
@@ -374,6 +378,10 @@ def _group_from_doc(doc: dict) -> QueryGroup:
         if type(item["item_id"]) is not int or type(item["is_new"]) is not bool:
             got = json.dumps([item["item_id"], item["is_new"]])
             raise InputError(f"item_id and is_new must be an int and a bool: {got}")
+        # numpy would read true as 1.0 and "3.5" as 3.5.
+        rating, features = item["review_rating"], item["features"]
+        if type(rating) not in _NUMBERS or not set(map(type, features)) <= _NUMBERS:
+            raise InputError(f"item {item['item_id']}: features and review_rating must be numbers")
     return QueryGroup(
         query_id=query_id,
         timestamp=timestamp,

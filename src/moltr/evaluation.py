@@ -114,8 +114,8 @@ def kendall_tau(ranking_a, ranking_b) -> float:
     b = list(ranking_b)
     if len(a) != len(b):
         raise InputError("rankings have different lengths")
-    if set(a) != set(b):
-        raise InputError("rankings must be permutations of the same items")
+    if set(a) != set(b) or len(set(a)) != len(a):
+        raise InputError("rankings must be permutations of the same distinct items")
     pos_b = {item: i for i, item in enumerate(b)}
     return _tau(np.array([pos_b[item] for item in a]))
 

@@ -4,6 +4,11 @@ Each study trains its arms deterministically from an ExperimentConfig,
 evaluates on a held-out synthetic split, and emits a report whose JSON is
 byte-identical across reruns with the same config. Every metric row
 carries the content hashes of the checkpoint and dataset it came from.
+
+Each distinct model is trained once. The distill study's distilled arm is
+its sweep student at the config's alpha, and its alpha 1.0 student is the
+hard-only student's parameters. Each boost calibration takes the baseline
+student and its scores, already measured, as its point at zero.
 """
 
 from __future__ import annotations
@@ -210,60 +215,52 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
     teachers = study.teachers(train_ds)
     soft = fuse_soft_labels(teachers, train_ds)
 
-    def trained(name, model, extra=None):
-        scores = score_dataset(model, eval_ds)
-        return name, model.lineage, study.store.put_model(model), scores, extra
+    def measured(lineage, checkpoint, scores, **extra):
+        """A run's report entry, less its arm name, and its eval scores."""
+        metrics = evaluation.ranking_metrics_report(scores, eval_ds, rule).to_dict()
+        entry = {"lineage": lineage, "checkpoint_hash": checkpoint,
+                 "dataset_hash": study.eval_hash, "metrics": metrics, **extra}
+        return entry, scores
 
+    def trained(model, **extra):
+        scores = score_dataset(model, eval_ds)
+        return measured(model.lineage, study.store.put_model(model), scores, **extra)
+
+    hard_only = train_hard_only(train_ds, config.distill)
+    # Acceptance criterion 3: train_student at alpha 1.0 is train_hard_only
+    # bit for bit, so the alpha 1.0 student takes the hard-only parameters.
+    students = {}
+    for alpha in dict.fromkeys((config.distill.alpha, *config.alpha_sweep)):
+        model = (
+            Model(hard_only.config, hard_only.params, "student_v0") if alpha == 1.0
+            else train_student(train_ds, soft, replace(config.distill, alpha=alpha))
+        )
+        students[alpha] = trained(model, alpha=alpha)
     fusion_scores = {g.query_id: fusion_serve_scores(teachers, g) for g in eval_ds.groups}
     teacher_hashes = ",".join(study.teacher_hashes)
-    # Each run is (arm name, lineage, checkpoint hash, eval scores, extra fields).
-    arm_runs = [
-        ("fusion_baseline", "baseline:model_fusion", teacher_hashes, fusion_scores, None),
-        trained(
-            "scalarized_baseline",
-            train_scalarized_baseline(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill),
+    arm_runs = {
+        "fusion_baseline": measured("baseline:model_fusion", teacher_hashes, fusion_scores),
+        "scalarized_baseline": trained(
+            train_scalarized_baseline(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill)
         ),
-        trained("hard_only_student", train_hard_only(train_ds, config.distill)),
-        trained(
-            "distilled_student",
-            train_student(train_ds, soft, config.distill),
-            {"alpha": config.distill.alpha},
-        ),
-    ]
-    sweep_runs = [
-        trained(
-            f"alpha_{alpha}",
-            train_student(train_ds, soft, replace(config.distill, alpha=alpha)),
-            {"alpha": alpha},
-        )
-        for alpha in config.alpha_sweep
-    ]
-
-    def entries(runs):
-        return [
-            {
-                "arm": name,
-                "lineage": lineage,
-                "checkpoint_hash": checkpoint,
-                "dataset_hash": study.eval_hash,
-                "metrics": evaluation.ranking_metrics_report(scores, eval_ds, rule).to_dict(),
-                **(extra or {}),
-            }
-            for name, lineage, checkpoint, scores, extra in runs
-        ]
-
-    arms = entries(arm_runs)
+        "hard_only_student": trained(hard_only),
+        "distilled_student": students[config.distill.alpha],
+    }
+    arms = [{"arm": name, **entry} for name, (entry, _) in arm_runs.items()]
     baseline_ndcg = arms[0]["metrics"]["ndcg_at_10"]
     return study.report(
         "distill_vs_baselines",
         {
             "arms": arms,
-            "alpha_sweep": entries(sweep_runs),
+            "alpha_sweep": [
+                {"arm": f"alpha_{alpha}", **students[alpha][0], "alpha": alpha}
+                for alpha in config.alpha_sweep
+            ],
             "deltas_vs_fusion_ndcg10": {
                 a["arm"]: a["metrics"]["ndcg_at_10"] - baseline_ndcg for a in arms
             },
         },
-        per_query_scores={run[0]: run[3] for run in arm_runs},
+        per_query_scores={name: scores for name, (_, scores) in arm_runs.items()},
     )
 
 
@@ -353,53 +350,56 @@ def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.0
     return study.report("irreproducibility", body)
 
 
-def _bisect_exposure(measure, target: float, tolerance: float, hi_max: float, max_iter: int):
+def _bisect_exposure(
+    measure, at_zero, target: float, tolerance: float, hi_max: float, max_iter: int
+):
     """Find the boost magnitude whose exposure hits target +/- tolerance.
 
-    measure(x) must be (noisily) non-decreasing; evaluated points are
-    checked for monotonicity. Returns (x, exposure, evaluations).
+    measure(x) gives (exposure, result), with exposure (noisily)
+    non-decreasing in x; evaluated points are checked for monotonicity.
+    at_zero is that pair at x = 0, which the caller already holds, so x = 0
+    is never measured. Returns (x, exposure, result) at the x picked.
     """
-    evals = []
+    evals = [(0.0, at_zero[0])]
 
     def f(x):
-        e = measure(x)
+        e, result = measure(x)
         evals.append((x, e))
-        return e
+        return e, result
 
+    if at_zero[0] >= target - tolerance:
+        return (0.0, *at_zero)
     iterations = 0
     lo, hi = 0.0, 1.0
-    e_lo = f(lo)
-    if e_lo >= target - tolerance:
-        return lo, e_lo, evals
-    e_hi = f(hi)
+    e_hi, r_hi = f(hi)
     while e_hi < target and hi < hi_max:
         iterations += 1
         if iterations > max_iter:
             raise CalibrationError("exposure bracketing did not converge")
-        lo, e_lo = hi, e_hi
+        lo = hi
         hi *= 2.0
-        e_hi = f(hi)
+        e_hi, r_hi = f(hi)
     if e_hi < target - tolerance:
         raise CalibrationError(
             f"exposure target {target:.3f} unreachable (max {e_hi:.3f} at {hi})"
         )
-    best_x, best_e = hi, e_hi
+    best = (hi, e_hi, r_hi)
     while iterations < max_iter:
         iterations += 1
         mid = (lo + hi) / 2.0
-        e_mid = f(mid)
-        if abs(e_mid - target) <= abs(best_e - target):
-            best_x, best_e = mid, e_mid
+        e_mid, r_mid = f(mid)
+        if abs(e_mid - target) <= abs(best[1] - target):
+            best = (mid, e_mid, r_mid)
         if abs(e_mid - target) <= tolerance:
             _check_monotone(evals)
-            return mid, e_mid, evals
+            return mid, e_mid, r_mid
         if e_mid < target:
-            lo, e_lo = mid, e_mid
+            lo = mid
         else:
-            hi, e_hi = mid, e_mid
-    if abs(best_e - target) <= tolerance:
+            hi = mid
+    if abs(best[1] - target) <= tolerance:
         _check_monotone(evals)
-        return best_x, best_e, evals
+        return best
     raise CalibrationError(
         f"exposure calibration did not reach {target:.3f} within {max_iter} iterations"
     )
@@ -435,18 +435,12 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
         base_exp = exposure(base_scores)
         target = base_exp + bc.target_lift
 
-        def serve_scores(gamma):
-            return {
+        def serve_exposure(gamma):
+            scores = {
                 g.query_id: evaluation.serve_with_boost(base, g, rule, gamma)
                 for g in eval_ds.groups
             }
-
-        gamma, serve_exp, _ = _bisect_exposure(
-            lambda gamma: exposure(serve_scores(gamma)),
-            target, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations,
-        )
-
-        soft_models = {}
+            return exposure(scores), scores
 
         def soft_exposure(beta):
             boosted = inject_boost(
@@ -454,13 +448,19 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
             )
             m = train_student(train_ds, boosted, cfg)
             scored = score_dataset(m, eval_ds)
-            soft_models[beta] = (m, scored)
-            return exposure(scored)
+            return exposure(scored), (m, scored)
 
-        beta, soft_exp, _ = _bisect_exposure(
-            soft_exposure, target, bc.exposure_tolerance, bc.beta_max, bc.max_iterations
+        # Both boosts at zero are the baseline: gamma 0 adds +0.0 to every
+        # score, and beta 0 only turns a -0.0 soft score into +0.0, which
+        # leaves every softmax target, and so the trained student, unchanged.
+        gamma, serve_exp, serve_scores = _bisect_exposure(
+            serve_exposure, (base_exp, base_scores),
+            target, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations,
         )
-        soft_model, soft_scores = soft_models[beta]
+        beta, soft_exp, (soft_model, soft_scores) = _bisect_exposure(
+            soft_exposure, (base_exp, (base, base_scores)),
+            target, bc.exposure_tolerance, bc.beta_max, bc.max_iterations,
+        )
         rows.append(
             {
                 "seed": cfg.seed,
@@ -472,7 +472,7 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
                 "target_exposure": target,
                 "gamma": gamma,
                 "serve_exposure": serve_exp,
-                "serve_ndcg10": evaluation.mean_ndcg(serve_scores(gamma), eval_ds, 10),
+                "serve_ndcg10": evaluation.mean_ndcg(serve_scores, eval_ds, 10),
                 "beta": beta,
                 "soft_exposure": soft_exp,
                 "soft_ndcg10": evaluation.mean_ndcg(soft_scores, eval_ds, 10),

@@ -72,6 +72,10 @@ class TestQueryGroup:
             replace(g, query_id=2**63)
         replace(g, query_id=2**63 - 1, timestamp=-(2**63))
 
+    def test_rejects_repeated_item_ids(self):
+        with pytest.raises(InputError, match="query 7: item_ids repeat"):
+            make_group(query_id=7, item_ids=[700, 701, 700])
+
     def test_rejects_ragged_labels(self):
         with pytest.raises(InputError):
             make_group(n=2, labels=[[0, 1], [0]])
@@ -388,6 +392,8 @@ class TestPersistence:
             ("labels", [[1, None, None], [False, None, None]]),
             ("labels", [[1.0, None, None], [0, None, None]]),
             ("labels", [[1, None, None], [0.0, None, None]]),
+            ("features", [[True] + [0.5] * 5, [0.5] * 6]),  # JSONL features are numbers
+            ("review_rating", [3.5, "3.5"]),
         ],
     )
     def test_bad_item_arrays_name_the_line(self, tmp_path, field, value):
@@ -396,11 +402,11 @@ class TestPersistence:
         doc = json.loads(lines[2])
         doc["items"] = doc["items"][:2]
         doc["labels"] = doc["labels"][:2]
-        if field == "features":
-            for item, row in zip(doc["items"], value):
-                item["features"] = row
-        else:
+        if field == "labels":
             doc["labels"] = value
+        else:
+            for item, v in zip(doc["items"], value):
+                item[field] = v
         lines[2] = json.dumps(doc)
         path = tmp_path / "ds.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -436,6 +442,18 @@ class TestPersistence:
         with pytest.raises(ParseError) as e:
             data.load_dataset(path)
         assert e.value.line == 3 and field in str(e.value)
+
+    def test_repeated_item_id_names_the_query_and_line(self, tmp_path):
+        ds = data.generate_dataset(tiny_config(num_queries=3))
+        lines = list(data.serialize_lines(ds))
+        doc = json.loads(lines[2])
+        doc["items"][1]["item_id"] = doc["items"][0]["item_id"]
+        lines[2] = json.dumps(doc)
+        path = tmp_path / "ds.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as e:
+            data.load_dataset(path)
+        assert e.value.line == 3 and f"query {doc['query_id']}: item_ids repeat" in str(e.value)
 
     @given(st.integers(0, 2**31), st.integers(5, 25))
     @settings(max_examples=20, deadline=None)

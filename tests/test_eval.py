@@ -152,6 +152,11 @@ class TestKendallTau:
         with pytest.raises(InputError):
             evaluation.kendall_tau([1, 2], [1, 3])
 
+    def test_repeated_item(self):
+        for b in ([10, 10, 11], [10, 11, 11]):
+            with pytest.raises(InputError, match="distinct"):
+                evaluation.kendall_tau([10, 10, 11], b)
+
     @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
     @settings(max_examples=100, deadline=None)
     def test_symmetric_and_bounded(self, a, b):

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from moltr import nn, pipeline
-from moltr.data import GeneratorConfig
+from moltr import distill, evaluation, nn, pipeline
+from moltr.data import GeneratorConfig, generate_dataset
 from moltr.distill import DistillConfig, Model
 from moltr.errors import CalibrationError, ConfigError
 
@@ -180,21 +181,23 @@ class TestCheckpointStore:
 class TestBisection:
     def test_linear_function(self):
         x, e, _ = pipeline._bisect_exposure(
-            lambda x: 0.1 + 0.05 * x, target=0.3, tolerance=0.001, hi_max=64, max_iter=50
+            lambda x: (0.1 + 0.05 * x, None), (0.1, None),
+            target=0.3, tolerance=0.001, hi_max=64, max_iter=50,
         )
         assert e == pytest.approx(0.3, abs=0.001)
         assert x == pytest.approx(4.0, abs=0.1)
 
     def test_already_at_target(self):
         x, e, _ = pipeline._bisect_exposure(
-            lambda x: 0.5, target=0.4, tolerance=0.01, hi_max=64, max_iter=50
+            lambda x: (0.5, None), (0.5, None), target=0.4, tolerance=0.01, hi_max=64, max_iter=50
         )
         assert x == 0.0
 
     def test_unreachable_target(self):
         with pytest.raises(CalibrationError, match="unreachable"):
             pipeline._bisect_exposure(
-                lambda x: 0.1, target=0.9, tolerance=0.01, hi_max=8, max_iter=50
+                lambda x: (0.1, None), (0.1, None),
+                target=0.9, tolerance=0.01, hi_max=8, max_iter=50,
             )
 
     def test_non_monotone_detected(self):
@@ -204,8 +207,38 @@ class TestBisection:
         values = {0.0: 0.1, 1.0: 0.4, 2.0: 0.89, 1.5: 0.92, 1.25: 0.85}
         with pytest.raises(CalibrationError, match="monotone"):
             pipeline._bisect_exposure(
-                values.__getitem__, target=0.85, tolerance=0.01, hi_max=64, max_iter=50
+                lambda x: (values[x], None), (values[0.0], None),
+                target=0.85, tolerance=0.01, hi_max=64, max_iter=50,
             )
+
+    @staticmethod
+    def linear(slope):
+        def measure(x):
+            if x == 0.0:
+                raise AssertionError("x = 0 is the caller's point and is never measured")
+            return slope * x, ("measured at", x)
+        return measure
+
+    def test_exit_returns_the_result_measured_at_x(self):
+        x, e, result = pipeline._bisect_exposure(
+            self.linear(0.05), (0.0, "zero"), target=0.2, tolerance=0.001, hi_max=64, max_iter=50
+        )
+        # The first midpoint within tolerance ends the search, not x=4.
+        assert e == pytest.approx(0.2, abs=0.001) and x < 4.0
+        assert result == ("measured at", x)
+
+    def test_fallback_returns_the_result_measured_at_x(self):
+        # Bracketing ends at x=4 (exposure 0.4); the one bisection step
+        # measures x=3 (0.3), out of tolerance, so the best point x=4 is kept.
+        x, e, result = pipeline._bisect_exposure(
+            self.linear(0.1), (0.0, "zero"), target=0.4, tolerance=0.01, hi_max=64, max_iter=3
+        )
+        assert (x, result) == (4.0, ("measured at", 4.0))
+
+    def test_at_zero_is_returned_as_given(self):
+        assert pipeline._bisect_exposure(
+            self.linear(0.1), (0.5, "zero"), target=0.4, tolerance=0.01, hi_max=64, max_iter=50
+        ) == (0.0, 0.5, "zero")
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +278,50 @@ class TestStudyDistill:
         assert len(checkpoints) >= len(rep["arms"])
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk == rep
+
+
+def spy(monkeypatch, module, name, record):
+    """Replace module.name by a wrapper that calls record(*args) first."""
+    original = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        record(*args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 1.0])
+def test_distill_study_trains_each_model_once(tmp_path, monkeypatch, alpha):
+    base = small_experiment(tmp_path / "out")
+    config = small_experiment(
+        tmp_path / "out", distill=replace(base.distill, alpha=alpha), alpha_sweep=(0.0, 0.2, 1.0)
+    )
+    calls = []
+    for name in ("train_student", "train_hard_only", "train_scalarized_baseline"):
+        spy(monkeypatch, pipeline, name, lambda *a, name=name: calls.append((name, a[-1].alpha)))
+    rep = pipeline.study_distill_vs_baselines(config)
+    # The alpha 1.0 student is the hard-only student's parameters, and the
+    # distilled arm is the sweep's student at the config's alpha.
+    assert sorted(calls) == [
+        ("train_hard_only", alpha),
+        ("train_scalarized_baseline", alpha),
+        ("train_student", 0.0),
+        ("train_student", 0.2),
+    ]
+    sweep = {e["arm"]: e for e in rep["alpha_sweep"]}
+    arms = {a["arm"]: a for a in rep["arms"]}
+    distilled, same_alpha = arms["distilled_student"], sweep[f"alpha_{alpha}"]
+    assert distilled["checkpoint_hash"] == same_alpha["checkpoint_hash"]
+    assert distilled["metrics"] == same_alpha["metrics"]
+
+    ds = generate_dataset(config.generator)
+    soft = distill.fuse_soft_labels(distill.train_teachers(ds, config.teacher_config), ds)
+    independent = distill.train_student(ds, soft, replace(config.distill, alpha=1.0))
+    digest = pipeline.CheckpointStore(str(tmp_path / "independent")).put_model(independent)
+    assert sweep["alpha_1.0"]["checkpoint_hash"] == digest
+    name = f"checkpoints/{digest}.json"
+    assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "independent" / name).read_bytes()
 
 
 class TestStudySelf:
@@ -287,6 +364,19 @@ class TestStudyBoost:
         assert row["serve_exposure"] > row["baseline_exposure"]
         # The boost study's page-size override is recorded in the config.
         assert rep["config"]["generator"]["items_per_query"] == [10, 14]
+
+    def test_baseline_is_trained_once_per_seed(self, tmp_path, monkeypatch):
+        config = small_experiment(tmp_path, parity_seeds=2)
+        students, betas, gammas = [], [], []
+        spy(monkeypatch, pipeline, "train_student", lambda *args: students.append(args[-1].seed))
+        spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: betas.append(rule.beta))
+        spy(monkeypatch, evaluation, "serve_with_boost", lambda *args: gammas.append(args[-1]))
+        rep = pipeline.study_adhoc_boost(config)
+        # Zero is each calibration's baseline point, already measured.
+        assert betas and 0.0 not in betas
+        assert gammas and 0.0 not in gammas
+        assert len(students) == config.parity_seeds + len(betas)
+        assert len(rep["per_seed"]) == config.parity_seeds
 
 
 class TestDeterminism:
