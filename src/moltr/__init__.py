@@ -21,6 +21,7 @@ from .distill import (
     BoostRule,
     DistillConfig,
     Model,
+    Run,
     SoftLabelSet,
     TeacherEnsemble,
     fuse_soft_labels,
@@ -29,6 +30,7 @@ from .distill import (
     score_dataset,
     self_distill_step,
     train_hard_only,
+    train_runs,
     train_scalarized_baseline,
     train_student,
     train_teacher,

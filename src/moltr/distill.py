@@ -4,17 +4,24 @@ injection, student distillation, self-distillation, and baselines.
 All trainers share one deterministic engine, _run_training: a generator
 seeded with the run's one seed, mlp.seed, draws the initial weights and
 then one shuffle of the query-group order per epoch, and each group is a
-single SGD step. Targets are computed once per run; each step calls nn's
-forward, gradient and backprop kernels, the same code behind nn's public
-functions, and nn.sgd_step updates the one flat parameter buffer in place.
-Two runs with the same config and seed are bit-identical, and equal to a
-loop over the public nn functions.
+single SGD step for each run that does not skip it. Targets are computed
+once per run; each step calls nn's forward, gradient and backprop kernels,
+the same code behind nn's public functions, and nn.sgd_step updates the
+flat parameter buffer in place. Two runs with the same config and seed are
+bit-identical, and equal to a loop over the public nn functions.
+
+Runs that share a dataset, an mlp config (and so a seed), the epochs and
+the learning rate differ only in their targets and loss, so train_runs
+trains them together: one stacked forward pass, backprop and update per
+group, each run's rows bit for bit what it gives trained alone. Each
+public trainer is its Run plus one train_runs call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -170,16 +177,20 @@ class SoftLabelSet:
                 continue
             try:
                 doc = json.loads(raw)
-                qid = doc["query_id"]
-                row = np.asarray(doc["scores"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+                qid, row = doc["query_id"], doc["scores"]
+            except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ParseError(f"bad soft-label row: {e}", line=lineno) from e
             if type(qid) is not int:
                 raise ParseError(f"query_id must be an int, got {json.dumps(qid)}", line=lineno)
             if qid in scores:
                 raise ParseError(f"duplicate query_id {qid}", line=lineno)
-            if row.ndim != 1:
-                raise ParseError(f"query_id {qid}: scores must be a list", line=lineno)
+            # numpy would read true as 1.0 and "1.5" as 1.5.
+            if type(row) is not list or not set(map(type, row)) <= {int, float}:
+                raise ParseError(f"query_id {qid}: scores must be a list of numbers", line=lineno)
+            try:
+                row = np.asarray(row, dtype=np.float64)
+            except OverflowError as e:
+                raise ParseError(f"query_id {qid}: {e}", line=lineno) from e
             if not np.isfinite(row).all():
                 raise ParseError(f"query_id {qid}: non-finite scores", line=lineno)
             scores[qid] = row
@@ -229,46 +240,150 @@ def _single_label_step(k: int):
     return (lambda group: _objective_target(group, k)), grad
 
 
-def _run_training(dataset: Dataset, config: DistillConfig, prepare, grad):
-    """Shared deterministic SGD loop over query groups.
+def _scalarized_step(K: int, objective_weights):
+    """(prepare, grad, counts) for the weighted sum of per-objective
+    listwise CEs; counts[k] is the number of groups whose step has
+    objective k's term, filled in as prepare runs."""
+    weights = _weight_vector(objective_weights, K, "objective_weights")
+    counts = np.zeros(K, dtype=np.int64)
 
-    prepare(group) runs once per group before the first epoch and gives its
-    target, or None to skip it; grad(scores, target) gives the per-score
-    gradient. Each step runs nn.layer_outputs and nn.backprop_into, the
-    kernels of nn.mlp_forward and nn.backward, with gradients written into
-    arrays reused across steps; nn.sgd_step updates the params' one flat
-    buffer in place, with one finiteness check that names the layer on
-    failure. Skips touch neither the params nor the shuffle stream, which is
-    what makes degenerate trainer comparisons bitwise.
+    def prepare(group):
+        terms = []
+        for k in range(K):
+            target = _objective_target(group, k) if weights[k] != 0 else None
+            if target is not None:
+                terms.append((weights[k], target))
+                counts[k] += 1
+        return terms or None
+
+    def grad(scores, terms):
+        p = nn.softmax(scores, 1.0)
+        total = None
+        for w, target in terms:  # summed in k order
+            g = w * (p - target)
+            total = g if total is None else total + g
+        return total
+
+    return prepare, grad, counts
+
+
+class Run(NamedTuple):
+    """One training run for train_runs: prepare(group) gives the group's
+    target, or None to skip the group, and grad(scores, target) the
+    gradient per score. Its model gets config.mlp and lineage."""
+
+    config: DistillConfig
+    lineage: str
+    prepare: Callable
+    grad: Callable
+
+    @classmethod
+    def hard_only(cls, config: DistillConfig) -> "Run":
+        """The run of train_hard_only."""
+        return cls(config, "baseline:hard_only", *_single_label_step(0))
+
+    @classmethod
+    def student(
+        cls, dataset: Dataset, soft: SoftLabelSet, config: DistillConfig, lineage="student_v0"
+    ) -> "Run":
+        """The run of train_student."""
+        soft.check_alignment(dataset)
+        alpha, temperature = config.alpha, config.temperature
+
+        def prepare(group):
+            hard = _objective_target(group, 0)
+            if hard is None and alpha == 1.0:
+                return None
+            return hard, nn.listwise_softmax(
+                soft.scores[group.query_id], config.teacher_temperature
+            )
+
+        def grad(scores, target):
+            return nn.distill_grad(scores, *target, alpha, temperature)
+
+        return cls(config, lineage, prepare, grad)
+
+    @classmethod
+    def scalarized(cls, dataset: Dataset, objective_weights, config: DistillConfig) -> "Run":
+        """The run of train_scalarized_baseline."""
+        prepare, grad, _ = _scalarized_step(dataset.K, objective_weights)
+        return cls(config, "baseline:scalarized", prepare, grad)
+
+
+def _run_training(dataset: Dataset, config: DistillConfig, steps) -> list[nn.ParameterSet]:
+    """Shared deterministic SGD loop over query groups, for R runs that
+    share the dataset and config's mlp (so its seed), epochs and learning
+    rate; steps holds each run's (prepare, grad) pair.
+
+    prepare(group) runs once per group and run before the first epoch and
+    gives its target, or None to skip it; grad(scores, target) gives the
+    per-score gradient. The runs start from the same weights and visit the
+    groups in the same shuffled order, so they step in lockstep: each group
+    takes one stacked nn.layer_outputs over the runs that step there, one
+    gradient per run, one stacked nn.backprop_into into arrays reused
+    across steps, and one nn.sgd_step on their rows of the (R, P) buffer,
+    with one finiteness check that names the layer on failure. A run that
+    skips a group has its rows neither read nor written there and its
+    scores unchecked, and no skip moves the shuffle stream. So each run is
+    bit for bit the run trained alone, which is what makes degenerate
+    trainer comparisons bitwise.
     """
     if not dataset.groups:
         raise TrainingError("cannot train on an empty dataset")
     mlp = config.mlp
     if dataset.m != mlp.input_dim:
         raise InputError(f"dataset m={dataset.m} != mlp input dim {mlp.input_dim}")
-    steps = []
+    plan = []
     for group in dataset.groups:
         if not np.isfinite(group.features).all():
             raise InputError(f"query {group.query_id}: features contain non-finite values")
-        steps.append((group, prepare(group)))
+        work = [(grad, prepare(group)) for prepare, grad in steps]
+        active = [r for r, (_, target) in enumerate(work) if target is not None]
+        plan.append((group, active, [work[r] for r in active]))
     rng = np.random.default_rng(config.seed)
-    params = nn.init_params(mlp, rng)
-    grads = nn.zeros_like_params(params)
+    first = nn.init_params(mlp, rng)
+    params = nn.ParameterStack(np.tile(first.flat, (len(steps), 1)), first.shapes)
+    grads = nn.ParameterStack(np.zeros_like(params.flat), first.shapes)
     relu, lr = mlp.activation == "relu", config.learning_rate
-    order = np.arange(len(steps))
+    order = np.arange(len(plan))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for gi in order:
-            group, target = steps[gi]
-            if target is None:
+            group, active, work = plan[gi]
+            if len(active) == len(steps):
+                p, g = params, grads
+            elif active:  # copies of the active rows, written back after the step
+                p = nn.ParameterStack(params.flat[active], first.shapes)
+                g = nn.ParameterStack(grads.flat[:len(active)], first.shapes)
+            else:
                 continue
-            hs = nn.layer_outputs(params, group.features, relu)
-            scores = hs[-1][:, 0]
+            hs = nn.layer_outputs(p, group.features, relu)
+            scores = hs[-1][..., 0]
             if not np.isfinite(scores).all():
                 raise InputError(f"query {group.query_id}: forward pass produced non-finite scores")
-            nn.backprop_into(grads, hs, params, grad(scores, target), relu)
-            nn.sgd_step(params, grads, lr)
-    return params
+            per_score = np.array([grad(scores[j], target) for j, (grad, target) in enumerate(work)])
+            nn.backprop_into(g, hs, p, per_score, relu)
+            nn.sgd_step(p, g, lr)
+            if p is not params:
+                params.flat[active] = p.flat
+    return [params.row(r) for r in range(len(steps))]
+
+
+def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
+    """The model of each run, trained together in lockstep. The runs must
+    share the mlp config (and so the seed), epochs and learning rate; each
+    model equals what its run gives trained alone, bit for bit."""
+    if not runs:
+        raise ConfigError("train_runs needs at least one run")
+    config = runs[0].config
+
+    def shared(c):
+        return c.mlp, c.epochs, c.learning_rate
+
+    if any(shared(run.config) != shared(config) for run in runs):
+        raise ConfigError("runs trained together must share mlp, epochs and learning_rate")
+    params = _run_training(dataset, config, [(run.prepare, run.grad) for run in runs])
+    return [Model(config=config.mlp, params=p, lineage=run.lineage) for run, p in zip(runs, params)]
 
 
 def train_teacher(
@@ -285,9 +400,9 @@ def train_teacher(
     subset = Dataset(
         objectives=list(dataset.objectives), groups=covered, m=dataset.m, K=dataset.K
     )
-    params = _run_training(subset, config, *_single_label_step(objective_index))
     name = dataset.objectives[objective_index].name
-    return Model(config=config.mlp, params=params, lineage=f"teacher:{name}")
+    run = Run(config, f"teacher:{name}", *_single_label_step(objective_index))
+    return train_runs(subset, [run])[0]
 
 
 def train_teachers(dataset: Dataset, config: DistillConfig) -> TeacherEnsemble:
@@ -341,26 +456,12 @@ def train_student(
     target is the softmax (at teacher_temperature) of the stored raw
     scores; the student-side soft softmax uses config.temperature.
     """
-    soft.check_alignment(dataset)
-    alpha, temperature = config.alpha, config.temperature
-
-    def prepare(group):
-        hard = _objective_target(group, 0)
-        if hard is None and alpha == 1.0:
-            return None
-        return hard, nn.listwise_softmax(soft.scores[group.query_id], config.teacher_temperature)
-
-    def grad(scores, target):
-        return nn.distill_grad(scores, *target, alpha, temperature)
-
-    params = _run_training(dataset, config, prepare, grad)
-    return Model(config=config.mlp, params=params, lineage=lineage)
+    return train_runs(dataset, [Run.student(dataset, soft, config, lineage)])[0]
 
 
 def train_hard_only(dataset: Dataset, config: DistillConfig) -> Model:
     """Hard-label-only trainer over the full dataset (baseline family)."""
-    params = _run_training(dataset, config, *_single_label_step(0))
-    return Model(config=config.mlp, params=params, lineage="baseline:hard_only")
+    return train_runs(dataset, [Run.hard_only(config)])[0]
 
 
 def student_version(model: Model) -> int | None:
@@ -401,27 +502,8 @@ def train_scalarized_baseline(
     so sparse objectives show up in fewer batches; pass batch_log to
     capture the per-objective step counts.
     """
-    weights = _weight_vector(objective_weights, dataset.K, "objective_weights")
-    counts = np.zeros(dataset.K, dtype=np.int64)
-
-    def prepare(group):
-        terms = []
-        for k in range(dataset.K):
-            target = _objective_target(group, k) if weights[k] != 0 else None
-            if target is not None:
-                terms.append((weights[k], target))
-                counts[k] += 1
-        return terms or None
-
-    def grad(scores, terms):
-        p = nn.softmax(scores, 1.0)
-        total = None
-        for w, target in terms:  # summed in k order
-            g = w * (p - target)
-            total = g if total is None else total + g
-        return total
-
-    params = _run_training(dataset, config, prepare, grad)
+    prepare, grad, counts = _scalarized_step(dataset.K, objective_weights)
+    (model,) = train_runs(dataset, [Run(config, "baseline:scalarized", prepare, grad)])
     if batch_log is not None:
         batch_log.append({"per_objective_steps": (counts * config.epochs).tolist()})
-    return Model(config=config.mlp, params=params, lineage="baseline:scalarized")
+    return model

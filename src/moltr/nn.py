@@ -13,12 +13,21 @@ and call a kernel; they leave their inputs unchanged and return fresh
 arrays. The trainers in distill call the kernels on inputs they check once
 per run. A ParameterSet keeps every layer in one flat buffer, and sgd_step
 updates that buffer in place with one finiteness check per step.
+
+A ParameterStack holds R parameter sets of one architecture as the rows of
+one (R, P) buffer, with (R, d_in, d_out) weight and (R, 1, d_out) bias
+views. layer_outputs, backprop_into and sgd_step take either form: each
+run's slice of a stacked call is the same arithmetic, bit for bit, as the
+call on that run's ParameterSet.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +40,9 @@ from .errors import Config, ConfigError, InputError, ParseError, TrainingError, 
 PROB_FLOOR = 1e-12
 
 ACTIVATIONS = ("relu", "tanh")
+
+# The file name a checkpoint store gives a checkpoint: its sha256, in hex.
+_CONTENT_ADDRESSED = re.compile(r"[0-9a-f]{64}\.json")
 
 
 @dataclass(frozen=True)
@@ -96,9 +108,7 @@ class ParameterSet:
         arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
         self.shapes = tuple(a.shape for a in arrays)
         self.flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
-        ends = np.cumsum([a.size for a in arrays]).tolist()
-        views = [self.flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.weights, self.biases = _layer_views(self.flat, self.shapes)
 
     @property
     def num_layers(self) -> int:
@@ -129,6 +139,44 @@ class ParameterSet:
 GradientSet = ParameterSet
 
 
+def _layer_views(flat: np.ndarray, shapes) -> tuple[list, list]:
+    """Weight and bias views into flat, laid out w0, b0, w1, b1, ... with
+    the given per-run shapes. A stacked flat (R, P) gives (R, d_in, d_out)
+    weights and (R, 1, d_out) biases, so a bias adds across a run's items."""
+    lead = flat.shape[:-1]
+    views, start = [], 0
+    for shape in shapes:
+        end = start + math.prod(shape)
+        if lead and len(shape) == 1:
+            shape = (1, *shape)
+        views.append(flat[..., start:end].reshape(*lead, *shape))
+        start = end
+    return views[0::2], views[1::2]
+
+
+@dataclass(eq=False)
+class ParameterStack:
+    """R parameter sets of one architecture trained side by side: row r of
+    flat (R, P) is run r's ParameterSet.flat, and shapes are one run's
+    layer shapes, as in ParameterSet.shapes."""
+
+    flat: np.ndarray
+    shapes: tuple
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.flat, self.shapes)
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights)
+
+    def row(self, r: int) -> ParameterSet:
+        """A copy of run r's parameters."""
+        return ParameterSet([w[r] for w in self.weights], [b[r, 0] for b in self.biases])
+
+
 def init_params(config: MlpConfig, rng: np.random.Generator | None = None) -> ParameterSet:
     """Uniform init in [-init_scale, init_scale], layer by layer in order."""
     if rng is None:
@@ -147,11 +195,12 @@ def zeros_like_params(params: ParameterSet) -> GradientSet:
     return grads
 
 
-def layer_outputs(params: ParameterSet, features: np.ndarray, relu: bool) -> list[np.ndarray]:
-    """[features, h_1, ..., h_L], h_L (n x 1) holding the scores. Unchecked
-    kernel of mlp_forward. Activation is in place: backprop needs no
-    pre-activations, as relu's post > 0 exactly when pre > 0 and tanh's
-    derivative is 1 - post^2."""
+def layer_outputs(params, features: np.ndarray, relu: bool) -> list[np.ndarray]:
+    """[features, h_1, ..., h_L], h_L (n x 1) holding the scores, or
+    (R, n, .) layers for a ParameterStack, every run scoring the same
+    features. Unchecked kernel of mlp_forward. Activation is in place:
+    backprop needs no pre-activations, as relu's post > 0 exactly when
+    pre > 0 and tanh's derivative is 1 - post^2."""
     hs = [features]
     last = params.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -163,16 +212,17 @@ def layer_outputs(params: ParameterSet, features: np.ndarray, relu: bool) -> lis
     return hs
 
 
-def backprop_into(grads: GradientSet, hs, params: ParameterSet, per_score_grad, relu: bool):
+def backprop_into(grads, hs, params, per_score_grad, relu: bool):
     """Write d(loss)/d(each parameter) into grads, given layer_outputs and
-    d(loss)/d(score). Unchecked kernel of backward; it only reads hs and
-    per_score_grad."""
-    delta = per_score_grad[:, None]
+    d(loss)/d(score), (n,) for a ParameterSet or (R, n) for a stack.
+    Unchecked kernel of backward; it only reads hs and per_score_grad."""
+    delta = per_score_grad[..., None]
     for i in range(params.num_layers - 1, -1, -1):
-        np.matmul(hs[i].T, delta, out=grads.weights[i])
-        delta.sum(axis=0, out=grads.biases[i])
+        bias = grads.biases[i]
+        np.matmul(hs[i].swapaxes(-1, -2), delta, out=grads.weights[i])
+        delta.sum(axis=-2, keepdims=bias.ndim == delta.ndim, out=bias)
         if i > 0:  # multiplied, not np.where, so a masked entry keeps its signed zero
-            delta = delta @ params.weights[i].T
+            delta = delta @ params.weights[i].swapaxes(-1, -2)
             delta *= (hs[i] > 0.0) if relu else 1.0 - hs[i] * hs[i]
 
 
@@ -223,8 +273,8 @@ def backward(
 def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Max-stabilized temperature softmax in a fresh array. Unchecked kernel
     of listwise_softmax."""
-    z = scores / temperature
-    z -= z.max()
+    z = scores if temperature == 1.0 else scores / temperature  # x / 1.0 is x bit for bit
+    z = z - z.max()
     np.exp(z, out=z)
     z /= z.sum()
     return z
@@ -310,28 +360,35 @@ def distill_grad(scores, hard, soft, alpha: float, temperature: float) -> np.nda
     """d(distill_loss)/d(scores) in a fresh array. Unchecked kernel of
     distill_loss; a skipped term is never computed, so alpha == 1 with a
     hard target is exactly hard-label training. At temperature 1 both terms
-    share one softmax, as scores / 1.0 is scores bit for bit."""
+    share one softmax and nothing is divided by the temperature, as
+    x / 1.0 is x bit for bit."""
     use_hard = alpha > 0.0 and hard is not None
     if not (alpha < 1.0 and soft is not None):
         return softmax(scores, 1.0) - hard if use_hard else np.zeros_like(scores)
     p = softmax(scores, temperature)
-    sg = (p - soft) / temperature
+    sg = p - soft
+    if temperature != 1.0:
+        sg /= temperature
     if not use_hard:
         return sg
     p1 = p if temperature == 1.0 else softmax(scores, 1.0)
     return alpha * (p1 - hard) + (1.0 - alpha) * sg
 
 
-def sgd_step(params: ParameterSet, grads: GradientSet, lr: float) -> ParameterSet:
+def sgd_step(params, grads, lr: float):
     """theta <- theta - lr * g on params.flat, in place; returns params.
+    Both are ParameterSets, or ParameterStacks of the same run count.
 
     One finiteness check covers every layer; the failing layer is looked up
     only on failure, and the params then hold the non-finite update.
     """
     if not (lr >= 0):
         raise ConfigError("learning rate must be nonnegative")
-    if params.shapes != grads.shapes:
-        raise InputError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
+    if (params.shapes, params.flat.shape) != (grads.shapes, grads.flat.shape):
+        raise InputError(
+            f"gradient shapes {grads.shapes} in {grads.flat.shape} != "
+            f"parameter shapes {params.shapes} in {params.flat.shape}"
+        )
     params.flat -= lr * grads.flat
     if not np.isfinite(params.flat).all():
         i = next(i for i, (w, b) in enumerate(zip(params.weights, params.biases))
@@ -419,14 +476,21 @@ def checkpoint_document(
 def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
     """Inverse of save_checkpoint; returns (config, params, full document).
 
-    A file that is not a checkpoint document raises a ParseError naming it.
+    A file that is not a checkpoint document raises a ParseError naming it,
+    and so does a content-addressed file, named <sha256 hex>.json as
+    CheckpointStore names them, whose sha256 is not its name.
     """
-    with open(path) as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        raw = f.read()
+    name = os.path.basename(path)
+    if _CONTENT_ADDRESSED.fullmatch(name) and hashlib.sha256(raw).hexdigest() != name[:64]:
+        raise ParseError(f"checkpoint {path}: sha256 of the file is not its name")
     try:
-        doc = json.loads(text)
+        doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ParseError(f"checkpoint {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"checkpoint {path}: not UTF-8 text") from e
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path}: not a JSON object")
     for key in ("config", "config_hash", "seed", "layers"):
@@ -434,7 +498,7 @@ def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
             raise ParseError(f"checkpoint {path}: missing {key!r}")
     try:
         return checkpoint_from_document(doc) + (doc,)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"checkpoint {path}: {e}") from e
 
 
@@ -450,6 +514,11 @@ def checkpoint_from_document(doc: dict) -> tuple[MlpConfig, ParameterSet]:
     dims, layers = config.layer_dims, doc["layers"]
     if len(layers) != len(dims) - 1:
         raise ParseError(f"{len(layers)} layers, but layer_dims {list(dims)} needs {len(dims) - 1}")
+    for i, layer in enumerate(layers):
+        for key in ("weights", "biases"):
+            # numpy would read true as 1.0 and "0.1" as 0.1.
+            if type(layer[key]) is not list or not set(map(type, layer[key])) <= {int, float}:
+                raise ParseError(f"layer {i}: {key} must be a list of numbers")
     weights = [
         np.asarray(layer["weights"], dtype=np.float64).reshape(d_in, d_out)
         for layer, d_in, d_out in zip(layers, dims, dims[1:])

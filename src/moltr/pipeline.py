@@ -5,10 +5,12 @@ evaluates on a held-out synthetic split, and emits a report whose JSON is
 byte-identical across reruns with the same config. Every metric row
 carries the content hashes of the checkpoint and dataset it came from.
 
-Each distinct model is trained once. The distill study's distilled arm is
-its sweep student at the config's alpha, and its alpha 1.0 student is the
-hard-only student's parameters. Each boost calibration takes the baseline
-student and its scores, already measured, as its point at zero.
+Each distinct model is trained, scored and measured once. The distill
+study's distilled arm is its sweep student at the config's alpha, and its
+alpha 1.0 student is the hard-only student's parameters. Each boost
+calibration takes the baseline student and its scores, already measured,
+as its point at zero. Runs that share a dataset and a config up to their
+loss train together, in lockstep, through distill.train_runs.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from .distill import (
     BoostRule,
     DistillConfig,
     Model,
+    Run,
     TeacherEnsemble,
     fuse_soft_labels,
     fusion_serve_scores,
     inject_boost,
     score_dataset,
     self_distill_step,
-    train_hard_only,
-    train_scalarized_baseline,
+    train_runs,
     train_student,
     train_teachers,
 )
@@ -226,24 +228,30 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
         scores = score_dataset(model, eval_ds)
         return measured(model.lineage, study.store.put_model(model), scores, **extra)
 
-    hard_only = train_hard_only(train_ds, config.distill)
-    # Acceptance criterion 3: train_student at alpha 1.0 is train_hard_only
-    # bit for bit, so the alpha 1.0 student takes the hard-only parameters.
-    students = {}
-    for alpha in dict.fromkeys((config.distill.alpha, *config.alpha_sweep)):
-        model = (
-            Model(hard_only.config, hard_only.params, "student_v0") if alpha == 1.0
-            else train_student(train_ds, soft, replace(config.distill, alpha=alpha))
-        )
-        students[alpha] = trained(model, alpha=alpha)
+    # One lockstep family: every run shares the data and config.distill up
+    # to its loss. Acceptance criterion 3: train_student at alpha 1.0 is
+    # train_hard_only bit for bit, so the alpha 1.0 student takes the
+    # hard-only parameters, scores and metrics under its own lineage.
+    alphas = dict.fromkeys((config.distill.alpha, *config.alpha_sweep))
+    distilled = [a for a in alphas if a != 1.0]
+    hard_only, *sweep, scalarized = train_runs(train_ds, [
+        Run.hard_only(config.distill),
+        *(Run.student(train_ds, soft, replace(config.distill, alpha=a)) for a in distilled),
+        Run.scalarized(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill),
+    ])
+    hard_run = trained(hard_only)
+    students = {alpha: trained(model, alpha=alpha) for alpha, model in zip(distilled, sweep)}
+    if 1.0 in alphas:
+        entry, scores = hard_run
+        checkpoint = study.store.put_model(Model(hard_only.config, hard_only.params, "student_v0"))
+        students[1.0] = ({**entry, "lineage": "student_v0", "checkpoint_hash": checkpoint,
+                          "alpha": 1.0}, scores)
     fusion_scores = {g.query_id: fusion_serve_scores(teachers, g) for g in eval_ds.groups}
     teacher_hashes = ",".join(study.teacher_hashes)
     arm_runs = {
         "fusion_baseline": measured("baseline:model_fusion", teacher_hashes, fusion_scores),
-        "scalarized_baseline": trained(
-            train_scalarized_baseline(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill)
-        ),
-        "hard_only_student": trained(hard_only),
+        "scalarized_baseline": trained(scalarized),
+        "hard_only_student": hard_run,
         "distilled_student": students[config.distill.alpha],
     }
     arms = [{"arm": name, **entry} for name, (entry, _) in arm_runs.items()]
@@ -330,8 +338,11 @@ def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.0
 
     families = {"hard_only": [], "distilled": []}
     for cfg in study.seed_configs(config.num_seeds):
-        families["hard_only"].append(train_hard_only(train_ds, cfg))
-        families["distilled"].append(train_student(train_ds, soft, cfg))
+        hard_only, distilled = train_runs(
+            train_ds, [Run.hard_only(cfg), Run.student(train_ds, soft, cfg)]
+        )
+        families["hard_only"].append(hard_only)
+        families["distilled"].append(distilled)
 
     body = {"tau_threshold": tau_threshold}
     for name, models in families.items():

@@ -396,6 +396,55 @@ class TestSgdStep:
             nn.sgd_step(params, grads, 0.1)
 
 
+class TestParameterStack:
+    def stack(self, dims, activation, runs=3):
+        sets = [nn.init_params(small_config(dims, seed=s, activation=activation)) for s in range(runs)]
+        stack = nn.ParameterStack(np.stack([p.flat for p in sets]), sets[0].shapes)
+        return sets, stack
+
+    def test_rows_are_the_stacked_sets(self):
+        sets, stack = self.stack((3, 5, 4, 1), "relu")
+        assert [w.shape for w in stack.weights] == [(3, 3, 5), (3, 5, 4), (3, 4, 1)]
+        assert [b.shape for b in stack.biases] == [(3, 1, 5), (3, 1, 4), (3, 1, 1)]
+        assert all(np.shares_memory(a, stack.flat) for a in stack.weights + stack.biases)
+        assert [stack.row(r) for r in range(3)] == sets
+        assert not np.shares_memory(stack.row(0).flat, stack.flat)
+        stack.flat[1] = 0.0
+        assert stack.weights[0][1].tolist() == [[0.0] * 5] * 3 and stack.row(0) == sets[0]
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", [1, 3, 9, 17])
+    def test_kernels_equal_each_run_alone_bit_for_bit(self, activation, n):
+        sets, stack = self.stack((3, 5, 4, 1), activation)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        per_score = rng.normal(size=(3, n))
+        relu = activation == "relu"
+        hs = nn.layer_outputs(stack, x, relu)
+        grads = nn.ParameterStack(np.zeros_like(stack.flat), stack.shapes)
+        nn.backprop_into(grads, hs, stack, per_score, relu)
+        nn.sgd_step(stack, grads, 0.1)
+        for r, params in enumerate(sets):
+            alone = nn.layer_outputs(params, x, relu)
+            assert all(np.array_equal(h[r] if h.ndim == 3 else h, a) for h, a in zip(hs, alone))
+            g = nn.zeros_like_params(params)
+            nn.backprop_into(g, alone, params, per_score[r], relu)
+            assert grads.row(r) == g
+            assert stack.row(r) == nn.sgd_step(params, g, 0.1)
+
+    def test_non_finite_update_names_layer(self):
+        _, stack = self.stack((3, 5, 4, 1), "relu")
+        grads = nn.ParameterStack(np.zeros_like(stack.flat), stack.shapes)
+        grads.biases[2][1, 0, 0] = np.inf
+        with pytest.raises(TrainingError, match="layer 2"):
+            nn.sgd_step(stack, grads, 0.1)
+
+    def test_run_count_must_match(self):
+        sets, stack = self.stack((3, 4, 1), "relu")
+        with pytest.raises(InputError, match="gradient shapes"):
+            nn.sgd_step(stack, nn.zeros_like_params(sets[0]), 0.1)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         config = small_config(dims=(4, 6, 1), seed=17)

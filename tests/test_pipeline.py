@@ -298,16 +298,16 @@ def test_distill_study_trains_each_model_once(tmp_path, monkeypatch, alpha):
         tmp_path / "out", distill=replace(base.distill, alpha=alpha), alpha_sweep=(0.0, 0.2, 1.0)
     )
     calls = []
-    for name in ("train_student", "train_hard_only", "train_scalarized_baseline"):
-        spy(monkeypatch, pipeline, name, lambda *a, name=name: calls.append((name, a[-1].alpha)))
+    spy(monkeypatch, pipeline, "train_runs",
+        lambda ds, runs: calls.extend((run.lineage, run.config.alpha) for run in runs))
     rep = pipeline.study_distill_vs_baselines(config)
     # The alpha 1.0 student is the hard-only student's parameters, and the
     # distilled arm is the sweep's student at the config's alpha.
     assert sorted(calls) == [
-        ("train_hard_only", alpha),
-        ("train_scalarized_baseline", alpha),
-        ("train_student", 0.0),
-        ("train_student", 0.2),
+        ("baseline:hard_only", alpha),
+        ("baseline:scalarized", alpha),
+        ("student_v0", 0.0),
+        ("student_v0", 0.2),
     ]
     sweep = {e["arm"]: e for e in rep["alpha_sweep"]}
     arms = {a["arm"]: a for a in rep["arms"]}
@@ -322,6 +322,32 @@ def test_distill_study_trains_each_model_once(tmp_path, monkeypatch, alpha):
     assert sweep["alpha_1.0"]["checkpoint_hash"] == digest
     name = f"checkpoints/{digest}.json"
     assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "independent" / name).read_bytes()
+
+
+def test_studies_train_runs_that_share_a_seed_together(tmp_path, monkeypatch):
+    runs, scored, measured = [], [], []
+    spy(monkeypatch, distill, "_run_training", lambda ds, config, steps: runs.append(len(steps)))
+    spy(monkeypatch, pipeline, "score_dataset", lambda model, ds: scored.append(model.lineage))
+    spy(monkeypatch, evaluation, "ranking_metrics_report", lambda *args: measured.append(1))
+    config = small_experiment(tmp_path / "distill", alpha_sweep=(0.0, 0.2, 0.5, 1.0))
+    rep = pipeline.study_distill_vs_baselines(config)
+    # Three teachers one by one, then hard-only, the students at alpha 0.2,
+    # 0.0 and 0.5, and the scalarized baseline as one family of five. The
+    # alpha 1.0 student shares the hard-only run's scores and metrics.
+    assert runs == [1, 1, 1, 5]
+    assert sorted(scored) == sorted(["baseline:hard_only", "baseline:scalarized"] + ["student_v0"] * 3)
+    assert len(measured) == 6
+    arms = {a["arm"]: a for a in rep["arms"]}
+    alpha1 = rep["alpha_sweep"][-1]
+    assert alpha1["metrics"] == arms["hard_only_student"]["metrics"]
+    assert alpha1["checkpoint_hash"] != arms["hard_only_student"]["checkpoint_hash"]
+    assert alpha1["lineage"] == "student_v0"
+
+    runs.clear()
+    config = small_experiment(tmp_path / "repro", num_seeds=3)
+    pipeline.study_irreproducibility(config)
+    # Each seed's hard-only and distilled students train as one pair.
+    assert runs == [1, 1, 1] + [2] * config.num_seeds
 
 
 class TestStudySelf:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from moltr import cli, data, distill, nn
-from moltr.errors import InputError, TrainingError
+from moltr.errors import ConfigError, InputError, TrainingError
+from moltr.pipeline import CheckpointStore
 
 
 def gen_config(label_rates=(0.4, 0.5)):
@@ -37,6 +38,17 @@ def phash(model):
     return model.params.params_hash()
 
 
+STUDENT_CASES = {
+    "student_relu_a0": ("relu", dict(alpha=0.0)),
+    "student_relu_a0.2": ("relu", dict(alpha=0.2)),
+    "student_relu_a1": ("relu", dict(alpha=1.0)),
+    "student_relu_a0.2_T2": ("relu", dict(alpha=0.2, temperature=2.0, teacher_temperature=2.5)),
+    "student_tanh_a0.2_T2": ("tanh", dict(alpha=0.2, temperature=2.0, teacher_temperature=0.5)),
+    "student_tanh_a0_T2": ("tanh", dict(alpha=0.0, temperature=2.0, teacher_temperature=2.5)),
+    "student_tanh_a1": ("tanh", dict(alpha=1.0)),
+}
+
+
 def trained_hashes():
     """name -> params_hash for every trainer, plus the scalarized step counts."""
     ds = data.generate_dataset(gen_config())
@@ -48,16 +60,7 @@ def trained_hashes():
         for k, model in enumerate(ens.models):
             out[f"teacher{k}_{act}"] = phash(model)
         out[f"hard_only_{act}"] = phash(distill.train_hard_only(ds, train_config(act)))
-    student_cases = {
-        "student_relu_a0": ("relu", dict(alpha=0.0)),
-        "student_relu_a0.2": ("relu", dict(alpha=0.2)),
-        "student_relu_a1": ("relu", dict(alpha=1.0)),
-        "student_relu_a0.2_T2": ("relu", dict(alpha=0.2, temperature=2.0, teacher_temperature=2.5)),
-        "student_tanh_a0.2_T2": ("tanh", dict(alpha=0.2, temperature=2.0, teacher_temperature=0.5)),
-        "student_tanh_a0_T2": ("tanh", dict(alpha=0.0, temperature=2.0, teacher_temperature=2.5)),
-        "student_tanh_a1": ("tanh", dict(alpha=1.0)),
-    }
-    for name, (act, kw) in student_cases.items():
+    for name, (act, kw) in STUDENT_CASES.items():
         soft = distill.fuse_soft_labels(teachers[act], ds)
         out[name] = phash(distill.train_student(ds, soft, train_config(act, **kw)))
     soft = distill.fuse_soft_labels(teachers["relu"], ds)
@@ -162,6 +165,103 @@ def test_trainers_equal_the_public_nn_loop(activation, alpha):
     assert teacher.params == reference_train(covered_ds, cfg, lambda g: primary(g, 1))
 
 
+# -- runs trained together ------------------------------------------------------
+
+
+def family(ds, soft, act):
+    """name -> Run for every pinned trainer on ds that shares
+    train_config(act)'s mlp, epochs and learning rate."""
+    cfg = train_config(act)
+    runs = {f"hard_only_{act}": distill.Run.hard_only(cfg)}
+    for name, (case_act, kw) in STUDENT_CASES.items():
+        if case_act == act:
+            runs[name] = distill.Run.student(ds, soft, train_config(act, **kw))
+    if act == "relu":
+        boosted = distill.inject_boost(soft, distill.BoostRule("rating_at_least", beta=1.5), ds)
+        runs["student_relu_boosted"] = distill.Run.student(ds, boosted, cfg)
+    weights = [1 / 3] * 3 if act == "relu" else [1.0, 0.0, 0.5]
+    runs[f"scalarized_{act}"] = distill.Run.scalarized(ds, weights, cfg)
+    return runs
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_runs_trained_together_equal_runs_trained_alone(activation):
+    ds = data.generate_dataset(gen_config())
+    teachers = distill.train_teachers(ds, train_config(activation, alpha=1.0))
+    runs = family(ds, distill.fuse_soft_labels(teachers, ds), activation)
+    # The hard-only run skips the groups without a booking; the distilled
+    # students step on every group, and the scalarized run on most.
+    primary = [distill._objective_target(g, 0) for g in ds.groups]
+    assert 0 < sum(t is None for t in primary) < len(ds.groups)
+    together = distill.train_runs(ds, list(runs.values()))
+    for (name, run), model in zip(runs.items(), together):
+        assert phash(model) == GOLDEN[name], name
+        assert model.params == distill.train_runs(ds, [run])[0].params, name
+        assert model.lineage == run.lineage and model.config == run.config.mlp
+
+
+def test_dense_runs_trained_together_equal_the_goldens():
+    dense = data.generate_dataset(gen_config(label_rates=(1.0, 1.0)))
+    cfg = train_config()
+    runs = [distill.Run.scalarized(dense, w, cfg) for w in ([0.2, 0.3, 0.5], [1.0, 0.0, 0.0])]
+    scalarized, primary_only = distill.train_runs(dense, [*runs, distill.Run.hard_only(cfg)])[:2]
+    assert phash(scalarized) == GOLDEN["scalarized_dense"]
+    assert primary_only.params == distill.train_hard_only(dense, cfg).params
+
+
+def test_runs_trained_together_must_share_the_schedule():
+    ds = data.generate_dataset(gen_config())
+    for other in (train_config(epochs=2), train_config(learning_rate=0.1),
+                  train_config().with_seed(6)):
+        with pytest.raises(ConfigError, match="must share"):
+            distill.train_runs(ds, [distill.Run.hard_only(train_config()),
+                                    distill.Run.hard_only(other)])
+    with pytest.raises(ConfigError, match="at least one run"):
+        distill.train_runs(ds, [])
+
+
+def first_groups(ds, config, count):
+    """The first count groups of the first epoch's shuffled order."""
+    rng = np.random.default_rng(config.seed)
+    nn.init_params(config.mlp, rng)
+    order = np.arange(len(ds.groups))
+    rng.shuffle(order)
+    return [ds.groups[i] for i in order[:count]]
+
+
+def blow_up_run(config, groups):
+    """A run that steps only on groups, with a gradient so large that its
+    params, still finite, score any later group as non-finite."""
+    def prepare(group):
+        return "blow up" if any(group is g for g in groups) else None
+
+    return distill.Run(config, "blow_up", prepare, lambda scores, target: np.full_like(scores, 1e200))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_skipping_run_is_neither_checked_nor_updated():
+    ds = data.generate_dataset(gen_config())
+    cfg = train_config(epochs=1)
+    first, second = first_groups(ds, cfg, 2)
+    idle = distill.Run(cfg, "idle", lambda group: None, None)
+    hard_only, blown, idle_model = distill.train_runs(
+        ds, [distill.Run.hard_only(cfg), blow_up_run(cfg, [first]), idle]
+    )
+    # The idle run never stepped, so it holds the initial params; the
+    # hard-only run is the one trained alone.
+    assert idle_model.params == nn.init_params(cfg.mlp)
+    assert hard_only.params == distill.train_hard_only(ds, cfg).params
+    # After its one step the blown-up run scores every later group as
+    # non-finite, yet skipping them raises nothing and leaves it as it was.
+    assert blown.params.all_finite()
+    hs = nn.layer_outputs(blown.params, second.features, True)
+    assert not np.isfinite(hs[-1]).all()
+    assert blown.params == distill.train_runs(ds, [blow_up_run(cfg, [first])])[0].params
+    # Active on the second group, its scores there are checked.
+    with pytest.raises(InputError, match=f"query {second.query_id}: forward pass"):
+        distill.train_runs(ds, [distill.Run.hard_only(cfg), blow_up_run(cfg, [first, second])])
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_absurd_learning_rate_names_the_layer():
     # A linear scorer, so the first update overflows before any forward pass
@@ -251,6 +351,13 @@ def test_cli_rejects_duplicate_soft_query(files, capsys):
     assert f"query_id {qid}" in err
 
 
+def edit_scores(line, edit):
+    """The soft-label row with score i replaced by edit(i, score), so its
+    length still matches the dataset."""
+    doc = json.loads(line)
+    return dict(doc, scores=[edit(i, v) for i, v in enumerate(doc["scores"])])
+
+
 @pytest.mark.parametrize(
     "index, replace",
     [
@@ -259,8 +366,11 @@ def test_cli_rejects_duplicate_soft_query(files, capsys):
         (0, lambda line: '{"provenance": 5}'),
         (2, lambda line: json.dumps(dict(json.loads(line), query_id=1.7))),
         (2, lambda line: json.dumps(dict(json.loads(line), query_id=True))),
+        (2, lambda line: json.dumps(edit_scores(line, lambda i, v: i % 2 == 0))),
+        (2, lambda line: json.dumps(edit_scores(line, lambda i, v: str(v)))),
     ],
-    ids=["header_list", "header_string", "provenance_number", "query_id_float", "query_id_bool"],
+    ids=["header_list", "header_string", "provenance_number", "query_id_float", "query_id_bool",
+         "scores_bool", "scores_string"],
 )
 def test_cli_rejects_bad_soft_line(files, capsys, index, replace):
     def edit(lines):
@@ -394,9 +504,14 @@ def nan_first_weight(layers):
         edit_key("layers", nan_first_weight),
         edit_key("config", lambda config: dict(config, activation="tanh")),
         edit_key("seed", lambda seed: seed + 1),
+        edit_key("layers", lambda layers: [
+            dict(layers[0], weights=[str(w) for w in layers[0]["weights"]]), *layers[1:]
+        ]),
+        edit_key("layers", lambda layers: [*layers[:-1], dict(layers[-1], biases=[True])]),
     ],
     ids=["truncated", "no_config", "no_layers", "extra_layer", "empty_layers",
-         "missing_layer", "nan_weight", "activation_edited", "seed_edited"],
+         "missing_layer", "nan_weight", "activation_edited", "seed_edited",
+         "weights_string", "biases_bool"],
 )
 def test_cli_rejects_bad_checkpoint(files, capsys, mangle):
     with open(files["model"]) as f:
@@ -407,6 +522,18 @@ def test_cli_rejects_bad_checkpoint(files, capsys, mangle):
             "--out", str(files["work"] / "scores.jsonl")]
     code, err = run_cli(argv, capsys)
     assert code == 2 and str(path) in err
+
+
+def test_cli_rejects_checkpoint_whose_name_is_not_its_hash(files, capsys):
+    store = files["work"] / "store"
+    digest = CheckpointStore(str(store)).put_model(distill.Model.load(files["model"]))
+    good = store / "checkpoints" / f"{digest}.json"
+    wrong = store / "checkpoints" / f"{digest[::-1]}.json"
+    wrong.write_bytes(good.read_bytes())
+    argv = ["score", "--data", files["data"], "--out", str(files["work"] / "scores.jsonl")]
+    assert cli.main(argv + ["--model", str(good)]) == 0
+    code, err = run_cli(argv + ["--model", str(wrong)], capsys)
+    assert code == 2 and str(wrong) in err and "sha256" in err
 
 
 def stage_argv(files, command, config, data=None):
