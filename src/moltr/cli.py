@@ -21,14 +21,15 @@ from . import distill, evaluation, nn, pipeline
 from .data import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from .distill import BoostRule, DistillConfig, Model, SoftLabelSet, TeacherEnsemble
 from .errors import (
-    CalibrationError, ConfigError, InputError, ParseError, TrainingError, write_atomic,
+    CalibrationError, ConfigError, InputError, ParseError, TrainingError, decode_utf8,
+    write_atomic,
 )
 
 
 def _load_json(path) -> dict:
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        with open(path, "rb") as f:
+            doc = json.loads(decode_utf8(f.read(), f"config file {path}"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Config, ConfigError, InputError, ParseError, write_atomic
+from .errors import Config, ConfigError, InputError, ParseError, decode_utf8, write_atomic
 
 FORMAT_VERSION = 2
 # Rating-derived feature slot, masked to this sentinel for new items.
@@ -409,8 +409,9 @@ def load_dataset(path) -> Dataset:
     held beside the parsed groups. Scores and soft labels are keyed by
     query_id, so a repeated query_id is an error.
     """
-    with open(path) as f:
-        first = f.readline().rstrip("\n")
+    name = f"dataset {path}"
+    with open(path, "rb") as f:
+        first = decode_utf8(f.readline(), name).rstrip("\n")
         if not first.strip():
             raise ParseError("missing header line", line=1)
         try:
@@ -440,6 +441,7 @@ def load_dataset(path) -> Dataset:
             raise ParseError(f"bad objectives: {e}", line=1) from e
         seen = set()
         for lineno, raw in enumerate(f, start=2):
+            raw = decode_utf8(raw, name, lineno)
             if not raw.strip():
                 continue
             try:

@@ -20,6 +20,7 @@ public trainer is its Run plus one train_runs call.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -27,7 +28,9 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, QueryGroup
-from .errors import Config, ConfigError, InputError, ParseError, TrainingError, write_atomic
+from .errors import (
+    Config, ConfigError, InputError, ParseError, TrainingError, decode_utf8, write_atomic,
+)
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,8 @@ class SoftLabelSet:
 
     @classmethod
     def load(cls, path) -> "SoftLabelSet":
-        with open(path) as f:
-            lines = f.read().splitlines()
+        with open(path, "rb") as f:
+            lines = decode_utf8(f.read(), f"soft labels {path}").splitlines()
         if not lines:
             raise ParseError("empty soft-label file", line=1)
         try:
@@ -210,6 +213,8 @@ class BoostRule:
             raise ConfigError(f"unknown predicate {self.predicate!r}")
         if not (0.0 <= self.rho <= 5.0):
             raise ConfigError("rho must be in [0, 5]")
+        if not math.isfinite(self.beta):
+            raise ConfigError(f"beta must be finite, got {self.beta}")
 
     def match_mask(self, group: QueryGroup) -> np.ndarray:
         if self.predicate == "is_new":

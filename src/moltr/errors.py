@@ -8,7 +8,8 @@ wrong type with a ConfigError naming the section and key. Value ranges are
 checked by each class's __post_init__.
 
 Every file the toolkit writes goes through write_atomic, so an interrupted
-write leaves any previous file whole.
+write leaves any previous file whole, and every text file it reads is UTF-8,
+checked by decode_utf8.
 """
 
 import json
@@ -115,6 +116,16 @@ def _fits(value, hint) -> bool:
             return len(value) == len(args) and all(map(_fits, value, args))
         return all(_fits(v, args[0]) for v in value)
     return isinstance(value, hint)
+
+
+def decode_utf8(raw: bytes, name: str, line: int = 1) -> str:
+    """raw decoded as UTF-8, or a ParseError naming the file (name) and the
+    line of its first bad byte, raw's first line being line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line += raw.count(b"\n", 0, e.start)
+        raise ParseError(f"{name}: not UTF-8 text", line=line) from e
 
 
 @contextmanager

@@ -100,7 +100,13 @@ def serve_with_boost(
     model: Model, group: QueryGroup, rule: BoostRule, gamma: float
 ) -> np.ndarray:
     """Serving-time score boost: add gamma to items matching the rule."""
-    scores = model.score_group(group)
+    return boost_scores(model.score_group(group), group, rule, gamma)
+
+
+def boost_scores(
+    scores: np.ndarray, group: QueryGroup, rule: BoostRule, gamma: float
+) -> np.ndarray:
+    """group's scores with gamma added to the items matching the rule."""
     return scores + gamma * rule.match_mask(group)
 
 

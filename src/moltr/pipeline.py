@@ -11,6 +11,13 @@ alpha 1.0 student is the hard-only student's parameters. Each boost
 calibration takes the baseline student and its scores, already measured,
 as its point at zero. Runs that share a dataset and a config up to their
 loss train together, in lockstep, through distill.train_runs.
+
+The boost calibrations ask for points in batches: with each point the
+search needs, it asks for the points it could visit next, and walks the
+path of a search that measures one point at a time. The soft-label side
+trains each batch as one lockstep family, and the baseline trains with
+the first bracket (beta 1, 2 and 4). The serving side adds each gamma to
+the baseline's eval scores, so it runs no forward pass.
 """
 
 from __future__ import annotations
@@ -61,6 +68,17 @@ class BoostStudyConfig(Config, section="boost"):
     beta_max: float = 64.0
     items_per_query: tuple[int, int] | None = (20, 30)
     num_queries: int | None = 2500
+
+    def __post_init__(self):
+        for name in ("exposure_k", "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"boost {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("exposure_tolerance", "gamma_max", "beta_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"boost {name} must be finite and positive, got {value}")
+        if not math.isfinite(self.target_lift):
+            raise ConfigError(f"boost target_lift must be finite, got {self.target_lift}")
 
 
 @dataclass
@@ -361,35 +379,56 @@ def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.0
     return study.report("irreproducibility", body)
 
 
+def _doublings(x: float, iterations: int, hi_max: float, max_iter: int) -> list[float]:
+    """The next two doublings of x, at most hi_max, that _bisect_exposure's
+    bracketing could still reach after iterations of its max_iter."""
+    return [x * 2.0**k for k in (1, 2) if x * 2.0**k <= hi_max and iterations + k <= max_iter]
+
+
 def _bisect_exposure(
     measure, at_zero, target: float, tolerance: float, hi_max: float, max_iter: int
 ):
     """Find the boost magnitude whose exposure hits target +/- tolerance.
 
-    measure(x) gives (exposure, result), with exposure (noisily)
-    non-decreasing in x; evaluated points are checked for monotonicity.
-    at_zero is that pair at x = 0, which the caller already holds, so x = 0
-    is never measured. Returns (x, exposure, result) at the x picked.
-    """
-    evals = [(0.0, at_zero[0])]
+    measure(xs) gives the (exposure, result) pair at each x in xs, with
+    exposure (noisily) non-decreasing in x. at_zero is that pair at x = 0,
+    which the caller already holds, so x = 0 is never measured. Returns
+    (x, exposure, result) at the x picked.
 
-    def f(x):
-        e, result = measure(x)
+    The search doubles x from 1 until the exposure reaches target, then
+    bisects. Each time it needs an x not yet measured, it asks for it
+    together with the points it could visit next, so that the caller can
+    measure them at once: while bracketing, the next two doublings up to
+    hi_max (see _doublings); while bisecting, both child midpoints. The
+    path, the result and every error are those of a search that measures
+    one x at a time. Only the points on the path are checked for
+    monotonicity; the others are dropped.
+    """
+    if at_zero[0] >= target - tolerance:
+        return (0.0, *at_zero)
+    evals = [(0.0, at_zero[0])]
+    measured = {}
+
+    def f(x, ahead):
+        nonlocal measured
+        if x not in measured:
+            # Every point measured so far is on the path already, or off it for good.
+            xs = [x, *ahead]
+            measured = dict(zip(xs, measure(xs)))
+        e, result = measured[x]
         evals.append((x, e))
         return e, result
 
-    if at_zero[0] >= target - tolerance:
-        return (0.0, *at_zero)
     iterations = 0
     lo, hi = 0.0, 1.0
-    e_hi, r_hi = f(hi)
+    e_hi, r_hi = f(hi, _doublings(hi, iterations, hi_max, max_iter))
     while e_hi < target and hi < hi_max:
         iterations += 1
         if iterations > max_iter:
             raise CalibrationError("exposure bracketing did not converge")
         lo = hi
         hi *= 2.0
-        e_hi, r_hi = f(hi)
+        e_hi, r_hi = f(hi, _doublings(hi, iterations, hi_max, max_iter))
     if e_hi < target - tolerance:
         raise CalibrationError(
             f"exposure target {target:.3f} unreachable (max {e_hi:.3f} at {hi})"
@@ -398,7 +437,8 @@ def _bisect_exposure(
     while iterations < max_iter:
         iterations += 1
         mid = (lo + hi) / 2.0
-        e_mid, r_mid = f(mid)
+        children = [(lo + mid) / 2.0, (mid + hi) / 2.0] if iterations < max_iter else []
+        e_mid, r_mid = f(mid, children)
         if abs(e_mid - target) <= abs(best[1] - target):
             best = (mid, e_mid, r_mid)
         if abs(e_mid - target) <= tolerance:
@@ -439,31 +479,45 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
     def exposure(scores):
         return evaluation.mean_boosted_exposure(scores, eval_ds, rule, bc.exposure_k)
 
+    def boosted(beta):
+        return inject_boost(soft, replace(rule, beta=beta), train_ds)
+
+    # Both boosts at zero are the baseline: gamma 0 adds +0.0 to every
+    # score, and beta 0 only turns a -0.0 soft score into +0.0, which
+    # leaves every softmax target, and so the trained student, unchanged.
+    # The baseline trains in lockstep with the soft calibration's first
+    # bracket, whose probes answer that calibration's first request.
+    first = [1.0, *_doublings(1.0, 0, bc.beta_max, bc.max_iterations)]
     rows = []
     for cfg in study.seed_configs(config.parity_seeds):
-        base = train_student(train_ds, soft, cfg)
-        base_scores = score_dataset(base, eval_ds)
-        base_exp = exposure(base_scores)
+
+        def students(softs):
+            """(exposure, (model, eval scores)) of each soft-label set's
+            student, all trained in lockstep."""
+            out = []
+            for model in train_runs(train_ds, [Run.student(train_ds, s, cfg) for s in softs]):
+                scores = score_dataset(model, eval_ds)
+                out.append((exposure(scores), (model, scores)))
+            return out
+
+        (base_exp, (base, base_scores)), *first_probes = students([soft, *map(boosted, first)])
         target = base_exp + bc.target_lift
 
-        def serve_exposure(gamma):
-            scores = {
-                g.query_id: evaluation.serve_with_boost(base, g, rule, gamma)
-                for g in eval_ds.groups
-            }
-            return exposure(scores), scores
+        def soft_exposure(betas):
+            return first_probes if betas == first else students(map(boosted, betas))
 
-        def soft_exposure(beta):
-            boosted = inject_boost(
-                soft, BoostRule(rule.predicate, beta=beta, rho=rule.rho), train_ds
-            )
-            m = train_student(train_ds, boosted, cfg)
-            scored = score_dataset(m, eval_ds)
-            return exposure(scored), (m, scored)
+        def serve_exposure(gammas):
+            """The baseline's eval scores boosted by each gamma: serving
+            rescores nothing, since scoring is deterministic."""
+            out = []
+            for gamma in gammas:
+                scores = {
+                    g.query_id: evaluation.boost_scores(base_scores[g.query_id], g, rule, gamma)
+                    for g in eval_ds.groups
+                }
+                out.append((exposure(scores), scores))
+            return out
 
-        # Both boosts at zero are the baseline: gamma 0 adds +0.0 to every
-        # score, and beta 0 only turns a -0.0 soft score into +0.0, which
-        # leaves every softmax target, and so the trained student, unchanged.
         gamma, serve_exp, serve_scores = _bisect_exposure(
             serve_exposure, (base_exp, base_scores),
             target, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from moltr import cli, errors
+from moltr import cli, distill, errors
 from moltr.data import load_dataset, save_dataset
 from moltr.distill import Model, SoftLabelSet
 
@@ -156,6 +156,17 @@ class TestStageCommands:
         assert code == 0
         assert SoftLabelSet.load(out).provenance.startswith("boosted(")
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+    def test_inject_boost_rejects_a_non_finite_beta(
+        self, tmp_path, dataset_path, soft_path, beta, capsys
+    ):
+        out = tmp_path / "boosted.jsonl"
+        code = run(["inject-boost", "--data", dataset_path, "--soft", soft_path,
+                    "--predicate", "rating_at_least", f"--beta={beta}", "--out", str(out)])
+        assert code == 2
+        assert "beta must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_student_lineage(self, student_path):
         assert Model.load(student_path).lineage == "student_v0"
 
@@ -229,6 +240,24 @@ class TestStudyCommands:
         }
         assert (out / "report.md").exists()
 
+    def test_bad_boost_config_exits_before_training(
+        self, workdir, config_path, tmp_path, monkeypatch, capsys
+    ):
+        cfg, _ = self.study_config(workdir, config_path, "study_bad_boost")
+        doc = json.loads(open(cfg).read())
+        doc["boost"]["exposure_k"] = 0
+        doc["output_dir"] = str(tmp_path / "out")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+
+        def no_training(*args):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(distill, "train_runs", no_training)
+        assert run(["study-boost", "--config", str(bad)]) == 2
+        assert "boost exposure_k must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_is_byte_identical(self, workdir, config_path):
         cfg, out = self.study_config(workdir, config_path, "study_repeat")
         assert run(["study-repro", "--config", cfg]) == 0
@@ -261,6 +290,28 @@ class TestErrorHandling:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "soft"])
+    def test_non_utf8_file_is_named(self, tmp_path, config_path, dataset_path, soft_path,
+                                    kind, capsys):
+        files = {"config": config_path, "dataset": dataset_path, "soft": soft_path}
+        text = open(files[kind], "rb").read()
+        if kind == "config":  # one line as written; indented, it has several
+            text = json.dumps(json.loads(text), indent=1).encode()
+        lines = text.splitlines(keepends=True)
+        # A bad byte at the start of the file, and one at the start of line 2.
+        for lineno, broken in ((1, [b"\xff" + lines[0], *lines[1:]]),
+                               (2, [lines[0], b"\xff" + lines[1], *lines[2:]])):
+            bad = tmp_path / f"bad_{kind}_{lineno}.json"
+            bad.write_bytes(b"".join(broken))
+            paths = {**files, kind: str(bad)}
+            code = run(["train-student", "--config", paths["config"], "--data", paths["dataset"],
+                        "--soft", paths["soft"], "--out", str(tmp_path / "student.json")])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert str(bad) in err and "not UTF-8" in err
+            assert f"line {lineno}" in err
+        assert not (tmp_path / "student.json").exists()
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) != 0

@@ -153,6 +153,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             pipeline.ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("exposure_k", 0, "boost exposure_k must be >= 1, got 0"),
+            ("max_iterations", 0, "boost max_iterations must be >= 1, got 0"),
+            ("exposure_tolerance", 0.0, "boost exposure_tolerance must be finite and positive"),
+            ("exposure_tolerance", float("nan"), "boost exposure_tolerance must be finite"),
+            ("gamma_max", -1.0, "boost gamma_max must be finite and positive, got -1.0"),
+            ("gamma_max", float("inf"), "boost gamma_max must be finite and positive, got inf"),
+            ("beta_max", 0.0, "boost beta_max must be finite and positive, got 0.0"),
+            ("beta_max", float("nan"), "boost beta_max must be finite and positive, got nan"),
+            ("target_lift", float("nan"), "boost target_lift must be finite, got nan"),
+            ("target_lift", float("-inf"), "boost target_lift must be finite, got -inf"),
+        ],
+    )
+    def test_from_dict_rejects_bad_boost_values(self, tmp_path, field, value, message):
+        doc = small_experiment(tmp_path).to_dict()
+        doc["boost"][field] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.ExperimentConfig.from_dict(doc)
+
     def test_readme_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("A minimal `config.json`:", 1)[1]
@@ -178,10 +199,15 @@ class TestCheckpointStore:
         assert sorted(p.name for p in Path(store.dir).iterdir()) == [path.name]
 
 
+def batched(measure_one):
+    """A batched measure from one that takes a single x."""
+    return lambda xs: [measure_one(x) for x in xs]
+
+
 class TestBisection:
     def test_linear_function(self):
         x, e, _ = pipeline._bisect_exposure(
-            lambda x: (0.1 + 0.05 * x, None), (0.1, None),
+            batched(lambda x: (0.1 + 0.05 * x, None)), (0.1, None),
             target=0.3, tolerance=0.001, hi_max=64, max_iter=50,
         )
         assert e == pytest.approx(0.3, abs=0.001)
@@ -189,25 +215,27 @@ class TestBisection:
 
     def test_already_at_target(self):
         x, e, _ = pipeline._bisect_exposure(
-            lambda x: (0.5, None), (0.5, None), target=0.4, tolerance=0.01, hi_max=64, max_iter=50
+            batched(lambda x: (0.5, None)), (0.5, None),
+            target=0.4, tolerance=0.01, hi_max=64, max_iter=50,
         )
         assert x == 0.0
 
     def test_unreachable_target(self):
         with pytest.raises(CalibrationError, match="unreachable"):
             pipeline._bisect_exposure(
-                lambda x: (0.1, None), (0.1, None),
+                batched(lambda x: (0.1, None)), (0.1, None),
                 target=0.9, tolerance=0.01, hi_max=8, max_iter=50,
             )
 
     def test_non_monotone_detected(self):
         # The point at x=1.5 sits above the one at x=2 by more than the
         # slack, so a successful calibration still flags the response
-        # curve as non-monotone.
-        values = {0.0: 0.1, 1.0: 0.4, 2.0: 0.89, 1.5: 0.92, 1.25: 0.85}
+        # curve as non-monotone. x=4 and x=1.75 are asked for alongside
+        # the path but never visited.
+        values = {0.0: 0.1, 1.0: 0.4, 2.0: 0.89, 1.5: 0.92, 1.25: 0.85, 4.0: 0.95, 1.75: 0.9}
         with pytest.raises(CalibrationError, match="monotone"):
             pipeline._bisect_exposure(
-                lambda x: (values[x], None), (values[0.0], None),
+                batched(lambda x: (values[x], None)), (values[0.0], None),
                 target=0.85, tolerance=0.01, hi_max=64, max_iter=50,
             )
 
@@ -217,7 +245,7 @@ class TestBisection:
             if x == 0.0:
                 raise AssertionError("x = 0 is the caller's point and is never measured")
             return slope * x, ("measured at", x)
-        return measure
+        return batched(measure)
 
     def test_exit_returns_the_result_measured_at_x(self):
         x, e, result = pipeline._bisect_exposure(
@@ -239,6 +267,172 @@ class TestBisection:
         assert pipeline._bisect_exposure(
             self.linear(0.1), (0.5, "zero"), target=0.4, tolerance=0.01, hi_max=64, max_iter=50
         ) == (0.0, 0.5, "zero")
+
+
+def sequential_bisection(measure, path, at_zero, target, tolerance, hi_max, max_iter):
+    """The search measuring one x at a time, as it was before requests were
+    batched: (x, exposure, result), with each (x, exposure) it visits
+    appended to path, x = 0 first."""
+
+    def f(x):
+        e, result = measure(x)
+        path.append((x, e))
+        return e, result
+
+    path.append((0.0, at_zero[0]))
+    if at_zero[0] >= target - tolerance:
+        return (0.0, *at_zero)
+    iterations = 0
+    lo, hi = 0.0, 1.0
+    e_hi, r_hi = f(hi)
+    while e_hi < target and hi < hi_max:
+        iterations += 1
+        if iterations > max_iter:
+            raise CalibrationError("exposure bracketing did not converge")
+        lo = hi
+        hi *= 2.0
+        e_hi, r_hi = f(hi)
+    if e_hi < target - tolerance:
+        raise CalibrationError(f"exposure target {target:.3f} unreachable (max {e_hi:.3f} at {hi})")
+    best = (hi, e_hi, r_hi)
+    while iterations < max_iter:
+        iterations += 1
+        mid = (lo + hi) / 2.0
+        e_mid, r_mid = f(mid)
+        if abs(e_mid - target) <= abs(best[1] - target):
+            best = (mid, e_mid, r_mid)
+        if abs(e_mid - target) <= tolerance:
+            pipeline._check_monotone(path)
+            return mid, e_mid, r_mid
+        if e_mid < target:
+            lo = mid
+        else:
+            hi = mid
+    if abs(best[1] - target) <= tolerance:
+        pipeline._check_monotone(path)
+        return best
+    raise CalibrationError(
+        f"exposure calibration did not reach {target:.3f} within {max_iter} iterations"
+    )
+
+
+BISECTION_CASES = {
+    # curve(x) -> exposure, at_zero exposure, target, tolerance, hi_max, max_iter
+    "linear": (lambda x: 0.1 + 0.05 * x, 0.1, 0.3, 0.001, 64, 50),
+    "linear_past_hi_max": (lambda x: 0.02 * x, 0.0, 0.9, 0.01, 64, 50),
+    "step": (lambda x: 0.2 if x < 5.3 else 0.6, 0.2, 0.6, 0.01, 64, 50),
+    "steep_step": (lambda x: 0.2 if x < 2.7 else 0.9, 0.2, 0.5, 0.01, 64, 50),
+    "plateau": (lambda x: min(0.1 + 0.1 * x, 0.45), 0.1, 0.45, 0.005, 64, 50),
+    "unreachable": (lambda x: 0.1, 0.1, 0.9, 0.01, 8, 50),
+    "unreachable_hi_max_below_one": (lambda x: 0.1 * x, 0.0, 0.9, 0.01, 0.5, 50),
+    "bracketing_runs_out": (lambda x: 0.01 * x, 0.0, 0.9, 0.01, 64, 3),
+    "bisection_runs_out": (lambda x: 0.1 + 0.05 * x, 0.1, 0.31, 1e-9, 64, 6),
+    "fallback_to_best": (lambda x: 0.1 * x, 0.0, 0.4, 0.01, 64, 3),
+    "at_zero_on_target": (lambda x: 0.5 + x, 0.5, 0.4, 0.01, 64, 50),
+    "non_monotone_on_path": (lambda x: {1.0: 0.4, 2.0: 0.89, 1.5: 0.92, 1.25: 0.85}.get(x, 0.95),
+                             0.1, 0.85, 0.01, 64, 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BISECTION_CASES))
+def test_batched_bisection_walks_the_sequential_path(case, monkeypatch):
+    curve, zero, target, tolerance, hi_max, max_iter = BISECTION_CASES[case]
+    args = ((zero, "zero"), target, tolerance, hi_max, max_iter)
+
+    def measure_one(x):
+        assert x != 0.0
+        return curve(x), ("measured at", x)
+
+    def outcome(search, *search_args):
+        try:
+            return search(*search_args, *args)
+        except CalibrationError as e:
+            return f"CalibrationError: {e}"
+
+    checked = []
+    original = pipeline._check_monotone
+    monkeypatch.setattr(
+        pipeline, "_check_monotone", lambda evals: (checked.append(list(evals)), original(evals))
+    )
+    path, requests = [], []
+    expected = outcome(sequential_bisection, measure_one, path)
+    checked_by_sequential = checked[:]
+    checked.clear()
+
+    def measure(xs):
+        assert len(xs) <= 3
+        requests.append(list(xs))
+        return [measure_one(x) for x in xs]
+
+    assert outcome(pipeline._bisect_exposure, measure) == expected
+    # The path, and only the path, enters the monotonicity check.
+    assert checked == checked_by_sequential
+    assert all(evals == path for evals in checked)
+    asked = [x for xs in requests for x in xs]
+    assert len(asked) == len(set(asked)), "an x was measured twice"
+    visited = [x for x, _ in path[1:]]
+    assert set(visited) <= set(asked)
+    # Each request leads with the x the one-at-a-time search measures next.
+    leaders = [xs[0] for xs in requests]
+    assert leaders == [x for x in visited if x in leaders]
+    assert visited[:1] == leaders[:1]
+
+
+def test_off_path_points_are_not_checked_for_monotonicity():
+    # The path brackets at x=2 and bisects up towards it. x=4 (from the
+    # first bracket) and x=1.25 (the sibling of the second midpoint) are
+    # asked for and measured far off the curve, but never visited.
+    off_path = {4.0: 0.0, 1.25: 0.9}
+    requests = []
+
+    def measure(xs):
+        requests.append(list(xs))
+        return [(off_path.get(x, 0.3 * x), None) for x in xs]
+
+    x, e, _ = pipeline._bisect_exposure(
+        measure, (0.0, None), target=0.6, tolerance=0.01, hi_max=64, max_iter=50
+    )
+    assert abs(e - 0.6) <= 0.01 and 1.9 < x < 2.0
+    asked = {x for xs in requests for x in xs}
+    assert {4.0, 1.25} <= asked
+
+
+@pytest.mark.parametrize("hi_max", [0.5, 8.0, 64.0])
+def test_nothing_above_hi_max_is_requested_but_the_first_point(hi_max):
+    requests = []
+
+    def measure(xs):
+        requests.append(list(xs))
+        return [(0.001 * x, None) for x in xs]
+
+    with pytest.raises(CalibrationError, match="unreachable"):
+        pipeline._bisect_exposure(
+            measure, (0.0, None), target=0.9, tolerance=0.01, hi_max=hi_max, max_iter=50
+        )
+    asked = [x for xs in requests for x in xs]
+    assert asked[0] == 1.0
+    assert all(x <= hi_max for x in asked[1:])
+    assert max(asked) == max(1.0, hi_max)
+
+
+def test_a_bisection_step_asks_for_at_most_three_points():
+    requests = []
+
+    def measure(xs):
+        requests.append(list(xs))
+        return [(0.1 + 0.05 * x, None) for x in xs]
+
+    pipeline._bisect_exposure(
+        measure, (0.1, None), target=0.3, tolerance=1e-6, hi_max=64, max_iter=50
+    )
+    # Bracketing asks for 1, 2, 4 at once; every later request is a
+    # midpoint and its two children, so bisection measures once every
+    # two steps.
+    assert requests[0] == [1.0, 2.0, 4.0]
+    assert len(requests) > 3
+    for xs in requests[1:]:
+        mid, left, right = xs
+        assert left < mid < right and mid - left == right - mid
 
 
 @pytest.fixture(scope="module")
@@ -393,15 +587,35 @@ class TestStudyBoost:
 
     def test_baseline_is_trained_once_per_seed(self, tmp_path, monkeypatch):
         config = small_experiment(tmp_path, parity_seeds=2)
-        students, betas, gammas = [], [], []
-        spy(monkeypatch, pipeline, "train_student", lambda *args: students.append(args[-1].seed))
+        events, betas, gammas = [], [], []
+        spy(monkeypatch, pipeline.Run, "student",
+            lambda ds, soft, cfg: events.append(("run", soft.provenance)))
+        spy(monkeypatch, pipeline, "train_runs", lambda ds, runs: events.append(("train", len(runs))))
+        spy(monkeypatch, pipeline, "train_student", lambda *args: events.append(("lone", None)))
         spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: betas.append(rule.beta))
-        spy(monkeypatch, evaluation, "serve_with_boost", lambda *args: gammas.append(args[-1]))
+        spy(monkeypatch, evaluation, "boost_scores", lambda *args: gammas.append(args[-1]))
         rep = pipeline.study_adhoc_boost(config)
+        families, runs = [], []
+        for kind, value in events:
+            assert kind != "lone", "every student trains through train_runs"
+            if kind == "run":
+                runs.append(value)
+            else:
+                assert value == len(runs)
+                families.append(runs)
+                runs = []
+        # Each seed's baseline, the unboosted student, trains once, first in
+        # a family with the soft calibration's first bracket, beta 1, 2 and 4.
+        baselines = [f for f in families if "teacher_fusion" in f]
+        assert len(baselines) == config.parity_seeds
+        for family in baselines:
+            assert family[0] == "teacher_fusion" and len(family) == 4
+            assert family.count("teacher_fusion") == 1
+        assert betas[:3] == [1.0, 2.0, 4.0]
         # Zero is each calibration's baseline point, already measured.
         assert betas and 0.0 not in betas
         assert gammas and 0.0 not in gammas
-        assert len(students) == config.parity_seeds + len(betas)
+        assert sum(map(len, families)) == config.parity_seeds + len(betas)
         assert len(rep["per_seed"]) == config.parity_seeds
 
 
