@@ -22,14 +22,15 @@ from .data import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from .distill import BoostRule, DistillConfig, Model, SoftLabelSet, TeacherEnsemble
 from .errors import (
     CalibrationError, ConfigError, InputError, ParseError, TrainingError, decode_utf8,
-    write_atomic,
+    parse_json, write_atomic,
 )
 
 
 def _load_json(path) -> dict:
     try:
         with open(path, "rb") as f:
-            doc = json.loads(decode_utf8(f.read(), f"config file {path}"))
+            name = f"config file {path}"
+            doc = parse_json(decode_utf8(f.read(), name), name)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Config, ConfigError, InputError, ParseError, decode_utf8, write_atomic
+from .errors import (
+    Config, ConfigError, InputError, ParseError, decode_utf8, parse_json, write_atomic,
+)
 
 FORMAT_VERSION = 2
 # Rating-derived feature slot, masked to this sentinel for new items.
@@ -223,6 +225,9 @@ class GeneratorConfig(Config, section="generator"):
             raise ConfigError("utility_scale must be positive")
         if self.num_days < 1:
             raise ConfigError("num_days must be >= 1")
+        for name in ("seed", "weights_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.objective_weights is not None:
             try:
                 w = np.asarray(self.objective_weights, dtype=np.float64)
@@ -415,7 +420,7 @@ def load_dataset(path) -> Dataset:
         if not first.strip():
             raise ParseError("missing header line", line=1)
         try:
-            header = json.loads(first)
+            header = parse_json(first, name, 1)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid header JSON: {e}", line=1) from e
         if not isinstance(header, dict):
@@ -445,7 +450,7 @@ def load_dataset(path) -> Dataset:
             if not raw.strip():
                 continue
             try:
-                doc = json.loads(raw.rstrip("\n"))
+                doc = parse_json(raw.rstrip("\n"), name, lineno)
             except json.JSONDecodeError as e:
                 raise ParseError(f"invalid JSON: {e}", line=lineno) from e
             try:

@@ -1,7 +1,7 @@
 """Training pipelines: per-objective teachers, soft-label fusion, boost
 injection, student distillation, self-distillation, and baselines.
 
-All trainers share one deterministic engine, _run_training: a generator
+All trainers share one deterministic engine, train_runs: a generator
 seeded with the run's one seed, mlp.seed, draws the initial weights and
 then one shuffle of the query-group order per epoch, and each group is a
 single SGD step for each run that does not skip it. Targets are computed
@@ -29,7 +29,8 @@ import numpy as np
 from . import nn
 from .data import Dataset, QueryGroup
 from .errors import (
-    Config, ConfigError, InputError, ParseError, TrainingError, decode_utf8, write_atomic,
+    Config, ConfigError, InputError, ParseError, TrainingError, decode_utf8, parse_json,
+    write_atomic,
 )
 
 
@@ -75,6 +76,8 @@ class Model:
     lineage: str
 
     def __post_init__(self):
+        if self.params.flat.ndim != 1:
+            raise InputError("a model holds one run's parameters, not a stack")
         if self.params.layer_dims() != self.config.layer_dims:
             raise InputError("params do not match config")
 
@@ -163,12 +166,13 @@ class SoftLabelSet:
 
     @classmethod
     def load(cls, path) -> "SoftLabelSet":
+        name = f"soft labels {path}"
         with open(path, "rb") as f:
-            lines = decode_utf8(f.read(), f"soft labels {path}").splitlines()
+            lines = decode_utf8(f.read(), name).splitlines()
         if not lines:
             raise ParseError("empty soft-label file", line=1)
         try:
-            header = json.loads(lines[0])
+            header = parse_json(lines[0], name, 1)
         except json.JSONDecodeError as e:
             raise ParseError(f"bad soft-label header: {e}", line=1) from e
         if not (isinstance(header, dict) and isinstance(header.get("provenance"), str)):
@@ -179,7 +183,7 @@ class SoftLabelSet:
             if not raw.strip():
                 continue
             try:
-                doc = json.loads(raw)
+                doc = parse_json(raw, name, lineno)
                 qid, row = doc["query_id"], doc["scores"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise ParseError(f"bad soft-label row: {e}", line=lineno) from e
@@ -315,24 +319,32 @@ class Run(NamedTuple):
         return cls(config, "baseline:scalarized", prepare, grad)
 
 
-def _run_training(dataset: Dataset, config: DistillConfig, steps) -> list[nn.ParameterSet]:
-    """Shared deterministic SGD loop over query groups, for R runs that
-    share the dataset and config's mlp (so its seed), epochs and learning
-    rate; steps holds each run's (prepare, grad) pair.
+def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
+    """The model of each run, trained together in one deterministic SGD
+    loop over query groups. The runs must share the mlp config (and so the
+    seed), epochs and learning rate.
 
-    prepare(group) runs once per group and run before the first epoch and
-    gives its target, or None to skip it; grad(scores, target) gives the
-    per-score gradient. The runs start from the same weights and visit the
-    groups in the same shuffled order, so they step in lockstep: each group
-    takes one stacked nn.layer_outputs over the runs that step there, one
-    gradient per run, one stacked nn.backprop_into into arrays reused
-    across steps, and one nn.sgd_step on their rows of the (R, P) buffer,
-    with one finiteness check that names the layer on failure. A run that
-    skips a group has its rows neither read nor written there and its
-    scores unchecked, and no skip moves the shuffle stream. So each run is
-    bit for bit the run trained alone, which is what makes degenerate
-    trainer comparisons bitwise.
+    Each run's prepare(group) runs once per group before the first epoch.
+    The runs start from the same weights and visit the groups in the same
+    shuffled order, so they step in lockstep: each group takes one stacked
+    nn.layer_outputs over the runs that step there, one gradient per run,
+    one stacked nn.backprop_into into arrays reused across steps, and one
+    nn.sgd_step on their rows of the (R, P) buffer, with one finiteness
+    check that names the layer on failure. A run that skips a group has its
+    rows neither read nor written there and its scores unchecked, and no
+    skip moves the shuffle stream. So each model is bit for bit its run
+    trained alone, which is what makes degenerate trainer comparisons
+    bitwise.
     """
+    if not runs:
+        raise ConfigError("train_runs needs at least one run")
+    config = runs[0].config
+
+    def shared(c):
+        return c.mlp, c.epochs, c.learning_rate
+
+    if any(shared(run.config) != shared(config) for run in runs):
+        raise ConfigError("runs trained together must share mlp, epochs and learning_rate")
     if not dataset.groups:
         raise TrainingError("cannot train on an empty dataset")
     mlp = config.mlp
@@ -342,24 +354,24 @@ def _run_training(dataset: Dataset, config: DistillConfig, steps) -> list[nn.Par
     for group in dataset.groups:
         if not np.isfinite(group.features).all():
             raise InputError(f"query {group.query_id}: features contain non-finite values")
-        work = [(grad, prepare(group)) for prepare, grad in steps]
+        work = [(run.grad, run.prepare(group)) for run in runs]
         active = [r for r, (_, target) in enumerate(work) if target is not None]
         plan.append((group, active, [work[r] for r in active]))
     rng = np.random.default_rng(config.seed)
     first = nn.init_params(mlp, rng)
-    params = nn.ParameterStack(np.tile(first.flat, (len(steps), 1)), first.shapes)
-    grads = nn.ParameterStack(np.zeros_like(params.flat), first.shapes)
+    params = nn.ParameterSet(np.tile(first.flat, (len(runs), 1)), first.shapes)
+    grads = nn.zeros_like_params(params)
     relu, lr = mlp.activation == "relu", config.learning_rate
     order = np.arange(len(plan))
     for _ in range(config.epochs):
         rng.shuffle(order)
         for gi in order:
             group, active, work = plan[gi]
-            if len(active) == len(steps):
+            if len(active) == len(runs):
                 p, g = params, grads
             elif active:  # copies of the active rows, written back after the step
-                p = nn.ParameterStack(params.flat[active], first.shapes)
-                g = nn.ParameterStack(grads.flat[:len(active)], first.shapes)
+                p = nn.ParameterSet(params.flat[active], first.shapes)
+                g = nn.ParameterSet(grads.flat[:len(active)], first.shapes)
             else:
                 continue
             hs = nn.layer_outputs(p, group.features, relu)
@@ -371,24 +383,8 @@ def _run_training(dataset: Dataset, config: DistillConfig, steps) -> list[nn.Par
             nn.sgd_step(p, g, lr)
             if p is not params:
                 params.flat[active] = p.flat
-    return [params.row(r) for r in range(len(steps))]
-
-
-def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
-    """The model of each run, trained together in lockstep. The runs must
-    share the mlp config (and so the seed), epochs and learning rate; each
-    model equals what its run gives trained alone, bit for bit."""
-    if not runs:
-        raise ConfigError("train_runs needs at least one run")
-    config = runs[0].config
-
-    def shared(c):
-        return c.mlp, c.epochs, c.learning_rate
-
-    if any(shared(run.config) != shared(config) for run in runs):
-        raise ConfigError("runs trained together must share mlp, epochs and learning_rate")
-    params = _run_training(dataset, config, [(run.prepare, run.grad) for run in runs])
-    return [Model(config=config.mlp, params=p, lineage=run.lineage) for run, p in zip(runs, params)]
+    return [Model(config=mlp, params=params.row(r), lineage=run.lineage)
+            for r, run in enumerate(runs)]
 
 
 def train_teacher(

@@ -9,7 +9,7 @@ checked by each class's __post_init__.
 
 Every file the toolkit writes goes through write_atomic, so an interrupted
 write leaves any previous file whole, and every text file it reads is UTF-8,
-checked by decode_utf8.
+checked by decode_utf8, and parsed by parse_json.
 """
 
 import json
@@ -126,6 +126,16 @@ def decode_utf8(raw: bytes, name: str, line: int = 1) -> str:
     except UnicodeDecodeError as e:
         line += raw.count(b"\n", 0, e.start)
         raise ParseError(f"{name}: not UTF-8 text", line=line) from e
+
+
+def parse_json(text, name: str, line: int | None = None):
+    """json.loads(text). A document nested deeper than the parser can
+    recurse raises a ParseError naming the file (name) and the line, if
+    given, instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError as e:
+        raise ParseError(f"{name}: JSON nested too deeply", line=line) from e
 
 
 @contextmanager

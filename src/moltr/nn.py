@@ -14,11 +14,10 @@ arrays. The trainers in distill call the kernels on inputs they check once
 per run. A ParameterSet keeps every layer in one flat buffer, and sgd_step
 updates that buffer in place with one finiteness check per step.
 
-A ParameterStack holds R parameter sets of one architecture as the rows of
-one (R, P) buffer, with (R, d_in, d_out) weight and (R, 1, d_out) bias
-views. layer_outputs, backprop_into and sgd_step take either form: each
-run's slice of a stacked call is the same arithmetic, bit for bit, as the
-call on that run's ParameterSet.
+A ParameterSet holds one run, flat (P,), or R runs of one architecture as
+the rows of flat (R, P). layer_outputs, backprop_into and sgd_step take
+either form: each run's slice of a stacked call is the same arithmetic, bit
+for bit, as the call on that run's own ParameterSet.
 """
 
 from __future__ import annotations
@@ -33,7 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Config, ConfigError, InputError, ParseError, TrainingError, write_atomic
+from .errors import (
+    Config, ConfigError, InputError, ParseError, TrainingError, parse_json, write_atomic,
+)
 
 # Softmax outputs are clamped to this floor before any log, so cross
 # entropy is total even for extreme score gaps.
@@ -85,42 +86,58 @@ class MlpConfig(Config, section="mlp"):
 
 @dataclass(eq=False)
 class ParameterSet:
-    """Per-layer weight matrices (d_in x d_out) and bias vectors.
-
-    Construction copies the layers into one C-contiguous float64 vector,
-    flat, in the order w0, b0, w1, b1, ...; weights and biases are views
-    into it, so an in-place update of flat updates every layer.
+    """One run's parameters, or R runs' of one architecture, in one flat
+    float64 buffer laid out w0, b0, w1, b1, ...; shapes are one run's layer
+    shapes. flat is (P,) for one run, with (d_in, d_out) weight and (d_out,)
+    bias views, or (R, P) for R runs, row r being run r's flat, with
+    (R, d_in, d_out) weight and (R, 1, d_out) bias views, so a bias adds
+    across a run's items. An in-place update of flat updates every layer.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False)
-    shapes: tuple = field(init=False, repr=False)
+    flat: np.ndarray
+    shapes: tuple
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
+        lead = self.flat.shape[:-1]
+        views, start = [], 0
+        for shape in self.shapes:
+            end = start + math.prod(shape)
+            if lead and len(shape) == 1:
+                shape = (1, *shape)
+            views.append(self.flat[..., start:end].reshape(*lead, *shape))
+            start = end
+        self.weights, self.biases = views[0::2], views[1::2]
+
+    @classmethod
+    def from_layers(cls, weights, biases) -> "ParameterSet":
+        """One run's parameters, copied from per-layer weight matrices
+        (d_in x d_out) and bias vectors into one C-contiguous buffer."""
+        if len(weights) != len(biases):
             raise InputError("weights and biases layer counts differ")
-        if not self.weights:
+        if not weights:
             raise InputError("a ParameterSet needs at least one layer")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise InputError(f"layer {i}: inconsistent shapes {w.shape} / {b.shape}")
-        arrays = [a for pair in zip(self.weights, self.biases) for a in pair]
-        self.shapes = tuple(a.shape for a in arrays)
-        self.flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
-        self.weights, self.biases = _layer_views(self.flat, self.shapes)
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        flat = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        return cls(flat, tuple(a.shape for a in arrays))
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def layer_dims(self) -> tuple[int, ...]:
-        dims = [self.weights[0].shape[0]]
-        dims.extend(w.shape[1] for w in self.weights)
-        return tuple(dims)
+        return (self.shapes[0][0], *(shape[1] for shape in self.shapes[0::2]))
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.weights, self.biases)
+        return ParameterSet(self.flat.copy(), self.shapes)
+
+    def row(self, r: int) -> "ParameterSet":
+        """A copy of run r's parameters."""
+        return ParameterSet(self.flat[r].copy(), self.shapes)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -134,49 +151,6 @@ class ParameterSet:
         return self.shapes == other.shapes and np.array_equal(self.flat, other.flat)
 
 
-# GradientSet has the same structure as ParameterSet; keep one class and an
-# alias so signatures stay readable.
-GradientSet = ParameterSet
-
-
-def _layer_views(flat: np.ndarray, shapes) -> tuple[list, list]:
-    """Weight and bias views into flat, laid out w0, b0, w1, b1, ... with
-    the given per-run shapes. A stacked flat (R, P) gives (R, d_in, d_out)
-    weights and (R, 1, d_out) biases, so a bias adds across a run's items."""
-    lead = flat.shape[:-1]
-    views, start = [], 0
-    for shape in shapes:
-        end = start + math.prod(shape)
-        if lead and len(shape) == 1:
-            shape = (1, *shape)
-        views.append(flat[..., start:end].reshape(*lead, *shape))
-        start = end
-    return views[0::2], views[1::2]
-
-
-@dataclass(eq=False)
-class ParameterStack:
-    """R parameter sets of one architecture trained side by side: row r of
-    flat (R, P) is run r's ParameterSet.flat, and shapes are one run's
-    layer shapes, as in ParameterSet.shapes."""
-
-    flat: np.ndarray
-    shapes: tuple
-    weights: list = field(init=False, repr=False)
-    biases: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.weights, self.biases = _layer_views(self.flat, self.shapes)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    def row(self, r: int) -> ParameterSet:
-        """A copy of run r's parameters."""
-        return ParameterSet([w[r] for w in self.weights], [b[r, 0] for b in self.biases])
-
-
 def init_params(config: MlpConfig, rng: np.random.Generator | None = None) -> ParameterSet:
     """Uniform init in [-init_scale, init_scale], layer by layer in order."""
     if rng is None:
@@ -186,18 +160,16 @@ def init_params(config: MlpConfig, rng: np.random.Generator | None = None) -> Pa
     for d_in, d_out in zip(config.layer_dims[:-1], config.layer_dims[1:]):
         weights.append(rng.uniform(-s, s, size=(d_in, d_out)))
         biases.append(rng.uniform(-s, s, size=(d_out,)))
-    return ParameterSet(weights, biases)
+    return ParameterSet.from_layers(weights, biases)
 
 
-def zeros_like_params(params: ParameterSet) -> GradientSet:
-    grads = params.copy()
-    grads.flat[:] = 0.0
-    return grads
+def zeros_like_params(params: ParameterSet) -> ParameterSet:
+    return ParameterSet(np.zeros_like(params.flat), params.shapes)
 
 
 def layer_outputs(params, features: np.ndarray, relu: bool) -> list[np.ndarray]:
     """[features, h_1, ..., h_L], h_L (n x 1) holding the scores, or
-    (R, n, .) layers for a ParameterStack, every run scoring the same
+    (R, n, .) layers for a stacked ParameterSet, every run scoring the same
     features. Unchecked kernel of mlp_forward. Activation is in place:
     backprop needs no pre-activations, as relu's post > 0 exactly when
     pre > 0 and tanh's derivative is 1 - post^2."""
@@ -214,7 +186,7 @@ def layer_outputs(params, features: np.ndarray, relu: bool) -> list[np.ndarray]:
 
 def backprop_into(grads, hs, params, per_score_grad, relu: bool):
     """Write d(loss)/d(each parameter) into grads, given layer_outputs and
-    d(loss)/d(score), (n,) for a ParameterSet or (R, n) for a stack.
+    d(loss)/d(score), (n,) for one run or (R, n) for R stacked runs.
     Unchecked kernel of backward; it only reads hs and per_score_grad."""
     delta = per_score_grad[..., None]
     for i in range(params.num_layers - 1, -1, -1):
@@ -233,6 +205,8 @@ def mlp_forward(
 
     Returns the (n,) score vector and the layer outputs for backward().
     """
+    if params.flat.ndim != 1:
+        raise InputError("mlp_forward scores with one run's parameters, not a stack")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise InputError(f"features must be 2-d, got shape {features.shape}")
@@ -254,7 +228,7 @@ def backward(
     params: ParameterSet,
     per_score_grad: np.ndarray,
     activation: str = "relu",
-) -> GradientSet:
+) -> ParameterSet:
     """Exact gradients of the loss w.r.t. every parameter, in fresh arrays.
 
     per_score_grad is d(loss)/d(score) per item, as returned by
@@ -377,7 +351,7 @@ def distill_grad(scores, hard, soft, alpha: float, temperature: float) -> np.nda
 
 def sgd_step(params, grads, lr: float):
     """theta <- theta - lr * g on params.flat, in place; returns params.
-    Both are ParameterSets, or ParameterStacks of the same run count.
+    Both are ParameterSets of the same shapes and run count.
 
     One finiteness check covers every layer; the failing layer is looked up
     only on failure, and the params then hold the non-finite update.
@@ -401,7 +375,7 @@ def finite_diff_grad(
     params: ParameterSet,
     loss_evaluator: Callable[[ParameterSet], float],
     epsilon: float = 1e-5,
-) -> GradientSet:
+) -> ParameterSet:
     """Central-difference gradient estimate, test oracle only (slow)."""
     grads = zeros_like_params(params)
     work = params.copy()
@@ -417,7 +391,7 @@ def finite_diff_grad(
 
 
 def max_relative_grad_error(
-    analytic: GradientSet, numeric: GradientSet, floor: float = 1e-6
+    analytic: ParameterSet, numeric: ParameterSet, floor: float = 1e-6
 ) -> float:
     """max |a - n| / max(|a|, |n|, floor) over every parameter.
 
@@ -455,6 +429,8 @@ def checkpoint_payload(
 def checkpoint_document(
     config: MlpConfig, params: ParameterSet, extra: dict | None = None
 ) -> dict:
+    if params.flat.ndim != 1:
+        raise InputError("a checkpoint holds one run's parameters, not a stack")
     if params.layer_dims() != config.layer_dims:
         raise InputError("params do not match config layer_dims")
     if not params.all_finite():
@@ -486,7 +462,7 @@ def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
     if _CONTENT_ADDRESSED.fullmatch(name) and hashlib.sha256(raw).hexdigest() != name[:64]:
         raise ParseError(f"checkpoint {path}: sha256 of the file is not its name")
     try:
-        doc = json.loads(raw)
+        doc = parse_json(raw, f"checkpoint {path}")
     except json.JSONDecodeError as e:
         raise ParseError(f"checkpoint {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except UnicodeDecodeError as e:
@@ -523,7 +499,8 @@ def checkpoint_from_document(doc: dict) -> tuple[MlpConfig, ParameterSet]:
         np.asarray(layer["weights"], dtype=np.float64).reshape(d_in, d_out)
         for layer, d_in, d_out in zip(layers, dims, dims[1:])
     ]
-    params = ParameterSet(weights, [np.asarray(layer["biases"], dtype=np.float64) for layer in layers])
+    biases = [np.asarray(layer["biases"], dtype=np.float64) for layer in layers]
+    params = ParameterSet.from_layers(weights, biases)
     if not params.all_finite():
         raise ParseError("non-finite parameters")
     return config, params

@@ -105,6 +105,8 @@ class ExperimentConfig(Config, section="experiment"):
             raise ConfigError("num_seeds must be >= 2 for the irreproducibility study")
         if self.parity_seeds < 1:
             raise ConfigError("parity_seeds must be >= 1")
+        if self.generator.seed + self.eval_seed_offset < 0:
+            raise ConfigError("generator.seed + eval_seed_offset, the eval seed, must be >= 0")
         days = self.generator.num_days
         if self.train_boundary_day is None:
             self.train_boundary_day = max(1, (days * 3) // 5)

@@ -313,6 +313,43 @@ class TestErrorHandling:
             assert f"line {lineno}" in err
         assert not (tmp_path / "student.json").exists()
 
+    @pytest.mark.parametrize("kind", ["config", "dataset", "soft", "checkpoint"])
+    def test_deeply_nested_json_is_named(self, tmp_path, dataset_path, soft_path, student_path,
+                                         kind, capsys):
+        deep = "[" * 200000 + "]" * 200000
+        bad, out = tmp_path / f"deep_{kind}.json", str(tmp_path / "out")
+        argv = {
+            "config": ["gen-data", "--config", str(bad), "--out", out],
+            "dataset": ["eval", "--data", str(bad), "--model", student_path],
+            "soft": ["inject-boost", "--data", dataset_path, "--soft", str(bad),
+                     "--predicate", "is_new", "--beta", "0.5", "--out", out],
+            "checkpoint": ["eval", "--data", dataset_path, "--model", str(bad)],
+        }[kind]
+        name = {"config": "config file", "soft": "soft labels"}.get(kind, kind)
+        if kind in ("config", "checkpoint"):  # one JSON document, so no line
+            cases = [("", deep)]
+        else:  # a JSONL file: the header, then the first row
+            lines = open(dataset_path if kind == "dataset" else soft_path).read().splitlines()
+            cases = [(f"line {i + 1}: ", "\n".join(lines[:i] + [deep] + lines[i + 1:]))
+                     for i in (0, 1)]
+        for where, text in cases:
+            bad.write_text(text + "\n")
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert errors == [f"error: {where}{name} {bad}: JSON nested too deeply"], err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_generator_seeds_are_named(self, tmp_path, capsys):
+        out = str(tmp_path / "data.jsonl")
+        assert run(["gen-data", "--seed", "-1", "--num-queries", "5", "--out", out]) == 2
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generator": {"num_queries": 5, "weights_seed": -3}}))
+        assert run(["gen-data", "--config", str(config), "--out", out]) == 2
+        assert "error: weights_seed must be nonnegative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "data.jsonl").exists()
+
     def test_unknown_command(self):
         assert run(["frobnicate"]) != 0
 

@@ -1,10 +1,10 @@
 """Fuzz the CLI's file boundaries: one JSON value of a valid file is mangled.
 
-Each example starts from small valid dataset, soft-label, checkpoint and
-config files, changes one JSON value (gives it another type, deletes its
-key) or truncates the file, and runs the stage that reads that file. The
-stage must exit 0, or exit 1 or 2 with exactly one "error:" line; it must
-never raise.
+Each example starts from small valid dataset, soft-label, checkpoint,
+distill config and generator config files, changes one JSON value (gives
+it another type, deletes its key) or truncates the file, and runs the stage
+that reads that file. The stage must exit 0, or exit 1 or 2 with exactly
+one "error:" line; it must never raise.
 """
 
 import io
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from moltr import cli, data, distill, nn
 
-KINDS = ("dataset", "soft", "checkpoint", "config")
+KINDS = ("dataset", "soft", "checkpoint", "config", "generator")
 
 # Small values of every JSON type, so that no mangled value asks for a long
 # run (such as a million epochs) or a huge allocation.
@@ -53,6 +53,8 @@ def files(tmp_path_factory):
     teachers.models[0].save(paths["checkpoint"])
     with open(paths["config"], "w") as f:
         json.dump({"distill": cfg.to_dict()}, f)
+    with open(paths["generator"], "w") as f:
+        json.dump({"generator": gen.to_dict()}, f)
     texts = {kind: Path(path).read_text() for kind, path in paths.items()}
     return {"work": work, "paths": paths, "texts": texts}
 
@@ -98,12 +100,15 @@ def stage_argv(kind, paths, mangled, out):
     if kind == "config":
         return ["train-student", "--config", p["config"], "--data", p["dataset"],
                 "--soft", p["soft"], "--out", out]
+    if kind == "generator":
+        return ["gen-data", "--config", p["generator"], "--out", out]
     return ["eval", "--data", p["dataset"], "--model", p["checkpoint"]]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @given(mutation=MUTATIONS)
 @example(mutation=("set", 0, 0, [1]))  # for soft labels, a header of [1]
+@example(mutation=("set", 0, 8, -1))  # for the generator config, "seed": -1
 @settings(max_examples=50, deadline=None)
 def test_one_mangled_value_never_raises(files, kind, mutation):
     mangled = files["work"] / f"mangled_{kind}.json"

@@ -197,6 +197,12 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             tiny_config(primary_rate=0.0)
 
+    @pytest.mark.parametrize("field", ["seed", "weights_seed"])
+    def test_negative_seed_is_named(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be nonnegative, got -3"):
+            tiny_config(**{field: -3})
+        tiny_config(**{field: 0})
+
     def test_round_trip_dict(self):
         config = tiny_config(objective_correlation=0.25, label_rates=[0.5, 0.1])
         assert data.GeneratorConfig.from_dict(config.to_dict()) == config

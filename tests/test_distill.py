@@ -83,6 +83,14 @@ class TestModel:
         with pytest.raises(InputError):
             distill.Model(config=config, params=params, lineage="x")
 
+    def test_rejects_a_stacked_set(self):
+        config = nn.MlpConfig(layer_dims=(6, 8, 1), seed=0)
+        one = nn.init_params(config)
+        stacked = nn.ParameterSet(np.stack([one.flat, one.flat]), one.shapes)
+        assert stacked.layer_dims() == config.layer_dims
+        with pytest.raises(InputError, match="one run"):
+            distill.Model(config=config, params=stacked, lineage="x")
+
 
 class TestTeacherEnsemble:
     def test_weights_normalized(self, teachers):

@@ -34,14 +34,14 @@ class TestMlpConfig:
 
 class TestForward:
     def test_zero_network_scores_zero(self):
-        params = nn.ParameterSet(
+        params = nn.ParameterSet.from_layers(
             [np.zeros((3, 2)), np.zeros((2, 1))], [np.zeros(2), np.zeros(1)]
         )
         scores, _ = nn.mlp_forward(params, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.array_equal(scores, np.zeros(5))
 
     def test_identity_single_layer(self):
-        params = nn.ParameterSet([np.array([[1.0]])], [np.array([0.0])])
+        params = nn.ParameterSet.from_layers([np.array([[1.0]])], [np.array([0.0])])
         scores, _ = nn.mlp_forward(params, np.array([[2.0], [3.0]]))
         assert scores.tolist() == [2.0, 3.0]
 
@@ -71,6 +71,12 @@ class TestForward:
         params = nn.init_params(small_config())
         with pytest.raises(InputError):
             nn.mlp_forward(params, np.zeros((4, 7)))
+
+    def test_rejects_a_stacked_set(self):
+        one = nn.init_params(small_config(dims=(2, 3, 1)))
+        stacked = nn.ParameterSet(np.stack([one.flat, one.flat]), one.shapes)
+        with pytest.raises(InputError, match="one run"):  # R = 2 = input dim
+            nn.mlp_forward(stacked, np.zeros((4, 2)))
 
     def test_non_finite_features_rejected(self):
         params = nn.init_params(small_config())
@@ -246,7 +252,7 @@ class TestBackward:
             assert not g.any()
 
     def test_single_linear_layer_closed_form(self):
-        params = nn.ParameterSet([np.array([[0.5], [-0.3]])], [np.array([0.1])])
+        params = nn.ParameterSet.from_layers([np.array([[0.5], [-0.3]])], [np.array([0.1])])
         x = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
         scores, trace = nn.mlp_forward(params, x)
         g = np.array([0.2, -0.4, 0.6])
@@ -349,7 +355,7 @@ class TestSgdStep:
     def test_layers_are_views_of_one_copied_buffer(self):
         weights = [np.ones((2, 3)), np.full((3, 1), 2.0)]
         biases = [np.zeros(3), np.array([5.0])]
-        params = nn.ParameterSet(weights, biases)
+        params = nn.ParameterSet.from_layers(weights, biases)
         assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
         assert params.flat.tolist() == [1.0] * 6 + [0.0] * 3 + [2.0] * 3 + [5.0]
         assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
@@ -364,11 +370,11 @@ class TestSgdStep:
 
     def test_zero_layers_rejected(self):
         with pytest.raises(InputError, match="at least one layer"):
-            nn.ParameterSet([], [])
+            nn.ParameterSet.from_layers([], [])
 
     def test_scalar_arithmetic(self):
-        params = nn.ParameterSet([np.array([[1.0]])], [np.array([0.0])])
-        grads = nn.ParameterSet([np.array([[0.5]])], [np.array([0.0])])
+        params = nn.ParameterSet.from_layers([np.array([[1.0]])], [np.array([0.0])])
+        grads = nn.ParameterSet.from_layers([np.array([[0.5]])], [np.array([0.0])])
         out = nn.sgd_step(params, grads, 0.1)
         assert out.weights[0][0, 0] == pytest.approx(0.95)
 
@@ -380,7 +386,7 @@ class TestSgdStep:
 
         prev = quad(params)
         for _ in range(100):
-            grads = nn.ParameterSet(
+            grads = nn.ParameterSet.from_layers(
                 [w.copy() for w in params.weights], [b.copy() for b in params.biases]
             )
             params = nn.sgd_step(params, grads, 0.05)
@@ -399,7 +405,7 @@ class TestSgdStep:
 class TestParameterStack:
     def stack(self, dims, activation, runs=3):
         sets = [nn.init_params(small_config(dims, seed=s, activation=activation)) for s in range(runs)]
-        stack = nn.ParameterStack(np.stack([p.flat for p in sets]), sets[0].shapes)
+        stack = nn.ParameterSet(np.stack([p.flat for p in sets]), sets[0].shapes)
         return sets, stack
 
     def test_rows_are_the_stacked_sets(self):
@@ -421,7 +427,7 @@ class TestParameterStack:
         per_score = rng.normal(size=(3, n))
         relu = activation == "relu"
         hs = nn.layer_outputs(stack, x, relu)
-        grads = nn.ParameterStack(np.zeros_like(stack.flat), stack.shapes)
+        grads = nn.ParameterSet(np.zeros_like(stack.flat), stack.shapes)
         nn.backprop_into(grads, hs, stack, per_score, relu)
         nn.sgd_step(stack, grads, 0.1)
         for r, params in enumerate(sets):
@@ -434,7 +440,7 @@ class TestParameterStack:
 
     def test_non_finite_update_names_layer(self):
         _, stack = self.stack((3, 5, 4, 1), "relu")
-        grads = nn.ParameterStack(np.zeros_like(stack.flat), stack.shapes)
+        grads = nn.ParameterSet(np.zeros_like(stack.flat), stack.shapes)
         grads.biases[2][1, 0, 0] = np.inf
         with pytest.raises(TrainingError, match="layer 2"):
             nn.sgd_step(stack, grads, 0.1)
@@ -455,6 +461,17 @@ class TestCheckpoint:
         assert loaded_config == config
         assert loaded_params == params
         assert doc["config_hash"] == config.config_hash()
+
+    def test_refuses_a_stacked_set(self, tmp_path):
+        config = small_config(dims=(4, 6, 1), seed=17)
+        one = nn.init_params(config)
+        stacked = nn.ParameterSet(np.stack([one.flat, one.flat]), one.shapes)
+        assert stacked.layer_dims() == config.layer_dims
+        with pytest.raises(InputError, match="one run"):
+            nn.checkpoint_document(config, stacked)
+        with pytest.raises(InputError, match="one run"):
+            nn.save_checkpoint(config, stacked, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
 
     def test_init_deterministic(self):
         a = nn.init_params(small_config(seed=42))

@@ -63,6 +63,11 @@ class TestExperimentConfig:
                 distill=DistillConfig(mlp=nn.MlpConfig(layer_dims=(9, 1), seed=0)),
             )
 
+    def test_eval_seed_must_be_nonnegative(self, tmp_path):
+        with pytest.raises(ConfigError, match="eval_seed_offset"):
+            small_experiment(tmp_path, eval_seed_offset=-4)  # generator seed 3
+        assert small_experiment(tmp_path, eval_seed_offset=-3).eval_seed_offset == -3
+
     def test_round_trip(self, tmp_path):
         config = small_experiment(tmp_path)
         clone = pipeline.ExperimentConfig.from_dict(config.to_dict())
@@ -520,7 +525,8 @@ def test_distill_study_trains_each_model_once(tmp_path, monkeypatch, alpha):
 
 def test_studies_train_runs_that_share_a_seed_together(tmp_path, monkeypatch):
     runs, scored, measured = [], [], []
-    spy(monkeypatch, distill, "_run_training", lambda ds, config, steps: runs.append(len(steps)))
+    for module in (distill, pipeline):
+        spy(monkeypatch, module, "train_runs", lambda ds, family: runs.append(len(family)))
     spy(monkeypatch, pipeline, "score_dataset", lambda model, ds: scored.append(model.lineage))
     spy(monkeypatch, evaluation, "ranking_metrics_report", lambda *args: measured.append(1))
     config = small_experiment(tmp_path / "distill", alpha_sweep=(0.0, 0.2, 0.5, 1.0))
