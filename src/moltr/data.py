@@ -221,8 +221,8 @@ class GeneratorConfig(Config, section="generator"):
             raise ConfigError("new_item_fraction must be in [0, 1]")
         if not (0.0 < self.primary_rate <= 1.0):
             raise ConfigError("primary_rate must be in (0, 1]")
-        if not (self.utility_scale > 0):
-            raise ConfigError("utility_scale must be positive")
+        if not (0 < self.utility_scale < math.inf):
+            raise ConfigError("utility_scale must be positive and finite")
         if self.num_days < 1:
             raise ConfigError("num_days must be >= 1")
         for name in ("seed", "weights_seed"):
@@ -235,6 +235,8 @@ class GeneratorConfig(Config, section="generator"):
                 raise ConfigError("objective_weights must be K x m, got ragged rows") from None
             if w.shape != (self.K, self.m):
                 raise ConfigError(f"objective_weights must be K x m, got {w.shape}")
+            if not np.isfinite(w).all():
+                raise ConfigError("objective_weights must be finite")
 
 
 def default_objectives(config: GeneratorConfig) -> list[ObjectiveSpec]:
@@ -259,7 +261,13 @@ def resolve_objective_weights(config: GeneratorConfig) -> np.ndarray:
 
 
 def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
+    # exp(700) is near the float64 limit; below -700 the result is ~0 anyway.
+    return 1.0 / (1.0 + math.exp(min(-x, 700.0)))
+
+
+def _check_utility(u) -> None:
+    if not np.isfinite(u).all():
+        raise ConfigError("utility_scale times objective_weights overflows the latent utilities")
 
 
 def generate_dataset(config: GeneratorConfig) -> Dataset:
@@ -290,6 +298,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
         feats[is_new, RATING_FEATURE_INDEX] = NEW_ITEM_SENTINEL
 
         u0 = config.utility_scale * (feats @ w[0])
+        _check_utility(u0)
         labels = np.full((n, config.K), MISSING_LABEL, dtype=np.int8)
         if rng.random() < config.primary_rate:
             p = np.exp(u0 - u0.max())
@@ -302,6 +311,7 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
                     uk = rho * u0[booked] + (1.0 - abs(rho)) * config.utility_scale * float(
                         feats[booked] @ w[k]
                     )
+                    _check_utility(uk)
                     labels[booked, k] = 1 if rng.random() < _sigmoid(uk) else 0
 
         groups.append(

@@ -109,6 +109,7 @@ def stage_argv(kind, paths, mangled, out):
 @given(mutation=MUTATIONS)
 @example(mutation=("set", 0, 0, [1]))  # for soft labels, a header of [1]
 @example(mutation=("set", 0, 8, -1))  # for the generator config, "seed": -1
+@example(mutation=("set", 0, 15, 1e308))  # for the generator config, "utility_scale"
 @settings(max_examples=50, deadline=None)
 def test_one_mangled_value_never_raises(files, kind, mutation):
     mangled = files["work"] / f"mangled_{kind}.json"

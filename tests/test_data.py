@@ -212,6 +212,22 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError):
             tiny_config(objective_weights=[[1.0, 0.0]])
 
+    def test_utility_scale_and_weights_must_be_finite(self):
+        with pytest.raises(ConfigError, match="utility_scale must be positive and finite"):
+            tiny_config(utility_scale=float("inf"))
+        weights = np.ones((3, 4))
+        weights[1, 2] = float("nan")
+        with pytest.raises(ConfigError, match="objective_weights must be finite"):
+            tiny_config(m=4, objective_weights=weights.tolist())
+
+    def test_overflowing_utilities_raise_config_error(self):
+        with pytest.raises(ConfigError, match="overflows the latent utilities"):
+            data.generate_dataset(tiny_config(utility_scale=1e308))
+
+    def test_sigmoid_of_a_large_negative_utility_is_zero(self):
+        assert data._sigmoid(-1e6) == pytest.approx(0.0, abs=1e-300)
+        assert data._sigmoid(0.0) == 0.5
+
 
 class TestGenerator:
     def test_deterministic(self):
