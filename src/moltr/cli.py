@@ -262,7 +262,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        # Every non-finite value is checked and raised as a MoltrError anyway.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Ranking-quality and reproducibility metrics.
 
 All metrics are pure functions over scores and labels. Score ties are
-broken deterministically by ascending item id before any rank-based
-metric, so repeated evaluation is stable.
+broken deterministically: by list position for NDCG and exposure, and by
+ascending item id for the side-by-side change rate.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class SxSReport:
 
 
 def rank_order(scores: np.ndarray, item_ids: np.ndarray | None = None) -> np.ndarray:
-    """Indices in descending-score order; ties by ascending item id."""
+    """Indices in descending-score order; ties by ascending item_ids, else by position."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.shape[0]
     ids = np.arange(n) if item_ids is None else np.asarray(item_ids)

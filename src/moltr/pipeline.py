@@ -5,19 +5,19 @@ evaluates on a held-out synthetic split, and emits a report whose JSON is
 byte-identical across reruns with the same config. Every metric row
 carries the content hashes of the checkpoint and dataset it came from.
 
-Each distinct model is trained, scored and measured once. The distill
-study's distilled arm is its sweep student at the config's alpha, and its
-alpha 1.0 student is the hard-only student's parameters. Each boost
-calibration takes the baseline student and its scores, already measured,
-as its point at zero. Runs that share a dataset and a config up to their
-loss train together, in lockstep, through distill.train_runs.
+Each distinct model is trained and stored once: the distill study's
+distilled arm is its sweep student at the config's alpha, and its alpha
+1.0 student is the hard-only student's parameters. The distill, repro and
+boost studies train runs that share a dataset and a config up to their
+loss together, in lockstep, through distill.train_runs; the self study
+trains each run alone, and the repro study scores each model again in
+every pair it compares.
 
-The boost calibrations ask for points in batches: with each point the
-search needs, it asks for the points it could visit next, and walks the
-path of a search that measures one point at a time. The soft-label side
-trains each batch as one lockstep family, and the baseline trains with
-the first bracket (beta 1, 2 and 4). The serving side adds each gamma to
-the baseline's eval scores, so it runs no forward pass.
+The boost calibrations ask for points in batches and walk the path of a
+search that measures one point at a time. The soft side runs first: its
+first batch, beta 0, 1, 2 and 4, trains as one lockstep family, and beta
+0 (the unboosted soft labels) gives the seed's baseline. The serving side
+adds each gamma to the baseline's eval scores, with no forward pass.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ from .distill import (
     train_teachers,
 )
 from .errors import CalibrationError, Config, ConfigError, write_atomic
+
+TAU_THRESHOLD = 0.02  # study-repro counts a ranking changed above this Kendall-tau distance
+MONOTONE_SLACK = 0.02  # how far exposure may fall as a calibrated boost grows
 
 
 @dataclass
@@ -79,6 +82,15 @@ class BoostStudyConfig(Config, section="boost"):
                 raise ConfigError(f"boost {name} must be finite and positive, got {value}")
         if not math.isfinite(self.target_lift):
             raise ConfigError(f"boost target_lift must be finite, got {self.target_lift}")
+        _named("boost rho", lambda: BoostRule(predicate="rating_at_least", rho=self.rho))
+
+
+def _named(name: str, build) -> None:
+    """Run build(), naming the config field name in any ConfigError it raises."""
+    try:
+        build()
+    except ConfigError as e:
+        raise ConfigError(f"{name}: {e}") from e
 
 
 @dataclass
@@ -107,6 +119,9 @@ class ExperimentConfig(Config, section="experiment"):
             raise ConfigError("parity_seeds must be >= 1")
         if self.generator.seed + self.eval_seed_offset < 0:
             raise ConfigError("generator.seed + eval_seed_offset, the eval seed, must be >= 0")
+        # Build what the studies build, so a bad value stops before any data exists.
+        _named("alpha_sweep", lambda: [replace(self.distill, alpha=a) for a in self.alpha_sweep])
+        _named("teacher_epochs", lambda: self.teacher_config)
         days = self.generator.num_days
         if self.train_boundary_day is None:
             self.train_boundary_day = max(1, (days * 3) // 5)
@@ -170,14 +185,8 @@ class CheckpointStore:
         payload, digest = nn.checkpoint_payload(
             model.config, model.params, extra={"lineage": model.lineage}
         )
-        path = os.path.join(self.dir, f"{digest}.json")
-        # An existing file is reused only if it is whole: an interrupted run
-        # may have left it truncated.
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                if f.read() == payload.encode():
-                    return digest
-        with write_atomic(path) as f:
+        # write_atomic makes a rewrite whole, so it replaces a truncated file.
+        with write_atomic(os.path.join(self.dir, f"{digest}.json")) as f:
             f.write(payload)
         return digest
 
@@ -350,7 +359,7 @@ def _pairwise_sxs(models: list[Model], dataset: Dataset, tau_threshold: float):
     return _mean(rates), _mean(pds)
 
 
-def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.02) -> dict:
+def study_irreproducibility(config: ExperimentConfig) -> dict:
     """Seed-to-seed instability of hard-only vs distilled students."""
     study = _Study(config)
     train_ds = study.train_ds
@@ -364,9 +373,9 @@ def study_irreproducibility(config: ExperimentConfig, tau_threshold: float = 0.0
         families["hard_only"].append(hard_only)
         families["distilled"].append(distilled)
 
-    body = {"tau_threshold": tau_threshold}
+    body = {"tau_threshold": TAU_THRESHOLD}
     for name, models in families.items():
-        rate, pd = _pairwise_sxs(models, study.eval_ds, tau_threshold)
+        rate, pd = _pairwise_sxs(models, study.eval_ds, TAU_THRESHOLD)
         body[name] = {
             "models": [
                 {"seed": m.seed, "checkpoint_hash": study.store.put_model(m)} for m in models
@@ -387,28 +396,22 @@ def _doublings(x: float, iterations: int, hi_max: float, max_iter: int) -> list[
     return [x * 2.0**k for k in (1, 2) if x * 2.0**k <= hi_max and iterations + k <= max_iter]
 
 
-def _bisect_exposure(
-    measure, at_zero, target: float, tolerance: float, hi_max: float, max_iter: int
-):
-    """Find the boost magnitude whose exposure hits target +/- tolerance.
+def _bisect_exposure(measure, lift: float, tolerance: float, hi_max: float, max_iter: int):
+    """Find the boost x whose exposure is exposure(0) + lift, +/- tolerance.
 
     measure(xs) gives the (exposure, result) pair at each x in xs, with
-    exposure (noisily) non-decreasing in x. at_zero is that pair at x = 0,
-    which the caller already holds, so x = 0 is never measured. Returns
-    (x, exposure, result) at the x picked.
+    exposure (noisily) non-decreasing in x. Returns (x, exposure, result)
+    at the x picked, and the pair at x = 0.
 
-    The search doubles x from 1 until the exposure reaches target, then
-    bisects. Each time it needs an x not yet measured, it asks for it
-    together with the points it could visit next, so that the caller can
-    measure them at once: while bracketing, the next two doublings up to
-    hi_max (see _doublings); while bisecting, both child midpoints. The
+    The search doubles x from 1 until the exposure reaches the target, then
+    bisects. It asks for each x it needs with the points it could visit
+    next, for the caller to measure at once: first x = 0 with 1 and its
+    next two doublings, then while bracketing the next two doublings up to
+    hi_max (see _doublings), and while bisecting both child midpoints. The
     path, the result and every error are those of a search that measures
-    one x at a time. Only the points on the path are checked for
-    monotonicity; the others are dropped.
+    one x at a time, and only the path is checked for monotonicity.
     """
-    if at_zero[0] >= target - tolerance:
-        return (0.0, *at_zero)
-    evals = [(0.0, at_zero[0])]
+    evals = []
     measured = {}
 
     def f(x, ahead):
@@ -421,6 +424,10 @@ def _bisect_exposure(
         evals.append((x, e))
         return e, result
 
+    at_zero = f(0.0, [1.0, *_doublings(1.0, 0, hi_max, max_iter)])
+    target = at_zero[0] + lift
+    if at_zero[0] >= target - tolerance:
+        return (0.0, *at_zero), at_zero
     iterations = 0
     lo, hi = 0.0, 1.0
     e_hi, r_hi = f(hi, _doublings(hi, iterations, hi_max, max_iter))
@@ -445,23 +452,23 @@ def _bisect_exposure(
             best = (mid, e_mid, r_mid)
         if abs(e_mid - target) <= tolerance:
             _check_monotone(evals)
-            return mid, e_mid, r_mid
+            return (mid, e_mid, r_mid), at_zero
         if e_mid < target:
             lo = mid
         else:
             hi = mid
     if abs(best[1] - target) <= tolerance:
         _check_monotone(evals)
-        return best
+        return best, at_zero
     raise CalibrationError(
         f"exposure calibration did not reach {target:.3f} within {max_iter} iterations"
     )
 
 
-def _check_monotone(evals, slack: float = 0.02) -> None:
+def _check_monotone(evals) -> None:
     pts = sorted(evals)
     for (x0, e0), (x1, e1) in zip(pts, pts[1:]):
-        if e1 < e0 - slack:
+        if e1 < e0 - MONOTONE_SLACK:
             raise CalibrationError(
                 f"exposure not monotone: f({x0})={e0:.4f} > f({x1})={e1:.4f}"
             )
@@ -481,52 +488,41 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
     def exposure(scores):
         return evaluation.mean_boosted_exposure(scores, eval_ds, rule, bc.exposure_k)
 
-    def boosted(beta):
-        return inject_boost(soft, replace(rule, beta=beta), train_ds)
-
     # Both boosts at zero are the baseline: gamma 0 adds +0.0 to every
     # score, and beta 0 only turns a -0.0 soft score into +0.0, which
     # leaves every softmax target, and so the trained student, unchanged.
-    # The baseline trains in lockstep with the soft calibration's first
-    # bracket, whose probes answer that calibration's first request.
-    first = [1.0, *_doublings(1.0, 0, bc.beta_max, bc.max_iterations)]
+    # So beta 0 trains on the soft labels as they are, and gamma 0 reuses that student.
     rows = []
     for cfg in study.seed_configs(config.parity_seeds):
 
-        def students(softs):
-            """(exposure, (model, eval scores)) of each soft-label set's
-            student, all trained in lockstep."""
+        def soft_exposure(betas):
+            """(exposure, (model, eval scores)) of the student on the soft
+            labels boosted by each beta, all trained in lockstep."""
+            softs = [inject_boost(soft, replace(rule, beta=b), train_ds) if b else soft
+                     for b in betas]
             out = []
             for model in train_runs(train_ds, [Run.student(train_ds, s, cfg) for s in softs]):
                 scores = score_dataset(model, eval_ds)
                 out.append((exposure(scores), (model, scores)))
             return out
 
-        (base_exp, (base, base_scores)), *first_probes = students([soft, *map(boosted, first)])
-        target = base_exp + bc.target_lift
-
-        def soft_exposure(betas):
-            return first_probes if betas == first else students(map(boosted, betas))
-
-        def serve_exposure(gammas):
-            """The baseline's eval scores boosted by each gamma: serving
-            rescores nothing, since scoring is deterministic."""
-            out = []
-            for gamma in gammas:
-                scores = {
-                    g.query_id: evaluation.boost_scores(base_scores[g.query_id], g, rule, gamma)
-                    for g in eval_ds.groups
-                }
-                out.append((exposure(scores), scores))
-            return out
-
-        gamma, serve_exp, serve_scores = _bisect_exposure(
-            serve_exposure, (base_exp, base_scores),
-            target, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations,
+        (beta, soft_exp, (soft_model, soft_scores)), (base_exp, (base, base_scores)) = (
+            _bisect_exposure(soft_exposure, bc.target_lift, bc.exposure_tolerance,
+                             bc.beta_max, bc.max_iterations)
         )
-        beta, soft_exp, (soft_model, soft_scores) = _bisect_exposure(
-            soft_exposure, (base_exp, (base, base_scores)),
-            target, bc.exposure_tolerance, bc.beta_max, bc.max_iterations,
+
+        def served(gamma):
+            """The baseline's eval scores boosted by gamma: serving rescores
+            nothing, since scoring is deterministic."""
+            scores = {
+                g.query_id: evaluation.boost_scores(base_scores[g.query_id], g, rule, gamma)
+                for g in eval_ds.groups
+            }
+            return exposure(scores), scores
+
+        (gamma, serve_exp, serve_scores), _ = _bisect_exposure(
+            lambda gammas: [served(x) if x else (base_exp, base_scores) for x in gammas],
+            bc.target_lift, bc.exposure_tolerance, bc.gamma_max, bc.max_iterations,
         )
         rows.append(
             {
@@ -536,7 +532,7 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
                 "dataset_hash": study.eval_hash,
                 "baseline_ndcg10": evaluation.mean_ndcg(base_scores, eval_ds, 10),
                 "baseline_exposure": base_exp,
-                "target_exposure": target,
+                "target_exposure": base_exp + bc.target_lift,
                 "gamma": gamma,
                 "serve_exposure": serve_exp,
                 "serve_ndcg10": evaluation.mean_ndcg(serve_scores, eval_ds, 10),

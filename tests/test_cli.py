@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from moltr import cli, distill, errors
+from moltr import cli, distill, errors, pipeline
 from moltr.data import load_dataset, save_dataset
 from moltr.distill import Model, SoftLabelSet
+
+# A command that meets a non-finite value reports it as one error line; a
+# numpy warning on the way there fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -240,12 +244,23 @@ class TestStudyCommands:
         }
         assert (out / "report.md").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("boost", "exposure_k", 0, "boost exposure_k must be >= 1"),
+            ("boost", "rho", 5.5, "boost rho: rho must be in [0, 5]"),
+            (None, "alpha_sweep", [1.5], "alpha_sweep: alpha must be in [0, 1], got 1.5"),
+            (None, "alpha_sweep", [float("nan")], "alpha_sweep: alpha must be in [0, 1], got nan"),
+            (None, "teacher_epochs", -1, "teacher_epochs: epochs must be >= 0"),
+        ],
+        ids=["boost_exposure_k", "boost_rho", "alpha_sweep", "alpha_sweep_nan", "teacher_epochs"],
+    )
     def test_bad_boost_config_exits_before_training(
-        self, workdir, config_path, tmp_path, monkeypatch, capsys
+        self, workdir, config_path, tmp_path, monkeypatch, capsys, section, key, value, message
     ):
         cfg, _ = self.study_config(workdir, config_path, "study_bad_boost")
         doc = json.loads(open(cfg).read())
-        doc["boost"]["exposure_k"] = 0
+        (doc[section] if section else doc)[key] = value
         doc["output_dir"] = str(tmp_path / "out")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -253,9 +268,13 @@ class TestStudyCommands:
         def no_training(*args):
             raise AssertionError("trained before the config was checked")
 
+        def no_data(*args):
+            raise AssertionError("generated data before the config was checked")
+
         monkeypatch.setattr(distill, "train_runs", no_training)
+        monkeypatch.setattr(pipeline, "generate_dataset", no_data)
         assert run(["study-boost", "--config", str(bad)]) == 2
-        assert "boost exposure_k must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rerun_is_byte_identical(self, workdir, config_path):

@@ -4,7 +4,9 @@ Each example starts from small valid dataset, soft-label, checkpoint,
 distill config and generator config files, changes one JSON value (gives
 it another type, deletes its key) or truncates the file, and runs the stage
 that reads that file. The stage must exit 0, or exit 1 or 2 with exactly
-one "error:" line; it must never raise.
+one "error:" line; it must never raise. Besides the random examples, a
+sweep sets every value of the two config files to each of a few values and
+deletes it, one at a time.
 """
 
 import io
@@ -16,6 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from moltr import cli, data, distill, nn
+
+# A command that meets a non-finite value reports it as one error line; a
+# numpy warning on the way there fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 KINDS = ("dataset", "soft", "checkpoint", "config", "generator")
 
@@ -40,21 +46,27 @@ MUTATIONS = st.one_of(
 )
 
 
+GENERATOR = data.GeneratorConfig(num_queries=6, items_per_query=(2, 3), m=3, K=2, seed=1)
+DISTILL = distill.DistillConfig(mlp=nn.MlpConfig(layer_dims=(3, 4, 1), seed=2), epochs=1)
+# The config files' documents, one line each.
+CONFIG_DOCS = {
+    "config": {"distill": DISTILL.to_dict()},
+    "generator": {"generator": GENERATOR.to_dict()},
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
-    gen = data.GeneratorConfig(num_queries=6, items_per_query=(2, 3), m=3, K=2, seed=1)
-    ds = data.generate_dataset(gen)
-    cfg = distill.DistillConfig(mlp=nn.MlpConfig(layer_dims=(3, 4, 1), seed=2), epochs=1)
-    teachers = distill.train_teachers(ds, cfg)
+    ds = data.generate_dataset(GENERATOR)
+    teachers = distill.train_teachers(ds, DISTILL)
     paths = {kind: str(work / f"{kind}.json") for kind in KINDS}
     data.save_dataset(ds, paths["dataset"])
     distill.fuse_soft_labels(teachers, ds).save(paths["soft"])
     teachers.models[0].save(paths["checkpoint"])
-    with open(paths["config"], "w") as f:
-        json.dump({"distill": cfg.to_dict()}, f)
-    with open(paths["generator"], "w") as f:
-        json.dump({"generator": gen.to_dict()}, f)
+    for kind, doc in CONFIG_DOCS.items():
+        with open(paths[kind], "w") as f:
+            json.dump(doc, f)
     texts = {kind: Path(path).read_text() for kind, path in paths.items()}
     return {"work": work, "paths": paths, "texts": texts}
 
@@ -105,13 +117,9 @@ def stage_argv(kind, paths, mangled, out):
     return ["eval", "--data", p["dataset"], "--model", p["checkpoint"]]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@given(mutation=MUTATIONS)
-@example(mutation=("set", 0, 0, [1]))  # for soft labels, a header of [1]
-@example(mutation=("set", 0, 8, -1))  # for the generator config, "seed": -1
-@example(mutation=("set", 0, 15, 1e308))  # for the generator config, "utility_scale"
-@settings(max_examples=50, deadline=None)
-def test_one_mangled_value_never_raises(files, kind, mutation):
+def check_stage(files, kind, mutation):
+    """Run the stage that reads kind's file, mangled by mutation: it exits 0,
+    or 1 or 2 with exactly one error line, and never raises."""
     mangled = files["work"] / f"mangled_{kind}.json"
     mangled.write_text(mangle(files["texts"][kind], mutation))
     argv = stage_argv(kind, files["paths"], str(mangled), str(files["work"] / "out.json"))
@@ -123,3 +131,30 @@ def test_one_mangled_value_never_raises(files, kind, mutation):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == (0 if code == 0 else 1), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(mutation=MUTATIONS)
+@example(mutation=("set", 0, 0, [1]))  # for soft labels, a header of [1]
+@example(mutation=("set", 0, 8, -1))  # for the generator config, "seed": -1
+@example(mutation=("set", 0, 15, 1e308))  # for the generator config, "utility_scale"
+@settings(max_examples=50, deadline=None)
+def test_one_mangled_value_never_raises(files, kind, mutation):
+    check_stage(files, kind, mutation)
+
+
+# Every value path of each config file set to each of these, and deleted:
+# a fault tied to one key and one value is reached without luck.
+SWEEP_VALUES = (-1, 0, 1e308, "x", None, [])
+SWEEP = [
+    pytest.param(kind, mutation, id=f"{kind}:{'/'.join(map(str, where))}:{mutation[0]}"
+                 + ("" if mutation[0] == "delete" else f"={json.dumps(mutation[3])}"))
+    for kind, doc in CONFIG_DOCS.items()
+    for i, where in enumerate(value_paths(doc))
+    for mutation in [("delete", 0, i, None), *(("set", 0, i, v) for v in SWEEP_VALUES)]
+]
+
+
+@pytest.mark.parametrize("kind, mutation", SWEEP)
+def test_every_config_value_swept_never_raises(files, kind, mutation):
+    check_stage(files, kind, mutation)

@@ -171,11 +171,29 @@ class TestExperimentConfig:
             ("beta_max", float("nan"), "boost beta_max must be finite and positive, got nan"),
             ("target_lift", float("nan"), "boost target_lift must be finite, got nan"),
             ("target_lift", float("-inf"), "boost target_lift must be finite, got -inf"),
+            ("rho", 5.5, "boost rho: rho must be in [0, 5]"),
+            ("rho", -0.5, "boost rho: rho must be in [0, 5]"),
+            ("rho", float("nan"), "boost rho: rho must be in [0, 5]"),
         ],
     )
     def test_from_dict_rejects_bad_boost_values(self, tmp_path, field, value, message):
         doc = small_experiment(tmp_path).to_dict()
         doc["boost"][field] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha_sweep", [0.2, 1.5], "alpha_sweep: alpha must be in [0, 1], got 1.5"),
+            ("alpha_sweep", [-0.1], "alpha_sweep: alpha must be in [0, 1], got -0.1"),
+            ("alpha_sweep", [float("nan")], "alpha_sweep: alpha must be in [0, 1], got nan"),
+            ("teacher_epochs", -1, "teacher_epochs: epochs must be >= 0"),
+        ],
+    )
+    def test_from_dict_rejects_bad_study_values(self, tmp_path, field, value, message):
+        doc = small_experiment(tmp_path).to_dict()
+        doc[field] = value
         with pytest.raises(ConfigError, match=re.escape(message)):
             pipeline.ExperimentConfig.from_dict(doc)
 
@@ -211,25 +229,25 @@ def batched(measure_one):
 
 class TestBisection:
     def test_linear_function(self):
-        x, e, _ = pipeline._bisect_exposure(
-            batched(lambda x: (0.1 + 0.05 * x, None)), (0.1, None),
-            target=0.3, tolerance=0.001, hi_max=64, max_iter=50,
+        (x, e, _), _ = pipeline._bisect_exposure(
+            batched(lambda x: (0.1 + 0.05 * x, None)),
+            lift=0.2, tolerance=0.001, hi_max=64, max_iter=50,
         )
         assert e == pytest.approx(0.3, abs=0.001)
         assert x == pytest.approx(4.0, abs=0.1)
 
     def test_already_at_target(self):
-        x, e, _ = pipeline._bisect_exposure(
-            batched(lambda x: (0.5, None)), (0.5, None),
-            target=0.4, tolerance=0.01, hi_max=64, max_iter=50,
+        (x, e, _), _ = pipeline._bisect_exposure(
+            batched(lambda x: (0.5, None)),
+            lift=-0.1, tolerance=0.01, hi_max=64, max_iter=50,
         )
         assert x == 0.0
 
     def test_unreachable_target(self):
         with pytest.raises(CalibrationError, match="unreachable"):
             pipeline._bisect_exposure(
-                batched(lambda x: (0.1, None)), (0.1, None),
-                target=0.9, tolerance=0.01, hi_max=8, max_iter=50,
+                batched(lambda x: (0.1, None)),
+                lift=0.8, tolerance=0.01, hi_max=8, max_iter=50,
             )
 
     def test_non_monotone_detected(self):
@@ -240,53 +258,62 @@ class TestBisection:
         values = {0.0: 0.1, 1.0: 0.4, 2.0: 0.89, 1.5: 0.92, 1.25: 0.85, 4.0: 0.95, 1.75: 0.9}
         with pytest.raises(CalibrationError, match="monotone"):
             pipeline._bisect_exposure(
-                batched(lambda x: (values[x], None)), (values[0.0], None),
-                target=0.85, tolerance=0.01, hi_max=64, max_iter=50,
+                batched(lambda x: (values[x], None)),
+                lift=0.75, tolerance=0.01, hi_max=64, max_iter=50,
             )
 
     @staticmethod
-    def linear(slope):
-        def measure(x):
-            if x == 0.0:
-                raise AssertionError("x = 0 is the caller's point and is never measured")
-            return slope * x, ("measured at", x)
-        return batched(measure)
+    def linear(slope, at_zero=0.0):
+        """A batched measure of slope * x, with exposure at_zero at x = 0."""
+        requests = []
+
+        def measure(xs):
+            requests.append(list(xs))
+            first = len(requests) == 1
+            assert xs.count(0.0) == first and (xs[0] == 0.0) == first, (
+                "x = 0 is measured exactly once, in the first request")
+            return [(at_zero, "zero") if x == 0.0 else (slope * x, ("measured at", x))
+                    for x in xs]
+        return measure
 
     def test_exit_returns_the_result_measured_at_x(self):
-        x, e, result = pipeline._bisect_exposure(
-            self.linear(0.05), (0.0, "zero"), target=0.2, tolerance=0.001, hi_max=64, max_iter=50
+        (x, e, result), at_zero = pipeline._bisect_exposure(
+            self.linear(0.05), lift=0.2, tolerance=0.001, hi_max=64, max_iter=50
         )
         # The first midpoint within tolerance ends the search, not x=4.
         assert e == pytest.approx(0.2, abs=0.001) and x < 4.0
         assert result == ("measured at", x)
+        assert at_zero == (0.0, "zero")
 
     def test_fallback_returns_the_result_measured_at_x(self):
         # Bracketing ends at x=4 (exposure 0.4); the one bisection step
         # measures x=3 (0.3), out of tolerance, so the best point x=4 is kept.
-        x, e, result = pipeline._bisect_exposure(
-            self.linear(0.1), (0.0, "zero"), target=0.4, tolerance=0.01, hi_max=64, max_iter=3
+        (x, e, result), at_zero = pipeline._bisect_exposure(
+            self.linear(0.1), lift=0.4, tolerance=0.01, hi_max=64, max_iter=3
         )
         assert (x, result) == (4.0, ("measured at", 4.0))
+        assert at_zero == (0.0, "zero")
 
     def test_at_zero_is_returned_as_given(self):
         assert pipeline._bisect_exposure(
-            self.linear(0.1), (0.5, "zero"), target=0.4, tolerance=0.01, hi_max=64, max_iter=50
-        ) == (0.0, 0.5, "zero")
+            self.linear(0.1, at_zero=0.5), lift=-0.1, tolerance=0.01, hi_max=64, max_iter=50
+        ) == ((0.0, 0.5, "zero"), (0.5, "zero"))
 
 
-def sequential_bisection(measure, path, at_zero, target, tolerance, hi_max, max_iter):
+def sequential_bisection(measure, path, lift, tolerance, hi_max, max_iter):
     """The search measuring one x at a time, as it was before requests were
-    batched: (x, exposure, result), with each (x, exposure) it visits
-    appended to path, x = 0 first."""
+    batched: ((x, exposure, result), (exposure, result) at 0), with each
+    (x, exposure) it visits appended to path, x = 0 first."""
 
     def f(x):
         e, result = measure(x)
         path.append((x, e))
         return e, result
 
-    path.append((0.0, at_zero[0]))
+    at_zero = f(0.0)
+    target = at_zero[0] + lift
     if at_zero[0] >= target - tolerance:
-        return (0.0, *at_zero)
+        return (0.0, *at_zero), at_zero
     iterations = 0
     lo, hi = 0.0, 1.0
     e_hi, r_hi = f(hi)
@@ -308,21 +335,23 @@ def sequential_bisection(measure, path, at_zero, target, tolerance, hi_max, max_
             best = (mid, e_mid, r_mid)
         if abs(e_mid - target) <= tolerance:
             pipeline._check_monotone(path)
-            return mid, e_mid, r_mid
+            return (mid, e_mid, r_mid), at_zero
         if e_mid < target:
             lo = mid
         else:
             hi = mid
     if abs(best[1] - target) <= tolerance:
         pipeline._check_monotone(path)
-        return best
+        return best, at_zero
     raise CalibrationError(
         f"exposure calibration did not reach {target:.3f} within {max_iter} iterations"
     )
 
 
 BISECTION_CASES = {
-    # curve(x) -> exposure, at_zero exposure, target, tolerance, hi_max, max_iter
+    # curve(x) -> exposure for x > 0, exposure at 0, target, tolerance,
+    # hi_max, max_iter; the search is asked for a lift of target minus the
+    # exposure at 0.
     "linear": (lambda x: 0.1 + 0.05 * x, 0.1, 0.3, 0.001, 64, 50),
     "linear_past_hi_max": (lambda x: 0.02 * x, 0.0, 0.9, 0.01, 64, 50),
     "step": (lambda x: 0.2 if x < 5.3 else 0.6, 0.2, 0.6, 0.01, 64, 50),
@@ -342,11 +371,10 @@ BISECTION_CASES = {
 @pytest.mark.parametrize("case", sorted(BISECTION_CASES))
 def test_batched_bisection_walks_the_sequential_path(case, monkeypatch):
     curve, zero, target, tolerance, hi_max, max_iter = BISECTION_CASES[case]
-    args = ((zero, "zero"), target, tolerance, hi_max, max_iter)
+    args = (target - zero, tolerance, hi_max, max_iter)
 
     def measure_one(x):
-        assert x != 0.0
-        return curve(x), ("measured at", x)
+        return (zero, "zero") if x == 0.0 else (curve(x), ("measured at", x))
 
     def outcome(search, *search_args):
         try:
@@ -365,7 +393,8 @@ def test_batched_bisection_walks_the_sequential_path(case, monkeypatch):
     checked.clear()
 
     def measure(xs):
-        assert len(xs) <= 3
+        # The first request is x = 0 and the first bracket.
+        assert len(xs) <= (3 if requests else 4)
         requests.append(list(xs))
         return [measure_one(x) for x in xs]
 
@@ -375,7 +404,8 @@ def test_batched_bisection_walks_the_sequential_path(case, monkeypatch):
     assert all(evals == path for evals in checked)
     asked = [x for xs in requests for x in xs]
     assert len(asked) == len(set(asked)), "an x was measured twice"
-    visited = [x for x, _ in path[1:]]
+    assert asked[0] == 0.0, "x = 0 is measured exactly once, in the first request"
+    visited = [x for x, _ in path]
     assert set(visited) <= set(asked)
     # Each request leads with the x the one-at-a-time search measures next.
     leaders = [xs[0] for xs in requests]
@@ -394,8 +424,8 @@ def test_off_path_points_are_not_checked_for_monotonicity():
         requests.append(list(xs))
         return [(off_path.get(x, 0.3 * x), None) for x in xs]
 
-    x, e, _ = pipeline._bisect_exposure(
-        measure, (0.0, None), target=0.6, tolerance=0.01, hi_max=64, max_iter=50
+    (x, e, _), _ = pipeline._bisect_exposure(
+        measure, lift=0.6, tolerance=0.01, hi_max=64, max_iter=50
     )
     assert abs(e - 0.6) <= 0.01 and 1.9 < x < 2.0
     asked = {x for xs in requests for x in xs}
@@ -412,11 +442,11 @@ def test_nothing_above_hi_max_is_requested_but_the_first_point(hi_max):
 
     with pytest.raises(CalibrationError, match="unreachable"):
         pipeline._bisect_exposure(
-            measure, (0.0, None), target=0.9, tolerance=0.01, hi_max=hi_max, max_iter=50
+            measure, lift=0.9, tolerance=0.01, hi_max=hi_max, max_iter=50
         )
     asked = [x for xs in requests for x in xs]
-    assert asked[0] == 1.0
-    assert all(x <= hi_max for x in asked[1:])
+    assert asked[:2] == [0.0, 1.0]
+    assert all(x <= hi_max for x in asked[2:])
     assert max(asked) == max(1.0, hi_max)
 
 
@@ -428,12 +458,12 @@ def test_a_bisection_step_asks_for_at_most_three_points():
         return [(0.1 + 0.05 * x, None) for x in xs]
 
     pipeline._bisect_exposure(
-        measure, (0.1, None), target=0.3, tolerance=1e-6, hi_max=64, max_iter=50
+        measure, lift=0.2, tolerance=1e-6, hi_max=64, max_iter=50
     )
-    # Bracketing asks for 1, 2, 4 at once; every later request is a
-    # midpoint and its two children, so bisection measures once every
-    # two steps.
-    assert requests[0] == [1.0, 2.0, 4.0]
+    # The first request is x = 0 and the bracket 1, 2, 4; every later
+    # request is a midpoint and its two children, so bisection measures
+    # once every two steps.
+    assert requests[0] == [0.0, 1.0, 2.0, 4.0]
     assert len(requests) > 3
     for xs in requests[1:]:
         mid, left, right = xs
