@@ -297,7 +297,8 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
         feats[:, RATING_FEATURE_INDEX] = (ratings - 2.5) / 1.5
         feats[is_new, RATING_FEATURE_INDEX] = NEW_ITEM_SENTINEL
 
-        u0 = config.utility_scale * (feats @ w[0])
+        with np.errstate(over="ignore"):  # _check_utility raises on an overflow
+            u0 = config.utility_scale * (feats @ w[0])
         _check_utility(u0)
         labels = np.full((n, config.K), MISSING_LABEL, dtype=np.int8)
         if rng.random() < config.primary_rate:
@@ -308,9 +309,10 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
             labels[booked, 0] = 1
             for k in range(1, config.K):
                 if rng.random() < config.label_rates[k - 1]:
-                    uk = rho * u0[booked] + (1.0 - abs(rho)) * config.utility_scale * float(
-                        feats[booked] @ w[k]
-                    )
+                    with np.errstate(over="ignore"):
+                        uk = rho * u0[booked] + (1.0 - abs(rho)) * config.utility_scale * float(
+                            feats[booked] @ w[k]
+                        )
                     _check_utility(uk)
                     labels[booked, k] = 1 if rng.random() < _sigmoid(uk) else 0
 

@@ -4,17 +4,18 @@ injection, student distillation, self-distillation, and baselines.
 All trainers share one deterministic engine, train_runs: a generator
 seeded with the run's one seed, mlp.seed, draws the initial weights and
 then one shuffle of the query-group order per epoch, and each group is a
-single SGD step for each run that does not skip it. Targets are computed
-once per run; each step calls nn's forward, gradient and backprop kernels,
-the same code behind nn's public functions, and nn.sgd_step updates the
-flat parameter buffer in place. Two runs with the same config and seed are
-bit-identical, and equal to a loop over the public nn functions.
+single SGD step for each run that does not skip it. A run's loss on a
+group is a list of weighted listwise-CE terms, built once per run; each
+step calls nn's forward, listwise_grad and backprop kernels, the same code
+behind nn's public functions, and nn.sgd_step updates the flat parameter
+buffer in place. Two runs with the same config and seed are bit-identical,
+and equal to a loop over the public nn functions.
 
 Runs that share a dataset, an mlp config (and so a seed), the epochs and
-the learning rate differ only in their targets and loss, so train_runs
-trains them together: one stacked forward pass, backprop and update per
-group, each run's rows bit for bit what it gives trained alone. Each
-public trainer is its Run plus one train_runs call.
+the learning rate differ only in their loss terms, so train_runs trains
+them together: one stacked forward pass, backprop and update per group,
+each run's rows bit for bit what it gives trained alone. Each public
+trainer is its Run plus one train_runs call.
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ class Model:
     @classmethod
     def load(cls, path) -> "Model":
         config, params, doc = nn.load_checkpoint(path)
-        return cls(config=config, params=params, lineage=doc.get("lineage", "unknown"))
+        lineage = doc.get("lineage", "unknown")
+        if type(lineage) is not str:
+            raise ParseError(f"checkpoint {path}: lineage must be a string")
+        return cls(config=config, params=params, lineage=lineage)
 
 
 def _weight_vector(weights, n: int, name: str) -> np.ndarray:
@@ -240,56 +244,24 @@ def _objective_target(group: QueryGroup, k: int) -> np.ndarray | None:
     return vals / total
 
 
-def _single_label_step(k: int):
-    """(prepare, grad) for listwise CE against objective k's labels alone."""
-
-    def grad(scores, target):
-        return nn.distill_grad(scores, target, None, 1.0, 1.0)
-
-    return (lambda group: _objective_target(group, k)), grad
-
-
-def _scalarized_step(K: int, objective_weights):
-    """(prepare, grad, counts) for the weighted sum of per-objective
-    listwise CEs; counts[k] is the number of groups whose step has
-    objective k's term, filled in as prepare runs."""
-    weights = _weight_vector(objective_weights, K, "objective_weights")
-    counts = np.zeros(K, dtype=np.int64)
-
-    def prepare(group):
-        terms = []
-        for k in range(K):
-            target = _objective_target(group, k) if weights[k] != 0 else None
-            if target is not None:
-                terms.append((weights[k], target))
-                counts[k] += 1
-        return terms or None
-
-    def grad(scores, terms):
-        p = nn.softmax(scores, 1.0)
-        total = None
-        for w, target in terms:  # summed in k order
-            g = w * (p - target)
-            total = g if total is None else total + g
-        return total
-
-    return prepare, grad, counts
+def _label_terms(k: int):
+    """terms(group) for listwise CE against objective k's labels alone."""
+    return lambda group: nn.blend_terms(_objective_target(group, k), None, 1.0, 1.0)
 
 
 class Run(NamedTuple):
-    """One training run for train_runs: prepare(group) gives the group's
-    target, or None to skip the group, and grad(scores, target) the
-    gradient per score. Its model gets config.mlp and lineage."""
+    """One training run for train_runs: terms(group) gives the group's loss
+    as nn.listwise_grad terms, or None or no terms to skip the group. Its
+    model gets config.mlp and lineage."""
 
     config: DistillConfig
     lineage: str
-    prepare: Callable
-    grad: Callable
+    terms: Callable
 
     @classmethod
     def hard_only(cls, config: DistillConfig) -> "Run":
         """The run of train_hard_only."""
-        return cls(config, "baseline:hard_only", *_single_label_step(0))
+        return cls(config, "baseline:hard_only", _label_terms(0))
 
     @classmethod
     def student(
@@ -297,26 +269,23 @@ class Run(NamedTuple):
     ) -> "Run":
         """The run of train_student."""
         soft.check_alignment(dataset)
-        alpha, temperature = config.alpha, config.temperature
+        alpha, t, teacher_t = config.alpha, config.temperature, config.teacher_temperature
 
-        def prepare(group):
-            hard = _objective_target(group, 0)
-            if hard is None and alpha == 1.0:
-                return None
-            return hard, nn.listwise_softmax(
-                soft.scores[group.query_id], config.teacher_temperature
-            )
+        def terms(group):
+            hard, raw = _objective_target(group, 0), soft.scores[group.query_id]
+            if nn.blend_terms(hard, raw, alpha, t):  # it steps here, so it needs the soft target
+                return nn.blend_terms(hard, nn.listwise_softmax(raw, teacher_t), alpha, t)
+            return None
 
-        def grad(scores, target):
-            return nn.distill_grad(scores, *target, alpha, temperature)
-
-        return cls(config, lineage, prepare, grad)
+        return cls(config, lineage, terms)
 
     @classmethod
     def scalarized(cls, dataset: Dataset, objective_weights, config: DistillConfig) -> "Run":
         """The run of train_scalarized_baseline."""
-        prepare, grad, _ = _scalarized_step(dataset.K, objective_weights)
-        return cls(config, "baseline:scalarized", prepare, grad)
+        weights = _weight_vector(objective_weights, dataset.K, "objective_weights")
+        return cls(config, "baseline:scalarized", lambda group: nn.live_terms(
+            [(w, 1.0, _objective_target(group, k)) for k, w in enumerate(weights)]
+        ))
 
 
 def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
@@ -324,12 +293,12 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     loop over query groups. The runs must share the mlp config (and so the
     seed), epochs and learning rate.
 
-    Each run's prepare(group) runs once per group before the first epoch.
+    Each run's terms(group) runs once per group before the first epoch.
     The runs start from the same weights and visit the groups in the same
     shuffled order, so they step in lockstep: each group takes one stacked
-    nn.layer_outputs over the runs that step there, one gradient per run,
-    one stacked nn.backprop_into into arrays reused across steps, and one
-    nn.sgd_step on their rows of the (R, P) buffer, with one finiteness
+    nn.layer_outputs over the runs that step there, one nn.listwise_grad
+    per run, one stacked nn.backprop_into into arrays reused across steps,
+    and one nn.sgd_step on their rows of the (R, P) buffer, with one finiteness
     check that names the layer on failure. A run that skips a group has its
     rows neither read nor written there and its scores unchecked, and no
     skip moves the shuffle stream. So each model is bit for bit its run
@@ -354,9 +323,9 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     for group in dataset.groups:
         if not np.isfinite(group.features).all():
             raise InputError(f"query {group.query_id}: features contain non-finite values")
-        work = [(run.grad, run.prepare(group)) for run in runs]
-        active = [r for r, (_, target) in enumerate(work) if target is not None]
-        plan.append((group, active, [work[r] for r in active]))
+        terms = [run.terms(group) for run in runs]
+        active = [r for r, t in enumerate(terms) if t]
+        plan.append((group, active, [terms[r] for r in active]))
     rng = np.random.default_rng(config.seed)
     first = nn.init_params(mlp, rng)
     params = nn.ParameterSet(np.tile(first.flat, (len(runs), 1)), first.shapes)
@@ -378,7 +347,7 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
             scores = hs[-1][..., 0]
             if not np.isfinite(scores).all():
                 raise InputError(f"query {group.query_id}: forward pass produced non-finite scores")
-            per_score = np.array([grad(scores[j], target) for j, (grad, target) in enumerate(work)])
+            per_score = np.array([nn.listwise_grad(scores[j], t) for j, t in enumerate(work)])
             nn.backprop_into(g, hs, p, per_score, relu)
             nn.sgd_step(p, g, lr)
             if p is not params:
@@ -402,7 +371,7 @@ def train_teacher(
         objectives=list(dataset.objectives), groups=covered, m=dataset.m, K=dataset.K
     )
     name = dataset.objectives[objective_index].name
-    run = Run(config, f"teacher:{name}", *_single_label_step(objective_index))
+    run = Run(config, f"teacher:{name}", _label_terms(objective_index))
     return train_runs(subset, [run])[0]
 
 
@@ -499,12 +468,13 @@ def train_scalarized_baseline(
 ) -> Model:
     """Single MLP minimizing the weighted sum of per-objective listwise CEs.
 
-    Each objective contributes only on groups where its label is present,
-    so sparse objectives show up in fewer batches; pass batch_log to
+    Each objective contributes only on groups with a positive label for
+    it, so sparse objectives show up in fewer batches; pass batch_log to
     capture the per-objective step counts.
     """
-    prepare, grad, counts = _scalarized_step(dataset.K, objective_weights)
-    (model,) = train_runs(dataset, [Run(config, "baseline:scalarized", prepare, grad)])
+    (model,) = train_runs(dataset, [Run.scalarized(dataset, objective_weights, config)])
     if batch_log is not None:
-        batch_log.append({"per_objective_steps": (counts * config.epochs).tolist()})
+        covered = [sum(_objective_target(g, k) is not None for g in dataset.groups) if w != 0 else 0
+                   for k, w in enumerate(objective_weights)]
+        batch_log.append({"per_objective_steps": [config.epochs * n for n in covered]})
     return model

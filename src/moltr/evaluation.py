@@ -152,12 +152,21 @@ def prediction_difference(preds_a, preds_b) -> float:
 
 
 def sxs_change_rate(
-    model_a: Model,
-    model_b: Model,
+    model_a: Model, model_b: Model, dataset: Dataset, tau_threshold: float = 0.02
+) -> SxSReport:
+    """sxs_report of two models' scores over a dataset."""
+    a, b = ({g.query_id: m.score_group(g) for g in dataset.groups} for m in (model_a, model_b))
+    return sxs_report(a, b, dataset, tau_threshold)
+
+
+def sxs_report(
+    scores_a: dict[int, np.ndarray],
+    scores_b: dict[int, np.ndarray],
     dataset: Dataset,
     tau_threshold: float = 0.02,
 ) -> SxSReport:
-    """Side-by-side comparison of two models over a dataset.
+    """Side-by-side comparison of two models' scores over a dataset, each
+    a dict query_id -> finite score vector, as Model.score_group gives it.
 
     A query counts as changed when the normalized Kendall distance
     (1 - tau) / 2 between the two induced rankings exceeds tau_threshold.
@@ -171,8 +180,7 @@ def sxs_change_rate(
     probs_a = []
     probs_b = []
     for g in dataset.groups:
-        sa = model_a.score_group(g)
-        sb = model_b.score_group(g)
+        sa, sb = scores_a[g.query_id], scores_b[g.query_id]
         oa = rank_order(sa, g.item_ids)
         ob = rank_order(sb, g.item_ids)
         pos_b = np.empty(g.size, dtype=np.intp)
@@ -181,7 +189,6 @@ def sxs_change_rate(
         taus.append(tau)
         if (1.0 - tau) / 2.0 > tau_threshold:
             changed += 1
-        # score_group's forward pass has checked these scores for finiteness.
         probs_a.append(softmax(sa, 1.0))
         probs_b.append(softmax(sb, 1.0))
     pd = prediction_difference(np.concatenate(probs_a), np.concatenate(probs_b))

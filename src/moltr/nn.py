@@ -7,12 +7,14 @@ entropy.
 
 The arithmetic exists once, in four unchecked kernels: layer_outputs (the
 forward pass), backprop_into (gradients written into reused arrays),
-softmax, and distill_grad (the blended loss's score gradient). The public
-mlp_forward, backward, listwise_softmax and distill_loss check their inputs
-and call a kernel; they leave their inputs unchanged and return fresh
-arrays. The trainers in distill call the kernels on inputs they check once
-per run. A ParameterSet keeps every layer in one flat buffer, and sgd_step
-updates that buffer in place with one finiteness check per step.
+softmax, and listwise_grad (the score gradient of a list of weighted
+listwise-CE terms, the form of every loss; blend_terms writes the
+distillation loss in it). The public mlp_forward, backward,
+listwise_softmax and distill_loss check their inputs and call a kernel;
+they leave their inputs unchanged and return fresh arrays. The trainers in
+distill call the kernels on inputs they check once per run. A ParameterSet
+keeps every layer in one flat buffer, and sgd_step updates that buffer in
+place with one finiteness check per step.
 
 A ParameterSet holds one run, flat (P,), or R runs of one architecture as
 the rows of flat (R, P). layer_outputs, backprop_into and sgd_step take
@@ -232,7 +234,7 @@ def backward(
     """Exact gradients of the loss w.r.t. every parameter, in fresh arrays.
 
     per_score_grad is d(loss)/d(score) per item, as returned by
-    distill_loss. The trace must come from mlp_forward with these params.
+    listwise_grad. The trace must come from mlp_forward with these params.
     """
     if len(trace) != params.num_layers + 1:
         raise InputError("trace does not match parameter layer count")
@@ -294,6 +296,24 @@ def weighted_ce_sum(
     return float(sum(w * cross_entropy(pred, t) for w, t in zip(weights, targets)))
 
 
+def live_terms(terms: list) -> list:
+    """terms without those of weight 0 or with no target: the one rule for
+    which loss terms a step drops."""
+    return [term for term in terms if term[0] != 0 and term[2] is not None]
+
+
+def blend_terms(hard, soft, alpha: float, temperature: float) -> list:
+    """The distillation loss as terms: alpha times CE against hard at
+    temperature 1, then 1 - alpha times CE against soft at temperature.
+    A lone live term gets weight 1, so alpha == 1 with a hard target is
+    exactly hard-label training, and a group with no hard target trains
+    on the soft term alone."""
+    terms = live_terms([(alpha, 1.0, hard), (1.0 - alpha, temperature, soft)])
+    if len(terms) == 1:
+        terms = [(1.0, *terms[0][1:])]
+    return terms
+
+
 def distill_loss(
     scores: np.ndarray,
     hard: np.ndarray | None,
@@ -307,46 +327,39 @@ def distill_loss(
          + (1 - alpha) * CE(softmax(scores, T), soft)
 
     The hard term always uses temperature 1; temperature applies only to
-    the student softmax of the soft term. alpha == 1 or 0 skips the other
-    term entirely (no zero-weight arithmetic), so the degenerate cases are
-    bitwise identical to single-term training. A missing hard target
-    (hard=None) zeroes the hard term the same way.
+    the student softmax of the soft term. Both the value and the gradient
+    come from blend_terms, so alpha == 1 or 0, or a missing target
+    (None), leaves the other term out entirely.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise InputError("scores contain non-finite values")
-    use_hard = alpha > 0.0 and hard is not None
-    use_soft = alpha < 1.0 and soft is not None
-    loss = 0.0
-    if use_hard:
-        hard = np.asarray(hard, dtype=np.float64)
-        loss = cross_entropy(listwise_softmax(scores, 1.0), hard)
-    if use_soft:
-        soft = np.asarray(soft, dtype=np.float64)
-        sl = cross_entropy(listwise_softmax(scores, temperature), soft)
-        loss = alpha * loss + (1.0 - alpha) * sl if use_hard else sl
-    return float(loss), distill_grad(scores, hard, soft, alpha, temperature)
+    terms = [(w, t, np.asarray(target, dtype=np.float64))
+             for w, t, target in blend_terms(hard, soft, alpha, temperature)]
+    parts = [w * cross_entropy(listwise_softmax(scores, t), target) for w, t, target in terms]
+    loss = sum(parts[1:], parts[0]) if parts else 0.0
+    return float(loss), listwise_grad(scores, terms)
 
 
-def distill_grad(scores, hard, soft, alpha: float, temperature: float) -> np.ndarray:
-    """d(distill_loss)/d(scores) in a fresh array. Unchecked kernel of
-    distill_loss; a skipped term is never computed, so alpha == 1 with a
-    hard target is exactly hard-label training. At temperature 1 both terms
-    share one softmax and nothing is divided by the temperature, as
-    x / 1.0 is x bit for bit."""
-    use_hard = alpha > 0.0 and hard is not None
-    if not (alpha < 1.0 and soft is not None):
-        return softmax(scores, 1.0) - hard if use_hard else np.zeros_like(scores)
-    p = softmax(scores, temperature)
-    sg = p - soft
-    if temperature != 1.0:
-        sg /= temperature
-    if not use_hard:
-        return sg
-    p1 = p if temperature == 1.0 else softmax(scores, 1.0)
-    return alpha * (p1 - hard) + (1.0 - alpha) * sg
+def listwise_grad(scores, terms) -> np.ndarray:
+    """d/d(scores) of sum_k w_k * CE(softmax(scores, T_k), target_k) over
+    terms (w_k, T_k, target_k), summed in order, in a fresh array (zeros
+    for no terms). Unchecked kernel of distill_loss and the trainers. Terms
+    at one temperature share one softmax, and nothing is divided by T = 1
+    or multiplied by w = 1, as x / 1.0 and x * 1.0 are x bit for bit."""
+    total, probs = None, {}
+    for w, t, target in terms:
+        if t not in probs:
+            probs[t] = softmax(scores, t)
+        g = probs[t] - target
+        if t != 1.0:
+            g /= t
+        if w != 1.0:
+            g *= w
+        total = g if total is None else total + g
+    return np.zeros_like(scores) if total is None else total
 
 
 def sgd_step(params, grads, lr: float):

