@@ -12,7 +12,6 @@ from .data import (
     ObjectiveSpec,
     QueryGroup,
     generate_dataset,
-    label_coverage,
     load_dataset,
     save_dataset,
     split_by_time,
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .evaluation import (
     exposure_rate,
-    kendall_tau,
     ndcg_at_k,
     prediction_difference,
     ranking_metrics_report,
@@ -58,12 +56,10 @@ from .nn import (
     ParameterSet,
     cross_entropy,
     distill_loss,
-    finite_diff_grad,
     init_params,
     listwise_softmax,
     mlp_forward,
     sgd_step,
-    weighted_ce_sum,
 )
 
 __version__ = "0.1.0"

@@ -331,16 +331,6 @@ def generate_dataset(config: GeneratorConfig) -> Dataset:
     return Dataset(objectives=objectives, groups=groups, m=config.m, K=config.K)
 
 
-def label_coverage(dataset: Dataset, objective_index: int) -> float:
-    """Fraction of query groups with at least one present label for k."""
-    if not (0 <= objective_index < dataset.K):
-        raise InputError(f"objective index {objective_index} out of range")
-    if not dataset.groups:
-        return 0.0
-    covered = sum(1 for g in dataset.groups if g.has_labels_for(objective_index))
-    return covered / len(dataset.groups)
-
-
 def split_by_time(dataset: Dataset, boundary_day: int) -> tuple[Dataset, Dataset]:
     """Partition groups into (day < boundary, day >= boundary)."""
     earlier = [g for g in dataset.groups if g.timestamp < boundary_day]

@@ -105,8 +105,8 @@ class Model:
 
 
 def _weight_vector(weights, n: int, name: str) -> np.ndarray:
-    """weights as n finite nonnegative floats, not all zero, or a
-    ConfigError naming the parameter."""
+    """weights as n finite nonnegative floats, not all zero, with a finite
+    sum, or a ConfigError naming the parameter."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ConfigError(f"{name} must have {n} entries, got shape {w.shape}")
@@ -114,8 +114,12 @@ def _weight_vector(weights, n: int, name: str) -> np.ndarray:
         raise ConfigError(f"{name} must be finite")
     if (w < 0).any():
         raise ConfigError(f"{name} must be nonnegative")
-    if w.sum() <= 0:
+    with np.errstate(over="ignore"):  # an overflowing sum raises below
+        total = w.sum()
+    if total <= 0:
         raise ConfigError(f"{name} must not all be zero")
+    if not np.isfinite(total):
+        raise ConfigError(f"{name} must have a finite sum")
     return w
 
 
@@ -143,15 +147,12 @@ class SoftLabelSet:
     """Per-query raw soft scores aligned with a dataset.
 
     scores maps query_id to the fused (or self-distilled, or boosted) raw
-    score vector over that query's items. The distribution form is derived
-    on demand via a softmax.
+    score vector over that query's items; a student's soft target is
+    nn.listwise_softmax of it at teacher_temperature.
     """
 
     scores: dict[int, np.ndarray]
     provenance: str
-
-    def distribution(self, query_id: int, temperature: float = 1.0) -> np.ndarray:
-        return nn.listwise_softmax(self.scores[query_id], temperature)
 
     def check_alignment(self, dataset: Dataset) -> None:
         for g in dataset.groups:
@@ -272,10 +273,10 @@ class Run(NamedTuple):
         alpha, t, teacher_t = config.alpha, config.temperature, config.teacher_temperature
 
         def terms(group):
-            hard, raw = _objective_target(group, 0), soft.scores[group.query_id]
-            if nn.blend_terms(hard, raw, alpha, t):  # it steps here, so it needs the soft target
-                return nn.blend_terms(hard, nn.listwise_softmax(raw, teacher_t), alpha, t)
-            return None
+            soft_target = None  # at alpha 1 blend_terms drops the soft term
+            if alpha < 1:
+                soft_target = nn.listwise_softmax(soft.scores[group.query_id], teacher_t)
+            return nn.blend_terms(_objective_target(group, 0), soft_target, alpha, t)
 
         return cls(config, lineage, terms)
 
@@ -460,21 +461,10 @@ def self_distill_step(
     return model
 
 
-def train_scalarized_baseline(
-    dataset: Dataset,
-    objective_weights,
-    config: DistillConfig,
-    batch_log: list | None = None,
-) -> Model:
+def train_scalarized_baseline(dataset: Dataset, objective_weights, config: DistillConfig) -> Model:
     """Single MLP minimizing the weighted sum of per-objective listwise CEs.
 
     Each objective contributes only on groups with a positive label for
-    it, so sparse objectives show up in fewer batches; pass batch_log to
-    capture the per-objective step counts.
+    it, so sparse objectives show up in fewer steps.
     """
-    (model,) = train_runs(dataset, [Run.scalarized(dataset, objective_weights, config)])
-    if batch_log is not None:
-        covered = [sum(_objective_target(g, k) is not None for g in dataset.groups) if w != 0 else 0
-                   for k, w in enumerate(objective_weights)]
-        batch_log.append({"per_objective_steps": [config.epochs * n for n in covered]})
-    return model
+    return train_runs(dataset, [Run.scalarized(dataset, objective_weights, config)])[0]

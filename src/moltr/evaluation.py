@@ -110,22 +110,6 @@ def boost_scores(
     return scores + gamma * rule.match_mask(group)
 
 
-def kendall_tau(ranking_a, ranking_b) -> float:
-    """(concordant - discordant) / (n choose 2); no-tie formula.
-
-    Inputs are two orderings (sequences of the same item identifiers, best
-    first).
-    """
-    a = list(ranking_a)
-    b = list(ranking_b)
-    if len(a) != len(b):
-        raise InputError("rankings have different lengths")
-    if set(a) != set(b) or len(set(a)) != len(a):
-        raise InputError("rankings must be permutations of the same distinct items")
-    pos_b = {item: i for i, item in enumerate(b)}
-    return _tau(np.array([pos_b[item] for item in a]))
-
-
 def _tau(seq: np.ndarray) -> float:
     """Kendall tau of a permutation seq of range(n): the positions in ranking
     b of the items taken in ranking a's order."""

@@ -30,7 +30,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -278,24 +277,6 @@ def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-(target * np.log(safe)).sum())
 
 
-def weighted_ce_sum(
-    pred: np.ndarray,
-    targets: Sequence[np.ndarray],
-    weights: Sequence[float],
-) -> float:
-    """sum_k w_k * CE(pred, target_k).
-
-    When the weights sum to 1 this equals CE against the weight-averaged
-    target, which is the aggregation identity the distillation loss relies
-    on.
-    """
-    if len(targets) != len(weights):
-        raise InputError("targets and weights lengths differ")
-    if any(w < 0 for w in weights):
-        raise InputError("weights must be nonnegative")
-    return float(sum(w * cross_entropy(pred, t) for w, t in zip(weights, targets)))
-
-
 def live_terms(terms: list) -> list:
     """terms without those of weight 0 or with no target: the one rule for
     which loss terms a step drops."""
@@ -382,39 +363,6 @@ def sgd_step(params, grads, lr: float):
                  if not (np.isfinite(w).all() and np.isfinite(b).all()))
         raise TrainingError(f"non-finite update at layer {i}")
     return params
-
-
-def finite_diff_grad(
-    params: ParameterSet,
-    loss_evaluator: Callable[[ParameterSet], float],
-    epsilon: float = 1e-5,
-) -> ParameterSet:
-    """Central-difference gradient estimate, test oracle only (slow)."""
-    grads = zeros_like_params(params)
-    work = params.copy()
-    for j in range(work.flat.size):
-        orig = work.flat[j]
-        work.flat[j] = orig + epsilon
-        lp = loss_evaluator(work)
-        work.flat[j] = orig - epsilon
-        lm = loss_evaluator(work)
-        work.flat[j] = orig
-        grads.flat[j] = (lp - lm) / (2.0 * epsilon)
-    return grads
-
-
-def max_relative_grad_error(
-    analytic: ParameterSet, numeric: ParameterSet, floor: float = 1e-6
-) -> float:
-    """max |a - n| / max(|a|, |n|, floor) over every parameter.
-
-    The floor keeps central-difference roundoff (absolute noise around
-    1e-11 at epsilon 1e-5) from dominating the ratio on near-zero
-    gradient entries.
-    """
-    a, n = analytic.flat, numeric.flat
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    return float((np.abs(a - n) / denom).max())
 
 
 def save_checkpoint(

@@ -122,6 +122,8 @@ class ExperimentConfig(Config, section="experiment"):
         # Build what the studies build, so a bad value stops before any data exists.
         _named("alpha_sweep", lambda: [replace(self.distill, alpha=a) for a in self.alpha_sweep])
         _named("teacher_epochs", lambda: self.teacher_config)
+        _named("eval_queries", lambda: self.eval_generator)
+        _named("boost", lambda: self.boost_generator)
         days = self.generator.num_days
         if self.train_boundary_day is None:
             self.train_boundary_day = max(1, (days * 3) // 5)
@@ -138,6 +140,19 @@ class ExperimentConfig(Config, section="experiment"):
         if epochs is None:
             epochs = self.distill.epochs
         return replace(self.distill, alpha=1.0, temperature=1.0, epochs=epochs)
+
+    @property
+    def eval_generator(self) -> GeneratorConfig:
+        """The held-out split's generator: eval_queries queries, its own seed."""
+        return replace(self.generator, num_queries=self.eval_queries,
+                       seed=self.generator.seed + self.eval_seed_offset)
+
+    @property
+    def boost_generator(self) -> GeneratorConfig:
+        """The generator with the boost study's page size and query count."""
+        bc = self.boost
+        overrides = {"items_per_query": bc.items_per_query, "num_queries": bc.num_queries}
+        return replace(self.generator, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def default_experiment_config(output_dir: str = "out", **overrides) -> ExperimentConfig:
@@ -202,13 +217,7 @@ class _Study:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.train_ds = generate_dataset(config.generator)
-        self.eval_ds = generate_dataset(
-            replace(
-                config.generator,
-                num_queries=config.eval_queries,
-                seed=config.generator.seed + config.eval_seed_offset,
-            )
-        )
+        self.eval_ds = generate_dataset(config.eval_generator)
         self.eval_hash = self.eval_ds.content_hash()
         self.store = CheckpointStore(config.output_dir)
         self.teacher_hashes = None
@@ -479,9 +488,7 @@ def _check_monotone(evals) -> None:
 def study_adhoc_boost(config: ExperimentConfig) -> dict:
     """Serving-time score boost vs soft-label boost at matched exposure."""
     bc = config.boost
-    overrides = {"items_per_query": bc.items_per_query, "num_queries": bc.num_queries}
-    generator = replace(config.generator, **{k: v for k, v in overrides.items() if v is not None})
-    config = replace(config, generator=generator)
+    config = replace(config, generator=config.boost_generator)
     study = _Study(config)
     train_ds, eval_ds = study.train_ds, study.eval_ds
     rule = BoostRule(predicate="rating_at_least", rho=bc.rho)

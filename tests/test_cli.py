@@ -248,8 +248,12 @@ class TestStudyCommands:
             (None, "alpha_sweep", [1.5], "alpha_sweep: alpha must be in [0, 1], got 1.5"),
             (None, "alpha_sweep", [float("nan")], "alpha_sweep: alpha must be in [0, 1], got nan"),
             (None, "teacher_epochs", -1, "teacher_epochs: epochs must be >= 0"),
+            (None, "eval_queries", 0, "eval_queries: num_queries must be >= 1"),
+            ("boost", "num_queries", 0, "boost: num_queries must be >= 1"),
+            ("boost", "items_per_query", [1, 1], "boost: bad items_per_query range (1, 1)"),
         ],
-        ids=["boost_exposure_k", "boost_rho", "alpha_sweep", "alpha_sweep_nan", "teacher_epochs"],
+        ids=["boost_exposure_k", "boost_rho", "alpha_sweep", "alpha_sweep_nan", "teacher_epochs",
+             "eval_queries", "boost_num_queries", "boost_items_per_query"],
     )
     def test_bad_boost_config_exits_before_training(
         self, workdir, config_path, tmp_path, monkeypatch, capsys, section, key, value, message

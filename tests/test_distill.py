@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import kendall_tau, scalarized_steps
 
 from moltr import data, distill, nn
 from moltr.errors import ConfigError, InputError, ParseError, TrainingError
-from moltr.evaluation import kendall_tau, rank_order
+from moltr.evaluation import rank_order
 
 
 def score_tau(scores_a, scores_b, item_ids):
@@ -114,6 +115,13 @@ class TestTeacherEnsemble:
                 models=teachers.models, fusion_weights=np.zeros(3)
             )
 
+    def test_rejects_an_overflowing_sum(self, teachers):
+        # The sum is inf, so normalizing would turn every weight into 0.
+        with pytest.raises(ConfigError, match="fusion_weights must have a finite sum"):
+            distill.TeacherEnsemble(
+                models=teachers.models, fusion_weights=np.array([1e308, 1e308, 1.0])
+            )
+
 
 class TestTeachers:
     def test_deterministic(self, dataset):
@@ -188,8 +196,8 @@ class TestFusion:
 
     def test_distribution_temperature(self, soft, dataset):
         qid = dataset.groups[0].query_id
-        d1 = soft.distribution(qid, 1.0)
-        d4 = soft.distribution(qid, 4.0)
+        d1 = nn.listwise_softmax(soft.scores[qid], 1.0)
+        d4 = nn.listwise_softmax(soft.scores[qid], 4.0)
         assert abs(d1.sum() - 1.0) < 1e-9
         assert d4.max() <= d1.max() + 1e-12  # higher temperature flattens
 
@@ -251,7 +259,7 @@ class TestBoostRule:
             expected = np.where(mask, math.log(3.0), 0.0)
             assert np.allclose(boosted.scores[gr.query_id], expected)
             if mask.sum() == 1 and gr.size == 2:
-                d = boosted.distribution(gr.query_id)
+                d = nn.listwise_softmax(boosted.scores[gr.query_id])
                 assert sorted(d.tolist()) == pytest.approx([0.25, 0.75], abs=1e-12)
 
     def test_zero_beta_is_identity(self, soft, dataset):
@@ -273,6 +281,16 @@ class TestStudent:
         # trainer and the hard-only baseline produce identical bits even
         # though they are distinct code paths.
         student = distill.train_student(dataset, soft, train_config(alpha=1.0))
+        hard = distill.train_hard_only(dataset, train_config(alpha=1.0))
+        assert student.params == hard.params
+
+    def test_alpha_one_never_reads_the_soft_scores(self, dataset, soft):
+        # A booked group's soft target would fail on the inf; alpha 1 computes none.
+        qid = next(g.query_id for g in dataset.groups if g.has_labels_for(0))
+        scores = {**soft.scores, qid: np.full_like(soft.scores[qid], np.inf)}
+        student = distill.train_student(
+            dataset, distill.SoftLabelSet(scores, "test"), train_config(alpha=1.0)
+        )
         hard = distill.train_hard_only(dataset, train_config(alpha=1.0))
         assert student.params == hard.params
 
@@ -350,11 +368,11 @@ class TestScalarized:
                 distill.train_scalarized_baseline(dataset, [bad, 1.0, 1.0], train_config())
 
     def test_sparse_objectives_take_fewer_steps(self, dataset):
-        log = []
-        distill.train_scalarized_baseline(
-            dataset, [1.0, 1.0, 1.0], train_config(epochs=2), batch_log=log
-        )
-        steps = log[0]["per_objective_steps"]
+        weights = [1.0, 2.0, 3.0]  # distinct, so a term's weight names its objective
+        run = distill.Run.scalarized(dataset, weights, train_config())
+        terms = [run.terms(g) for g in dataset.groups]
+        steps = [sum(any(term[0] == w for term in t) for t in terms) for w in weights]
+        assert steps == scalarized_steps(dataset, weights, epochs=1)
         assert steps[0] > steps[1]
         assert steps[0] > steps[2]
 

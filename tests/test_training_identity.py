@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import scalarized_steps
 
 from moltr import cli, data, distill, nn
 from moltr.errors import ConfigError, InputError, TrainingError
@@ -69,16 +70,14 @@ def trained_hashes():
     v0 = distill.train_student(ds, soft, train_config())
     out["self_distill_v1"] = phash(distill.self_distill_step(v0, ds, train_config().with_seed(6)))
     for act, weights in (("relu", [1 / 3] * 3), ("tanh", [1.0, 0.0, 0.5])):
-        log = []
-        model = distill.train_scalarized_baseline(ds, weights, train_config(act), batch_log=log)
+        model = distill.train_scalarized_baseline(ds, weights, train_config(act))
         out[f"scalarized_{act}"] = phash(model)
-        out[f"scalarized_{act}_steps"] = log[0]["per_objective_steps"]
+        out[f"scalarized_{act}_steps"] = scalarized_steps(ds, weights, train_config(act).epochs)
     # Every secondary label observed, so most steps sum all three terms.
     dense = data.generate_dataset(gen_config(label_rates=(1.0, 1.0)))
-    log = []
-    model = distill.train_scalarized_baseline(dense, [0.2, 0.3, 0.5], train_config(), batch_log=log)
+    model = distill.train_scalarized_baseline(dense, [0.2, 0.3, 0.5], train_config())
     out["scalarized_dense"] = phash(model)
-    out["scalarized_dense_steps"] = log[0]["per_objective_steps"]
+    out["scalarized_dense_steps"] = scalarized_steps(dense, [0.2, 0.3, 0.5], train_config().epochs)
     return out
 
 
@@ -559,12 +558,17 @@ def test_cli_reports_bad_config_before_reading_data(files, capsys, command):
     assert code == 2 and "'epochs'" in err and "missing.jsonl" not in err
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf"])
-def test_cli_rejects_non_finite_fusion_weights(files, capsys, weight):
+@pytest.mark.parametrize(
+    "weights", [["nan", "1", "1"], ["inf", "1", "1"], ["1e308", "1e308", "1"]],
+    ids=["nan", "inf", "inf_sum"],
+)
+def test_cli_rejects_non_finite_fusion_weights(files, capsys, weights):
+    out = files["work"] / "never.jsonl"
     argv = ["fuse", "--data", files["data"], "--teachers", *[files["model"]] * 3,
-            "--weights", weight, "1", "1", "--out", str(files["work"] / "never.jsonl")]
+            "--weights", *weights, "--out", str(out)]
     code, err = run_cli(argv, capsys)
     assert code == 2 and "fusion_weights" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train-teacher", "train-student", "self-distill"])
