@@ -21,20 +21,15 @@ from . import distill, evaluation, nn, pipeline
 from .data import GeneratorConfig, generate_dataset, load_dataset, save_dataset
 from .distill import BoostRule, DistillConfig, Model, SoftLabelSet, TeacherEnsemble
 from .errors import (
-    CalibrationError, ConfigError, InputError, ParseError, TrainingError, decode_utf8,
-    parse_json, write_atomic,
+    CalibrationError, ConfigError, InputError, ParseError, TrainingError, read_json, write_atomic,
 )
 
 
 def _load_json(path) -> dict:
     try:
-        with open(path, "rb") as f:
-            name = f"config file {path}"
-            doc = parse_json(decode_utf8(f.read(), name), name)
+        doc = read_json(path, f"config file {path}")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid config JSON in {path}: line {e.lineno}: {e.msg}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return doc
@@ -47,15 +42,13 @@ def _section(doc, section: str) -> dict:
     return dict(doc)
 
 
-def _distill_config(args, overrides=None) -> DistillConfig:
+def _distill_config(args) -> DistillConfig:
     doc = _load_json(args.config) if args.config else {}
     doc = _section(doc.get("distill", doc), "distill")
     for key in ("alpha", "temperature", "epochs", "learning_rate"):
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
-    if overrides:
-        doc.update(overrides)
     config = DistillConfig.from_dict(doc)
     return config if args.seed is None else config.with_seed(args.seed)
 
@@ -93,7 +86,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train_teacher(args):
-    config = _distill_config(args, overrides={"alpha": 1.0})
+    config = _distill_config(args)
     dataset = load_dataset(args.data)
     model = distill.train_teacher(dataset, args.objective, config)
     model.save(args.out)
@@ -192,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--num-queries", type=int, dest="num_queries")
 
-    def training_flags(p):
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--temperature", type=float)
+    def training_flags(p, distilling=True):
+        if distilling:  # a teacher's loss reads neither
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--temperature", type=float)
         p.add_argument("--epochs", type=int)
         p.add_argument("--learning-rate", type=float, dest="learning_rate")
         p.add_argument("--seed", type=int)
@@ -203,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--objective", type=int, required=True)
     p.add_argument("--out", required=True)
-    training_flags(p)
+    training_flags(p, distilling=False)
 
     p = add("fuse", cmd_fuse, help="fuse teacher scores into soft labels")
     p.add_argument("--data", required=True)

@@ -29,13 +29,12 @@ import hashlib
 import json
 import math
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Config, ConfigError, InputError, ParseError, decode_utf8, parse_json, write_atomic,
-)
+from .errors import Config, ConfigError, InputError, ParseError, read_jsonl, write_atomic
 
 FORMAT_VERSION = 2
 # Rating-derived feature slot, masked to this sentinel for new items.
@@ -410,64 +409,49 @@ def _bad_label(value):
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a JSONL dataset file; errors carry the offending line number.
+    """Parse a JSONL dataset file; every error names the file and the line.
 
     The file is read one line at a time, so no copy of the whole text is
     held beside the parsed groups. Scores and soft labels are keyed by
     query_id, so a repeated query_id is an error.
     """
     name = f"dataset {path}"
-    with open(path, "rb") as f:
-        first = decode_utf8(f.readline(), name).rstrip("\n")
-        if not first.strip():
-            raise ParseError("missing header line", line=1)
-        try:
-            header = parse_json(first, name, 1)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid header JSON: {e}", line=1) from e
-        if not isinstance(header, dict):
-            raise ParseError("header must be a JSON object", line=1)
+    with closing(read_jsonl(path, name)) as rows:
+        lineno, header = next(rows, (None, None))
+        if lineno != 1 or not isinstance(header, dict):
+            raise ParseError(f"{name}: the first line must be a header object", line=1)
         for key in ("format_version", "m", "K", "objectives"):
             if key not in header:
-                raise ParseError(f"header missing field {key!r}", line=1)
+                raise ParseError(f"{name}: header missing field {key!r}", line=1)
         for key in ("format_version", "m", "K"):
             if type(header[key]) is not int:
-                raise ParseError(
-                    f"header field {key!r} must be int, got {json.dumps(header[key])}", line=1
-                )
+                got = json.dumps(header[key])
+                raise ParseError(f"{name}: header field {key!r} must be int, got {got}", line=1)
         if header["format_version"] != FORMAT_VERSION:
-            raise ParseError(
-                f"unsupported format_version {header['format_version']}", line=1
-            )
+            version = header["format_version"]
+            raise ParseError(f"{name}: unsupported format_version {version}", line=1)
         if not isinstance(header["objectives"], list):
-            raise ParseError("header field 'objectives' must be a list", line=1)
+            raise ParseError(f"{name}: header field 'objectives' must be a list", line=1)
         try:
             objectives = [ObjectiveSpec.from_dict(o) for o in header["objectives"]]
             dataset = Dataset(objectives=objectives, groups=[], m=header["m"], K=header["K"])
         except ConfigError as e:
-            raise ParseError(f"bad objectives: {e}", line=1) from e
+            raise ParseError(f"{name}: bad objectives: {e}", line=1) from e
         seen = set()
-        for lineno, raw in enumerate(f, start=2):
-            raw = decode_utf8(raw, name, lineno)
-            if not raw.strip():
-                continue
-            try:
-                doc = parse_json(raw.rstrip("\n"), name, lineno)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e}", line=lineno) from e
+        for lineno, doc in rows:
             try:
                 group = _group_from_doc(doc)
             except (KeyError, TypeError, InputError) as e:
-                raise ParseError(f"bad query group: {e}", line=lineno) from e
+                raise ParseError(f"{name}: bad query group: {e}", line=lineno) from e
             if group.features.shape[1] != header["m"] or group.labels.shape[1] != header["K"]:
                 raise ParseError(
-                    f"query {group.query_id}: items have {group.features.shape[1]} features "
-                    f"and {group.labels.shape[1]} labels, "
+                    f"{name}: query {group.query_id}: items have {group.features.shape[1]} "
+                    f"features and {group.labels.shape[1]} labels, "
                     f"header says m={header['m']}, K={header['K']}",
                     line=lineno,
                 )
             if group.query_id in seen:
-                raise ParseError(f"duplicate query_id {group.query_id}", line=lineno)
+                raise ParseError(f"{name}: duplicate query_id {group.query_id}", line=lineno)
             seen.add(group.query_id)
             dataset.groups.append(group)
     return dataset

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -30,8 +31,7 @@ import numpy as np
 from . import nn
 from .data import Dataset, QueryGroup
 from .errors import (
-    Config, ConfigError, InputError, ParseError, TrainingError, decode_utf8, parse_json,
-    write_atomic,
+    Config, ConfigError, InputError, ParseError, TrainingError, read_jsonl, write_atomic,
 )
 
 
@@ -172,40 +172,34 @@ class SoftLabelSet:
     @classmethod
     def load(cls, path) -> "SoftLabelSet":
         name = f"soft labels {path}"
-        with open(path, "rb") as f:
-            lines = decode_utf8(f.read(), name).splitlines()
-        if not lines:
-            raise ParseError("empty soft-label file", line=1)
-        try:
-            header = parse_json(lines[0], name, 1)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad soft-label header: {e}", line=1) from e
-        if not (isinstance(header, dict) and isinstance(header.get("provenance"), str)):
-            raise ParseError("header must be an object with a string 'provenance'", line=1)
-        provenance = header["provenance"]
-        scores = {}
-        for lineno, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            try:
-                doc = parse_json(raw, name, lineno)
-                qid, row = doc["query_id"], doc["scores"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ParseError(f"bad soft-label row: {e}", line=lineno) from e
-            if type(qid) is not int:
-                raise ParseError(f"query_id must be an int, got {json.dumps(qid)}", line=lineno)
-            if qid in scores:
-                raise ParseError(f"duplicate query_id {qid}", line=lineno)
-            # numpy would read true as 1.0 and "1.5" as 1.5.
-            if type(row) is not list or not set(map(type, row)) <= {int, float}:
-                raise ParseError(f"query_id {qid}: scores must be a list of numbers", line=lineno)
-            try:
-                row = np.asarray(row, dtype=np.float64)
-            except OverflowError as e:
-                raise ParseError(f"query_id {qid}: {e}", line=lineno) from e
-            if not np.isfinite(row).all():
-                raise ParseError(f"query_id {qid}: non-finite scores", line=lineno)
-            scores[qid] = row
+        with closing(read_jsonl(path, name)) as rows:
+            lineno, header = next(rows, (None, None))
+            provenance = header.get("provenance") if isinstance(header, dict) else None
+            if lineno != 1 or type(provenance) is not str:
+                message = f"{name}: header must be an object with a string 'provenance'"
+                raise ParseError(message, line=1)
+            scores = {}
+            for lineno, doc in rows:
+                try:
+                    qid, row = doc["query_id"], doc["scores"]
+                except (KeyError, TypeError) as e:
+                    raise ParseError(f"{name}: bad soft-label row: {e}", line=lineno) from e
+                if type(qid) is not int:
+                    got = json.dumps(qid)
+                    raise ParseError(f"{name}: query_id must be an int, got {got}", line=lineno)
+                if qid in scores:
+                    raise ParseError(f"{name}: duplicate query_id {qid}", line=lineno)
+                # numpy would read true as 1.0 and "1.5" as 1.5.
+                if type(row) is not list or not set(map(type, row)) <= {int, float}:
+                    message = f"{name}: query_id {qid}: scores must be a list of numbers"
+                    raise ParseError(message, line=lineno)
+                try:
+                    row = np.asarray(row, dtype=np.float64)
+                except OverflowError as e:
+                    raise ParseError(f"{name}: query_id {qid}: {e}", line=lineno) from e
+                if not np.isfinite(row).all():
+                    raise ParseError(f"{name}: query_id {qid}: non-finite scores", line=lineno)
+                scores[qid] = row
         return cls(scores=scores, provenance=provenance)
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, the config JSON codec, and
-the atomic file writer.
+"""Exception types shared across the toolkit, the config JSON codec, the
+file readers and the atomic file writer.
 
 Every config dataclass inherits Config, whose to_dict/from_dict are driven
 by the dataclass fields and their annotations: from_dict rejects a
@@ -8,10 +8,13 @@ wrong type with a ConfigError naming the section and key. Value ranges are
 checked by each class's __post_init__.
 
 Every file the toolkit writes goes through write_atomic, so an interrupted
-write leaves any previous file whole, and every text file it reads is UTF-8,
-checked by decode_utf8, and parsed by parse_json.
+write leaves any previous file whole. Every file it reads goes through
+read_json (one JSON document: a config or a checkpoint) or read_jsonl (one
+document per line: a dataset or soft labels), which check UTF-8 with
+decode_utf8 and parse with parse_json, so a ParseError names the file and line.
 """
 
+import hashlib
 import json
 import os
 import typing
@@ -129,13 +132,38 @@ def decode_utf8(raw: bytes, name: str, line: int = 1) -> str:
 
 
 def parse_json(text, name: str, line: int | None = None):
-    """json.loads(text). A document nested deeper than the parser can
-    recurse raises a ParseError naming the file (name) and the line, if
-    given, instead of a RecursionError."""
+    """json.loads(text). Text that is not JSON, or a document nested deeper
+    than the parser can recurse, raises a ParseError naming the file (name)
+    and the line: the given one, else the line of the error in text."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as e:
+        message = f"{name}: invalid JSON at column {e.colno}: {e.msg}"
+        raise ParseError(message, line=e.lineno if line is None else line) from e
     except RecursionError as e:
         raise ParseError(f"{name}: JSON nested too deeply", line=line) from e
+
+
+def read_json(path, name: str, sha256: str | None = None):
+    """The one JSON document in file path, named name in errors. A
+    content-addressed file passes its sha256 hex digest, which the raw
+    bytes must match before they are parsed."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
+        raise ParseError(f"{name}: sha256 of the file is not its name")
+    return parse_json(decode_utf8(raw, name), name)
+
+
+def read_jsonl(path, name: str):
+    """(line number, document) for each non-blank line of JSONL file path,
+    named name in errors. Lines end at LF only and are read one at a time;
+    the file is closed when the caller stops early."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            text = decode_utf8(raw.rstrip(b"\n"), name, lineno)
+            if text.strip():
+                yield lineno, parse_json(text, name, lineno)
 
 
 @contextmanager
@@ -147,7 +175,9 @@ def write_atomic(path):
         with open(tmp, "w", encoding="utf-8", newline="") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:  # name the file asked for
+            raise OSError(e.errno, e.strerror, path) from e
         raise

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    Config, ConfigError, InputError, ParseError, TrainingError, parse_json, write_atomic,
+    Config, ConfigError, InputError, ParseError, TrainingError, read_json, write_atomic,
 )
 
 # Softmax outputs are clamped to this floor before any log, so cross
@@ -132,9 +132,6 @@ class ParameterSet:
 
     def layer_dims(self) -> tuple[int, ...]:
         return (self.shapes[0][0], *(shape[1] for shape in self.shapes[0::2]))
-
-    def copy(self) -> "ParameterSet":
-        return ParameterSet(self.flat.copy(), self.shapes)
 
     def row(self, r: int) -> "ParameterSet":
         """A copy of run r's parameters."""
@@ -417,17 +414,9 @@ def load_checkpoint(path) -> tuple[MlpConfig, ParameterSet, dict]:
     and so does a content-addressed file, named <sha256 hex>.json as
     CheckpointStore names them, whose sha256 is not its name.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    name = os.path.basename(path)
-    if _CONTENT_ADDRESSED.fullmatch(name) and hashlib.sha256(raw).hexdigest() != name[:64]:
-        raise ParseError(f"checkpoint {path}: sha256 of the file is not its name")
-    try:
-        doc = parse_json(raw, f"checkpoint {path}")
-    except json.JSONDecodeError as e:
-        raise ParseError(f"checkpoint {path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"checkpoint {path}: not UTF-8 text") from e
+    base = os.path.basename(path)
+    digest = base[:64] if _CONTENT_ADDRESSED.fullmatch(base) else None
+    doc = read_json(path, f"checkpoint {path}", sha256=digest)
     if not isinstance(doc, dict):
         raise ParseError(f"checkpoint {path}: not a JSON object")
     for key in ("config", "config_hash", "seed", "layers"):

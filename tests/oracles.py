@@ -15,7 +15,7 @@ from moltr.data import MISSING_LABEL
 def finite_diff_grad(params, loss_evaluator, epsilon=1e-5):
     """Central-difference estimate of d(loss)/d(each parameter), as a
     ParameterSet of params' shapes; slow, one pair of loss calls per entry."""
-    work = params.copy()
+    work = nn.ParameterSet(params.flat.copy(), params.shapes)
     grad = np.zeros_like(work.flat)
     for j in range(work.flat.size):
         orig = work.flat[j]

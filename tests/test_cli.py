@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,7 +206,7 @@ class TestStageCommands:
 
 class TestStudyCommands:
     def study_config(self, workdir, config_path, name):
-        doc = json.loads(open(config_path).read())
+        doc = json.loads(Path(config_path).read_text())
         doc.update(
             {
                 "eval_queries": 60,
@@ -259,7 +260,7 @@ class TestStudyCommands:
         self, workdir, config_path, tmp_path, monkeypatch, capsys, section, key, value, message
     ):
         cfg, _ = self.study_config(workdir, config_path, "study_bad_boost")
-        doc = json.loads(open(cfg).read())
+        doc = json.loads(Path(cfg).read_text())
         (doc[section] if section else doc)[key] = value
         doc["output_dir"] = str(tmp_path / "out")
         bad = tmp_path / "bad.json"
@@ -314,7 +315,7 @@ class TestErrorHandling:
     def test_non_utf8_file_is_named(self, tmp_path, config_path, dataset_path, soft_path,
                                     kind, capsys):
         files = {"config": config_path, "dataset": dataset_path, "soft": soft_path}
-        text = open(files[kind], "rb").read()
+        text = Path(files[kind]).read_bytes()
         if kind == "config":  # one line as written; indented, it has several
             text = json.dumps(json.loads(text), indent=1).encode()
         lines = text.splitlines(keepends=True)
@@ -348,7 +349,7 @@ class TestErrorHandling:
         if kind in ("config", "checkpoint"):  # one JSON document, so no line
             cases = [("", deep)]
         else:  # a JSONL file: the header, then the first row
-            lines = open(dataset_path if kind == "dataset" else soft_path).read().splitlines()
+            lines = Path(dataset_path if kind == "dataset" else soft_path).read_text().splitlines()
             cases = [(f"line {i + 1}: ", "\n".join(lines[:i] + [deep] + lines[i + 1:]))
                      for i in (0, 1)]
         for where, text in cases:
@@ -368,6 +369,24 @@ class TestErrorHandling:
         assert run(["gen-data", "--config", str(config), "--out", out]) == 2
         assert "error: weights_seed must be nonnegative, got -3" in capsys.readouterr().err
         assert not (tmp_path / "data.jsonl").exists()
+
+    @pytest.mark.parametrize("flag", [["--alpha", "0.5"], ["--temperature", "7.5"]])
+    def test_train_teacher_takes_no_distillation_flags(self, tmp_path, config_path,
+                                                       dataset_path, flag):
+        out = tmp_path / "teacher.json"
+        argv = ["train-teacher", "--config", config_path, "--data", dataset_path,
+                "--objective", "1", "--out", str(out)]
+        assert run(argv) == 0
+        out.unlink()
+        assert run(argv + flag) == 2
+        assert not out.exists()
+
+    def test_write_into_a_missing_directory_names_the_requested_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        assert run(["gen-data", "--num-queries", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(out)) in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) != 0

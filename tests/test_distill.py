@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -221,6 +222,27 @@ class TestFusion:
         with pytest.raises(ParseError):
             distill.SoftLabelSet.load(path)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085"])
+    def test_line_separators_inside_a_string_stay_in_it(self, tmp_path, separator):
+        # JSON strings may hold these raw; only LF ends a JSONL line.
+        provenance = f"fused{separator}v1"
+        path = tmp_path / "soft.jsonl"
+        path.write_text(json.dumps({"provenance": provenance}, ensure_ascii=False) + "\n"
+                        + json.dumps({"query_id": 3, "scores": [0.5, -1.0]}) + "\n",
+                        encoding="utf-8")
+        loaded = distill.SoftLabelSet.load(path)
+        assert loaded.provenance == provenance
+        assert list(loaded.scores) == [3] and loaded.scores[3].tolist() == [0.5, -1.0]
+
+    def test_row_after_a_form_feed_is_refused_at_its_own_line(self, tmp_path):
+        rows = [json.dumps({"query_id": q, "scores": [0.5, -1.0]}) for q in range(3)]
+        path = tmp_path / "soft.jsonl"
+        path.write_text("\n".join(['{"provenance": "fused"}', rows[0], "\f" + rows[1], rows[2]]))
+        with pytest.raises(ParseError) as e:
+            distill.SoftLabelSet.load(path)
+        assert e.value.line == 3
+        assert str(e.value).startswith(f"line 3: soft labels {path}: invalid JSON at column 1")
+
 
 class TestBoostRule:
     def test_predicates(self):
@@ -325,7 +347,7 @@ class TestStudent:
 class TestSelfDistill:
     def test_versioning_and_freeze(self, dataset, soft):
         v0 = distill.train_student(dataset, soft, train_config())
-        before = v0.params.copy()
+        before = nn.ParameterSet(v0.params.flat.copy(), v0.params.shapes)
         new_data = data.generate_dataset(gen_config(num_queries=60, seed=21))
         v1 = distill.self_distill_step(v0, new_data, train_config())
         assert v1.lineage == "student_v1"

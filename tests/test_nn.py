@@ -378,7 +378,7 @@ class TestBackward:
         x = rng.normal(size=(5, 3))
         hard = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         soft = rng.dirichlet(np.ones(5))
-        saved = params.copy()
+        saved = nn.ParameterSet(params.flat.copy(), params.shapes)
         scores, trace = nn.mlp_forward(params, x, activation)
         inputs = [x, hard, soft, scores, *trace]
         before = [a.tobytes() for a in inputs]
@@ -394,7 +394,7 @@ class TestBackward:
         scores, trace = nn.mlp_forward(params, np.random.default_rng(2).normal(size=(5, 3)))
         g = np.linspace(-1.0, 1.0, 5)
         first = nn.backward(trace, params, g)
-        saved = first.copy()
+        saved = nn.ParameterSet(first.flat.copy(), first.shapes)
         second = nn.backward(trace, params, -g)
         assert first == saved
         for a, b in zip(first.weights + first.biases, second.weights + second.biases):
@@ -427,7 +427,7 @@ class TestFiniteDiff:
 class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         params = nn.init_params(small_config())
-        before = params.copy()
+        before = nn.ParameterSet(params.flat.copy(), params.shapes)
         grads = nn.init_params(small_config(seed=5))
         assert nn.sgd_step(params, grads, 0.0) == before
 
@@ -453,7 +453,7 @@ class TestSgdStep:
         assert params.weights[0][0, 0] == 1.0
         params.flat[-1] = 7.0
         assert params.biases[1][0] == 7.0
-        copy = params.copy()
+        copy = nn.ParameterSet(params.flat.copy(), params.shapes)
         copy.weights[1][0, 0] = -1.0
         assert params.weights[1][0, 0] == 2.0
         assert not np.shares_memory(copy.flat, params.flat)

@@ -8,6 +8,7 @@ teacher temperatures away from 1.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def test_cli_rejects_duplicate_soft_query(files, capsys):
     path = edit_soft(files, "dup.jsonl", lambda lines: lines.append(lines[2]))
     code, err = run_cli(train_student_argv(files, path), capsys)
     assert code == 2 and "duplicate" in err
-    qid = json.loads(open(files["soft"]).read().splitlines()[2])["query_id"]
+    qid = json.loads(Path(files["soft"]).read_text().splitlines()[2])["query_id"]
     assert f"query_id {qid}" in err
 
 
@@ -388,7 +389,7 @@ def test_cli_rejects_format_version_1(files, capsys):
     path = files["work"] / "v1.jsonl"
     path.write_text("\n".join(lines) + "\n")
     code, err = run_cli(["eval", "--data", str(path), "--model", files["model"]], capsys)
-    assert code == 2 and "line 1: unsupported format_version 1" in err
+    assert code == 2 and f"line 1: dataset {path}: unsupported format_version 1" in err
 
 
 @pytest.mark.parametrize(
@@ -536,6 +537,50 @@ def test_cli_rejects_checkpoint_whose_name_is_not_its_hash(files, capsys):
     assert cli.main(argv + ["--model", str(good)]) == 0
     code, err = run_cli(argv + ["--model", str(wrong)], capsys)
     assert code == 2 and str(wrong) in err and "sha256" in err
+
+
+@pytest.mark.parametrize(
+    "encoding, message",
+    [("utf-16", "not UTF-8 text"), ("utf-8-sig", "invalid JSON at column 1: Unexpected UTF-8 BOM")],
+)
+def test_cli_rejects_a_checkpoint_that_is_not_plain_utf8(files, capsys, encoding, message):
+    path = files["work"] / f"model_{encoding}.json"
+    path.write_bytes(Path(files["model"]).read_text().encode(encoding))
+    argv = ["score", "--data", files["data"], "--model", str(path),
+            "--out", str(files["work"] / "scores.jsonl")]
+    code, err = run_cli(argv, capsys)
+    assert code == 2 and f"checkpoint {path}: {message}" in err
+
+
+def break_json(lines):
+    lines[2] = lines[2][:-1]
+
+
+def repeat_row(lines):
+    lines.append(lines[2])
+
+
+@pytest.mark.parametrize(
+    "kind, edit, line, message",
+    [
+        ("dataset", break_json, 3, "invalid JSON at column"),
+        ("soft labels", break_json, 3, "invalid JSON at column"),
+        ("dataset", repeat_row, None, "duplicate query_id"),
+        ("soft labels", repeat_row, None, "duplicate query_id"),
+    ],
+    ids=["dataset_json", "soft_json", "dataset_duplicate", "soft_duplicate"],
+)
+def test_cli_parse_errors_name_the_file(files, capsys, kind, edit, line, message):
+    source = files["data" if kind == "dataset" else "soft"]
+    lines = Path(source).read_text().splitlines()
+    edit(lines)
+    line = line or len(lines)  # a repeated row is the last
+    path = files["work"] / f"broken_{source.rsplit('/', 1)[-1]}"
+    path.write_text("\n".join(lines) + "\n")
+    argv = train_student_argv(files, files["soft"])
+    argv[argv.index(source)] = str(path)
+    code, err = run_cli(argv, capsys)
+    assert code == 2 and err.startswith(f"error: line {line}: {kind} {path}: {message}")
 
 
 def stage_argv(files, command, config, data=None):
