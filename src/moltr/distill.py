@@ -285,69 +285,102 @@ class Run(NamedTuple):
 
 def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     """The model of each run, trained together in one deterministic SGD
-    loop over query groups. The runs must share the mlp config (and so the
-    seed), epochs and learning rate.
+    loop over query groups. The runs must share the architecture, epochs
+    and learning rate; each keeps its own mlp.seed.
 
-    Each run's terms(group) runs once per group before the first epoch.
-    The runs start from the same weights and visit the groups in the same
-    shuffled order, so they step in lockstep: each group takes one stacked
-    nn.layer_outputs over the runs that step there, one nn.listwise_grad
-    per run, one stacked nn.backprop_into into arrays reused across steps,
-    and one nn.sgd_step on their rows of the (R, P) buffer, with one finiteness
-    check that names the layer on failure. A run that skips a group has its
-    rows neither read nor written there and its scores unchecked, and no
-    skip moves the shuffle stream. So each model is bit for bit its run
+    Each run's terms(group) runs once per group before the first epoch,
+    and its terms are stacked then, padded to the family's most terms by
+    terms of weight 0. Every group is padded once to the dataset's longest
+    list by repeating its last item, so a padded row has exactly the
+    activations of a real one, and a pad of -inf gives it probability and
+    score gradient 0. A generator per seed draws the run's initial weights
+    and then one shuffle of the group order per epoch. At each step every
+    run takes its own next group, and the runs that do not skip it take
+    one gather of their groups, one stacked nn.layer_outputs, one
+    nn.terms_grad, one stacked nn.backprop_into into arrays reused across
+    steps, and one nn.sgd_step on their rows of the (R, P) buffer, with
+    one finiteness check that names the layer on failure. A run that skips
+    its group has its rows neither read nor written there and its scores
+    unchecked, and no skip moves a shuffle stream.
+
+    Every step of every run, a lone run's included, computes at that one
+    width, so each run's rows in a stacked call are the arithmetic of its
+    call alone on any BLAS kernel: each model is bit for bit its run
     trained alone, which is what makes degenerate trainer comparisons
-    bitwise.
+    bitwise. Runs that share a seed draw the same groups.
     """
     if not runs:
         raise ConfigError("train_runs needs at least one run")
     config = runs[0].config
 
     def shared(c):
-        return c.mlp, c.epochs, c.learning_rate
+        return replace(c.mlp, seed=0), c.epochs, c.learning_rate
 
     if any(shared(run.config) != shared(config) for run in runs):
-        raise ConfigError("runs trained together must share mlp, epochs and learning_rate")
-    if not dataset.groups:
+        raise ConfigError(
+            "runs trained together must share mlp up to its seed, epochs and learning_rate"
+        )
+    groups = dataset.groups
+    if not groups:
         raise TrainingError("cannot train on an empty dataset")
     mlp = config.mlp
     if dataset.m != mlp.input_dim:
         raise InputError(f"dataset m={dataset.m} != mlp input dim {mlp.input_dim}")
-    plan = []
-    for group in dataset.groups:
+    width = max(g.size for g in groups)
+    features = np.empty((len(groups), width, dataset.m))
+    pad = np.zeros((len(groups), width))
+    for gi, group in enumerate(groups):
         if not np.isfinite(group.features).all():
             raise InputError(f"query {group.query_id}: features contain non-finite values")
-        terms = [run.terms(group) for run in runs]
-        active = [r for r, t in enumerate(terms) if t]
-        plan.append((group, active, [terms[r] for r in active]))
-    rng = np.random.default_rng(config.seed)
-    first = nn.init_params(mlp, rng)
-    params = nn.ParameterSet(np.tile(first.flat, (len(runs), 1)), first.shapes)
+        features[gi] = group.features[np.minimum(np.arange(width), group.size - 1)]
+        pad[gi, group.size:] = -np.inf
+    terms = [[run.terms(group) for group in groups] for run in runs]
+    slots = max((len(t) for row in terms for t in row if t), default=0)
+    # Indexed by run * len(groups) + group.
+    active = np.array([bool(t) for row in terms for t in row])
+    weights, temperatures = np.zeros((active.size, slots)), np.ones((active.size, slots))
+    targets = np.zeros((active.size, slots, width))
+    for i in np.flatnonzero(active):
+        loss = terms[i // len(groups)][i % len(groups)]
+        n = groups[i % len(groups)].size
+        weights[i], temperatures[i], targets[i] = nn.stack_terms(loss, slots, n, width)
+    del terms
+    rngs = {run.config.seed: np.random.default_rng(run.config.seed) for run in runs}
+    firsts = {seed: nn.init_params(mlp, rng) for seed, rng in rngs.items()}
+    shapes = firsts[config.seed].shapes
+    params = nn.ParameterSet(np.array([firsts[run.config.seed].flat for run in runs]), shapes)
     grads = nn.zeros_like_params(params)
     relu, lr = mlp.activation == "relu", config.learning_rate
-    order = np.arange(len(plan))
+    orders = {seed: np.arange(len(groups)) for seed in rngs}
+    offsets = np.arange(len(runs)) * len(groups)
     for _ in range(config.epochs):
-        rng.shuffle(order)
-        for gi in order:
-            group, active, work = plan[gi]
-            if len(active) == len(runs):
+        for seed, rng in rngs.items():
+            rng.shuffle(orders[seed])
+        # Row t: each run's group at step t, and its plan index.
+        group_steps = np.array([orders[run.config.seed] for run in runs]).T
+        plan_steps = group_steps + offsets
+        for group_index, plan_index, stepping in zip(group_steps, plan_steps, active[plan_steps]):
+            if stepping.all():
                 p, g = params, grads
-            elif active:  # copies of the active rows, written back after the step
-                p = nn.ParameterSet(params.flat[active], first.shapes)
-                g = nn.ParameterSet(grads.flat[:len(active)], first.shapes)
+            elif stepping.any():  # copies of the active rows, written back after the step
+                rows = np.flatnonzero(stepping)
+                group_index, plan_index = group_index[rows], plan_index[rows]
+                p = nn.ParameterSet(params.flat[rows], shapes)
+                g = nn.ParameterSet(grads.flat[:len(rows)], shapes)
             else:
                 continue
-            hs = nn.layer_outputs(p, group.features, relu)
+            hs = nn.layer_outputs(p, features[group_index], relu)
             scores = hs[-1][..., 0]
             if not np.isfinite(scores).all():
-                raise InputError(f"query {group.query_id}: forward pass produced non-finite scores")
-            per_score = np.array([nn.listwise_grad(scores[j], t) for j, t in enumerate(work)])
+                bad = groups[group_index[np.isfinite(scores).all(axis=-1).argmin()]]
+                raise InputError(f"query {bad.query_id}: forward pass produced non-finite scores")
+            per_score = nn.terms_grad(scores, weights[plan_index], temperatures[plan_index],
+                                      targets[plan_index], pad[group_index])
             nn.backprop_into(g, hs, p, per_score, relu)
             nn.sgd_step(p, g, lr)
             if p is not params:
-                params.flat[active] = p.flat
-    return [Model(config=mlp, params=params.row(r), lineage=run.lineage)
+                params.flat[rows] = p.flat
+    return [Model(config=run.config.mlp, params=params.row(r), lineage=run.lineage)
             for r, run in enumerate(runs)]
 
 

@@ -7,19 +7,21 @@ entropy.
 
 The arithmetic exists once, in four unchecked kernels: layer_outputs (the
 forward pass), backprop_into (gradients written into reused arrays),
-softmax, and listwise_grad (the score gradient of a list of weighted
-listwise-CE terms, the form of every loss; blend_terms writes the
-distillation loss in it). The public mlp_forward, backward,
-listwise_softmax and distill_loss check their inputs and call a kernel;
-they leave their inputs unchanged and return fresh arrays. The trainers in
-distill call the kernels on inputs they check once per run. A ParameterSet
-keeps every layer in one flat buffer, and sgd_step updates that buffer in
-place with one finiteness check per step.
+softmax, and terms_grad (the score gradient of weighted listwise-CE terms,
+the form of every loss; blend_terms writes the distillation loss in it,
+and listwise_grad stacks a list of terms for it). The public mlp_forward,
+backward, listwise_softmax and distill_loss check their inputs and call a
+kernel; they leave their inputs unchanged and return fresh arrays. The
+trainers in distill call the kernels on inputs they check once per run. A
+ParameterSet keeps every layer in one flat buffer, and sgd_step updates
+that buffer in place with one finiteness check per step.
 
 A ParameterSet holds one run, flat (P,), or R runs of one architecture as
 the rows of flat (R, P). layer_outputs, backprop_into and sgd_step take
-either form: each run's slice of a stacked call is the same arithmetic, bit
-for bit, as the call on that run's own ParameterSet.
+either form, and a stacked call may give each run its own items: each
+run's slice of a stacked call is the same arithmetic, bit for bit, as the
+call on that run's own ParameterSet and items. terms_grad likewise works
+row by row over any leading axes.
 """
 
 from __future__ import annotations
@@ -167,8 +169,9 @@ def zeros_like_params(params: ParameterSet) -> ParameterSet:
 
 def layer_outputs(params, features: np.ndarray, relu: bool) -> list[np.ndarray]:
     """[features, h_1, ..., h_L], h_L (n x 1) holding the scores, or
-    (R, n, .) layers for a stacked ParameterSet, every run scoring the same
-    features. Unchecked kernel of mlp_forward. Activation is in place:
+    (R, n, .) layers for a stacked ParameterSet, the runs scoring the same
+    (n, m) features or each its own, (R, n, m). Unchecked kernel of
+    mlp_forward. Activation is in place:
     backprop needs no pre-activations, as relu's post > 0 exactly when
     pre > 0 and tanh's derivative is 1 - post^2."""
     hs = [features]
@@ -324,20 +327,53 @@ def distill_loss(
 def listwise_grad(scores, terms) -> np.ndarray:
     """d/d(scores) of sum_k w_k * CE(softmax(scores, T_k), target_k) over
     terms (w_k, T_k, target_k), summed in order, in a fresh array (zeros
-    for no terms). Unchecked kernel of distill_loss and the trainers. Terms
-    at one temperature share one softmax, and nothing is divided by T = 1
-    or multiplied by w = 1, as x / 1.0 and x * 1.0 are x bit for bit."""
-    total, probs = None, {}
-    for w, t, target in terms:
-        if t not in probs:
-            probs[t] = softmax(scores, t)
-        g = probs[t] - target
-        if t != 1.0:
-            g /= t
-        if w != 1.0:
-            g *= w
-        total = g if total is None else total + g
-    return np.zeros_like(scores) if total is None else total
+    for no terms): terms_grad of the terms stacked. Unchecked kernel of
+    distill_loss."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.shape[-1]
+    return terms_grad(scores, *stack_terms(terms, len(terms), n, n))
+
+
+def stack_terms(terms, slots: int, n: int, width: int):
+    """terms on n items as terms_grad's weights (slots,), temperatures
+    (slots,) and targets (slots, width). Targets fill the first n columns
+    and the rest stay 0; a slot past the terms gets weight 0 at
+    temperature 1, so it adds only zeros."""
+    weights, temperatures = np.zeros(slots), np.ones(slots)
+    targets = np.zeros((slots, width))
+    for k, (w, t, target) in enumerate(terms):
+        weights[k], temperatures[k], targets[k, :n] = w, t, target
+    return weights, temperatures, targets
+
+
+def terms_grad(scores, weights, temperatures, targets, pad=None) -> np.ndarray:
+    """d/d(scores) of sum_k weights[k] * CE(softmax(scores / T_k + pad),
+    targets[k]) in a fresh array, row by row over any leading axes:
+    scores (..., n), weights and temperatures (..., K), targets
+    (..., K, n). pad (..., n) is 0 on items and -inf on padding, whose
+    probability, and so gradient, is then exactly 0.
+
+    Unchecked kernel of listwise_grad and the trainers. Each term gets its
+    own max-stabilized softmax, so terms at one temperature see the same
+    probabilities. The terms are summed in k order, and x / 1.0 and
+    x * 1.0 are x bit for bit, so a term at T = 1 or w = 1 is not rounded.
+    """
+    if not weights.shape[-1]:
+        return np.zeros_like(scores)
+    t = temperatures[..., None]
+    z = scores[..., None, :] / t
+    if pad is not None:
+        z += pad[..., None, :]
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    z -= targets
+    z /= t
+    z *= weights[..., None]
+    total = z[..., 0, :]
+    for k in range(1, z.shape[-2]):
+        total = total + z[..., k, :]
+    return total
 
 
 def sgd_step(params, grads, lr: float):

@@ -4,6 +4,8 @@ Each is written from its formula, in plain loops where that is clearest,
 and calls no moltr kernel that the code it checks runs, so a shared bug
 cannot make both sides agree. weighted_ce_sum calls nn.cross_entropy on
 purpose: the aggregation identity it checks is a property of that CE.
+padded_train steps through the public nn functions, which the trainers
+fuse, and writes the padded loss gradient out itself.
 """
 
 import numpy as np
@@ -72,3 +74,43 @@ def scalarized_steps(dataset, objective_weights, epochs):
         epochs * sum(bool((g.labels[:, k] == 1).any()) for g in dataset.groups) if w != 0 else 0
         for k, w in enumerate(objective_weights)
     ]
+
+
+def padded_train(dataset, config, target, alpha=1.0, soft=None):
+    """The per-step SGD loop that the trainers fuse, over the public nn
+    functions, with each group padded as they pad it: to the dataset's
+    longest list by repeating its last item, every padded item masked out
+    of each softmax, and the score gradient summed term by term,
+    sum_k w_k * (softmax(scores / T_k) - target_k) / T_k, with the loss
+    terms of nn.blend_terms. target(group) is the hard target or None."""
+    mlp = config.mlp
+    width = max(g.size for g in dataset.groups)
+    rng = np.random.default_rng(config.seed)
+    params = nn.init_params(mlp, rng)
+    order = np.arange(len(dataset.groups))
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for gi in order:
+            group = dataset.groups[gi]
+            soft_target = None
+            if soft is not None:
+                soft_target = nn.listwise_softmax(
+                    soft.scores[group.query_id], config.teacher_temperature
+                )
+            terms = nn.blend_terms(target(group), soft_target, alpha, config.temperature)
+            if not terms:
+                continue
+            n = group.size
+            rows = [min(i, n - 1) for i in range(width)]
+            scores, trace = nn.mlp_forward(params, group.features[rows], mlp.activation)
+            grad = np.zeros(width)
+            for w, t, hard_or_soft in terms:
+                z = scores / t
+                z[n:] = -np.inf
+                e = np.exp(z - z.max())
+                padded_target = np.zeros(width)
+                padded_target[:n] = hard_or_soft
+                grad = grad + (e / e.sum() - padded_target) / t * w
+            grads = nn.backward(trace, params, grad, mlp.activation)
+            params = nn.sgd_step(params, grads, config.learning_rate)
+    return params

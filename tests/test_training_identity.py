@@ -2,17 +2,22 @@
 
 The golden params_hash values below were taken from the per-step trainer
 that called nn.mlp_forward, nn.distill_loss, nn.backward and nn.sgd_step on
-every group. The fused training loop must reproduce each of them exactly,
-for every trainer, both activations, alpha at 0, 0.2 and 1, and student and
+every group, and re-taken once when training came to pad every group to
+the dataset's longest list (oracles.padded_train is that per-step loop,
+padded). The fused training loop must reproduce each of them exactly, for
+every trainer, both activations, alpha at 0, 0.2 and 1, and student and
 teacher temperatures away from 1.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import scalarized_steps
+from oracles import padded_train, scalarized_steps
 
 from moltr import cli, data, distill, nn
 from moltr.errors import ConfigError, InputError, TrainingError
@@ -83,29 +88,29 @@ def trained_hashes():
 
 
 GOLDEN = {
-    "hard_only_relu": "e6f85404cc4c6394acd3d3f92ed3d4b8330e3214d9cd6b79e0f0e9d76e947f0a",
-    "hard_only_tanh": "448815c0db338f13a6126f33296c2f32f905a50133ee2a72ba9169389a8cbe98",
-    "scalarized_dense": "10dca66bf5d428cca567888eaa1e4ffc8574904d982f50e9f4050946d9670356",
+    "hard_only_relu": "266099ef5177d26c242a70683a5c18f874f1e8d31e8096077a50d98d92e8270e",
+    "hard_only_tanh": "e74fe692ec6fdab20c61806a7f415ba10dc209a1114966cd1dcfbe6b89679b5b",
+    "scalarized_dense": "440bb7a6b451f78d42e1bb4944158785a4da97381169c5c731cc6645a14d380e",
     "scalarized_dense_steps": [165, 141, 135],
-    "scalarized_relu": "b83d5015b33473a52bb7ec82aa65e64033849ed41f5b4044a483961b0a5fa49c",
+    "scalarized_relu": "b564c98a449a97ef10d6adbf689283fbbcf32360333e5ecad58cca8670969f36",
     "scalarized_relu_steps": [174, 57, 90],
-    "scalarized_tanh": "aa8b8b10a21697bfe1042a322d9a97402fce548769e12eb77a343f028ddbea8a",
+    "scalarized_tanh": "a5e2cb399e591ad03f5d63f0e4ef844fd4013044e6308009ba754a4b24643d78",
     "scalarized_tanh_steps": [174, 0, 90],
-    "self_distill_v1": "6b75fd63decddd4b63d75d76612853ec2d529823ad3f5afd7a79e527c20b3ec8",
-    "student_relu_a0": "99b363ad549b44c2d4fe2f6313e94d6332ffe27f1a3c178a4edbd2136fd0be07",
-    "student_relu_a0.2": "abae1b33f09034500eb9bbb46dabc002780e0b275c60273a4e2c9824a9beb721",
-    "student_relu_a0.2_T2": "480a5876b913bd0f2ce179cfeec6ba9595a1e88fbd4b3af4f8237d755595ad06",
-    "student_relu_a1": "e6f85404cc4c6394acd3d3f92ed3d4b8330e3214d9cd6b79e0f0e9d76e947f0a",
-    "student_relu_boosted": "71ad30f6493f175ae7d345715044e528bcb48fc96aab839a1e4e231afc70ec62",
-    "student_tanh_a0.2_T2": "520a8beabd9989b74e5f3492919caef2f57e9b1b370b62c4614532925125a0c2",
-    "student_tanh_a0_T2": "53a606281197b03d924eaa3630b3f8d7c433f4efffe76e449da6cc0e1fcf409b",
-    "student_tanh_a1": "448815c0db338f13a6126f33296c2f32f905a50133ee2a72ba9169389a8cbe98",
-    "teacher0_relu": "d175c07df09d0d4abea0edb7a7e70ae3abb8a07870beb846d74a56537def25d4",
-    "teacher0_tanh": "a9ec6a9917a89c08a0a0b2c22a7e404c6ce48344cded56f93ee6a6b79830af4e",
-    "teacher1_relu": "2825f70a773f2f19fe90590da4e4a276ef42672334b227442610ffc0a5f03eac",
-    "teacher1_tanh": "c9c7743b7bd94b7ab7d60b161dca452a7178be8c4d73c4199857dec397c2cb5a",
-    "teacher2_relu": "c5fb98edd67ecccbecda870930a0e77bbd21f998c297b4b939f653e92fb0bf92",
-    "teacher2_tanh": "67482ac26563027449af63beb55ad40da442a63542f9d5e61600a37431f1137b",
+    "self_distill_v1": "cb339caf7cb04f1f1121fe3735611ac1f050eee204cd0da5fbf9c467119f633c",
+    "student_relu_a0": "b3200ce36f8ee117ceebf9af1523fca27dad35c49fd504d48bab22733453ca50",
+    "student_relu_a0.2": "cedb72361dcc1a1a7c33501d2821005d4127239bae52aabf59cf73bee52f3490",
+    "student_relu_a0.2_T2": "dd73177b58e2327c2b1212a531c8d3785f6ec89dba3e1123bcf328cd099f9fb8",
+    "student_relu_a1": "266099ef5177d26c242a70683a5c18f874f1e8d31e8096077a50d98d92e8270e",
+    "student_relu_boosted": "7de53eb9311c2081fd67db300fe7ebf43180bb2d807a4d639592b59631d8262d",
+    "student_tanh_a0.2_T2": "8f1b338bfe42743f4a073fed8191b833027ec790075ee9e633cd52b5396f6b16",
+    "student_tanh_a0_T2": "f874db87df4ac3b2cb6538e3f61bedf8266cba1b1bf5f6d0c4ed05151e602d5c",
+    "student_tanh_a1": "e74fe692ec6fdab20c61806a7f415ba10dc209a1114966cd1dcfbe6b89679b5b",
+    "teacher0_relu": "d827916b0da3f42d87a720b95b07c22f6f96f0d8cb10bd6296b4e3065ff5c6ee",
+    "teacher0_tanh": "0100a54bfbd322abfaede31231ca08b4c9ebbcce2e05bf06ca1a6e2db9c9e8eb",
+    "teacher1_relu": "9d1cb01808fa5b05138ec941161c1ee186bac2b3650215e7b6f73ee9937a79fd",
+    "teacher1_tanh": "18852d28182b7a5e509532797a0f3387c72c9076ef37891c1d54164e486b495b",
+    "teacher2_relu": "1fbf2afa5289506f9f0fc5b2f44e30fc4b6068656ccd44929a9e3aee2153e835",
+    "teacher2_tanh": "8766ac4bba0006881cf4533f435b1a041de5f780de65d178da9ef00c0bbfa981",
 }
 
 
@@ -123,30 +128,6 @@ def test_every_trainer_is_pinned(hashes):
     assert set(hashes) == set(GOLDEN)
 
 
-def reference_train(dataset, config, target, alpha=1.0, soft=None):
-    """The per-step loop over the public nn functions that the trainers fuse."""
-    mlp = config.mlp
-    rng = np.random.default_rng(config.seed)
-    params = nn.init_params(mlp, rng)
-    order = np.arange(len(dataset.groups))
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for gi in order:
-            group = dataset.groups[gi]
-            hard = target(group)
-            if hard is None and (alpha == 1.0 or soft is None):
-                continue
-            scores, trace = nn.mlp_forward(params, group.features, mlp.activation)
-            soft_target = None
-            if soft is not None:
-                raw = soft.scores[group.query_id]
-                soft_target = nn.listwise_softmax(raw, config.teacher_temperature)
-            _, g = nn.distill_loss(scores, hard, soft_target, alpha, config.temperature)
-            grads = nn.backward(trace, params, g, mlp.activation)
-            params = nn.sgd_step(params, grads, config.learning_rate)
-    return params
-
-
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_trainers_equal_the_public_nn_loop(activation, alpha):
@@ -156,13 +137,13 @@ def test_trainers_equal_the_public_nn_loop(activation, alpha):
     teachers = distill.train_teachers(ds, train_config(activation, alpha=1.0, epochs=1))
     soft = distill.fuse_soft_labels(teachers, ds)
     student = distill.train_student(ds, soft, cfg)
-    assert student.params == reference_train(ds, cfg, lambda g: primary(g, 0), alpha, soft)
+    assert student.params == padded_train(ds, cfg, lambda g: primary(g, 0), alpha, soft)
     hard_only = distill.train_hard_only(ds, cfg)
-    assert hard_only.params == reference_train(ds, cfg, lambda g: primary(g, 0))
+    assert hard_only.params == padded_train(ds, cfg, lambda g: primary(g, 0))
     teacher = distill.train_teacher(ds, 1, cfg)
     covered = [g for g in ds.groups if g.has_labels_for(1)]
     covered_ds = data.Dataset(objectives=ds.objectives, groups=covered, m=ds.m, K=ds.K)
-    assert teacher.params == reference_train(covered_ds, cfg, lambda g: primary(g, 1))
+    assert teacher.params == padded_train(covered_ds, cfg, lambda g: primary(g, 1))
 
 
 # -- runs trained together ------------------------------------------------------
@@ -212,12 +193,20 @@ def test_dense_runs_trained_together_equal_the_goldens():
 def test_runs_trained_together_must_share_the_schedule():
     ds = data.generate_dataset(gen_config())
     for other in (train_config(epochs=2), train_config(learning_rate=0.1),
-                  train_config().with_seed(6)):
+                  train_config(mlp=nn.MlpConfig(layer_dims=(6, 8, 1), init_scale=0.3, seed=5))):
         with pytest.raises(ConfigError, match="must share"):
             distill.train_runs(ds, [distill.Run.hard_only(train_config()),
                                     distill.Run.hard_only(other)])
     with pytest.raises(ConfigError, match="at least one run"):
         distill.train_runs(ds, [])
+    # The seed is the run's own: a family of two seeds trains, and each
+    # model is its run trained alone.
+    runs = [distill.Run.hard_only(train_config()), distill.Run.hard_only(train_config().with_seed(6))]
+    together = distill.train_runs(ds, runs)
+    for run, model in zip(runs, together):
+        assert model.params == distill.train_runs(ds, [run])[0].params
+        assert model.seed == run.config.seed
+    assert together[0].params != together[1].params
 
 
 def first_groups(ds, config, count):
@@ -261,6 +250,86 @@ def test_a_skipping_run_is_neither_checked_nor_updated():
     # Active on the second group, its scores there are checked.
     with pytest.raises(InputError, match=f"query {second.query_id}: forward pass"):
         distill.train_runs(ds, [distill.Run.hard_only(cfg), blow_up_run(cfg, [first, second])])
+
+
+# -- families whose runs keep their own seeds -----------------------------------
+
+# List lengths vary within each dataset, so most groups are padded.
+SWEEP_DATASETS = {
+    "short_lists": dict(num_queries=40, items_per_query=(2, 9)),
+    "long_lists": dict(num_queries=25, items_per_query=(3, 30)),
+}
+
+
+def sweep_dataset(name):
+    return data.generate_dataset(data.GeneratorConfig(
+        m=6, K=3, seed=4, label_rates=[0.4, 0.5], **SWEEP_DATASETS[name]
+    ))
+
+
+def sweep_runs(ds, activation, epochs):
+    """name -> Run over three seeds: hard-only (which skips the groups
+    without a booking), students at temperature 1 and 2, scalarized, an
+    idle run and, for one epoch, a run that blows up after its first step."""
+    def cfg(seed, **kwargs):
+        return train_config(activation, epochs=epochs, **kwargs).with_seed(seed)
+
+    rng = np.random.default_rng(9)
+    soft = distill.SoftLabelSet({g.query_id: rng.normal(size=g.size) for g in ds.groups}, "test")
+    runs = {
+        "hard_only_s5": distill.Run.hard_only(cfg(5)),
+        "student_t1_s6": distill.Run.student(ds, soft, cfg(6)),
+        "student_t2_s5": distill.Run.student(ds, soft, cfg(5, temperature=2.0)),
+        "scalarized_s7": distill.Run.scalarized(ds, [0.5, 0.2, 0.3], cfg(7)),
+        "idle_s6": distill.Run(cfg(6), "idle", lambda group: None),
+    }
+    if epochs == 1:
+        runs["blow_up_s7"] = blow_up_run(cfg(7), first_groups(ds, cfg(7), 1))
+    return runs
+
+
+def assert_each_run_trains_as_alone(ds, runs):
+    alone = {name: distill.train_runs(ds, [run])[0] for name, run in runs.items()}
+    for family in (list(runs), list(reversed(runs)), list(runs)[1::2]):
+        together = distill.train_runs(ds, [runs[name] for name in family])
+        for name, model in zip(family, together):
+            assert model.params == alone[name].params, (family, name)
+            assert model.seed == runs[name].config.seed
+    return alone
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("dataset", sorted(SWEEP_DATASETS))
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_families_of_mixed_seeds_equal_their_runs_trained_alone(activation, dataset, epochs):
+    ds = sweep_dataset(dataset)
+    assert len({g.size for g in ds.groups}) > 3
+    runs = sweep_runs(ds, activation, epochs)
+    alone = assert_each_run_trains_as_alone(ds, runs)
+    assert alone["idle_s6"].params == nn.init_params(runs["idle_s6"].config.mlp)
+    assert alone["hard_only_s5"].params == padded_train(
+        ds, runs["hard_only_s5"].config, lambda g: distill._objective_target(g, 0)
+    )
+
+
+def smallest_mixed_family():
+    """The smallest family of the sweep with two seeds, trained as a family
+    and alone."""
+    ds = sweep_dataset("long_lists")
+    runs = sweep_runs(ds, "relu", 2)
+    assert_each_run_trains_as_alone(ds, {k: runs[k] for k in ("hard_only_s5", "student_t1_s6")})
+
+
+def test_a_mixed_seed_family_equals_its_runs_on_another_blas_kernel():
+    # Each BLAS kernel rounds a row in its own way, and some round it by
+    # the row count in every layer; one width for every step keeps each
+    # run's arithmetic that of its run alone on this kernel too.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
+    code = "import test_training_identity as t; t.smallest_mixed_family()"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
