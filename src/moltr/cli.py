@@ -26,10 +26,7 @@ from .errors import (
 
 
 def _load_json(path) -> dict:
-    try:
-        doc = read_json(path, f"config file {path}")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    doc = read_json(path, f"config file {path}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return doc

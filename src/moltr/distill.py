@@ -5,21 +5,26 @@ All trainers share one deterministic engine, train_runs: a generator
 seeded with the run's one seed, mlp.seed, draws the initial weights and
 then one shuffle of the query-group order per epoch, and each group is a
 single SGD step for each run that does not skip it. A run's loss on a
-group is a list of weighted listwise-CE terms, built once per run; each
-step calls nn's forward, listwise_grad and backprop kernels, the same code
-behind nn's public functions, and nn.sgd_step updates the flat parameter
-buffer in place. Two runs with the same config and seed are bit-identical,
-and equal to a loop over the public nn functions.
+group is a list of weighted listwise-CE terms, built once per run and
+stacked into arrays. Every group is padded once, to the dataset's longest
+list, by repeating its last item, and the padding is masked out of every
+softmax, so every step computes at that one width. Each step calls nn's
+forward, terms_grad and backprop kernels, the same code behind nn's public
+functions, and nn.sgd_step updates the flat parameter buffer in place. Two
+runs with the same config and seed are bit-identical, and equal to a loop
+over the public nn functions that pads each group the same way.
 
-Runs that share a dataset, an mlp config (and so a seed), the epochs and
-the learning rate differ only in their loss terms, so train_runs trains
-them together: one stacked forward pass, backprop and update per group,
-each run's rows bit for bit what it gives trained alone. Each public
-trainer is its Run plus one train_runs call.
+Runs that share a dataset, an architecture, the epochs and the learning
+rate differ only in their seeds and loss terms, so train_runs trains them
+together: each run takes its own next group, and one gather, one stacked
+forward pass, one loss call, one backprop and one update serve every run
+per step, each run's rows bit for bit what it gives trained alone. Each
+public trainer is its Run plus one train_runs call.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import closing
@@ -334,17 +339,26 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
             raise InputError(f"query {group.query_id}: features contain non-finite values")
         features[gi] = group.features[np.minimum(np.arange(width), group.size - 1)]
         pad[gi, group.size:] = -np.inf
-    terms = [[run.terms(group) for group in groups] for run in runs]
-    slots = max((len(t) for row in terms for t in row if t), default=0)
-    # Indexed by run * len(groups) + group.
-    active = np.array([bool(t) for row in terms for t in row])
-    weights, temperatures = np.zeros((active.size, slots)), np.ones((active.size, slots))
-    targets = np.zeros((active.size, slots, width))
-    for i in np.flatnonzero(active):
-        loss = terms[i // len(groups)][i % len(groups)]
-        n = groups[i % len(groups)].size
-        weights[i], temperatures[i], targets[i] = nn.stack_terms(loss, slots, n, width)
-    del terms
+    # The plan, indexed by run * len(groups) + group. Each run's terms are
+    # stacked as they come, with a slot added for every term more than the
+    # most so far, so no run's list of terms outlives its row.
+    plan_size = len(runs) * len(groups)
+    active = np.zeros(plan_size, dtype=bool)
+    weights, temperatures = np.zeros((plan_size, 0)), np.ones((plan_size, 0))
+    targets = np.zeros((plan_size, 0, width))
+    for i, (run, group) in enumerate(itertools.product(runs, groups)):
+        loss = run.terms(group)
+        if not loss:
+            continue
+        active[i] = True
+        if len(loss) > weights.shape[1]:
+            more = ((0, 0), (0, len(loss) - weights.shape[1]))
+            weights, temperatures = np.pad(weights, more), np.pad(temperatures, more, constant_values=1.0)
+            targets = np.pad(targets, (*more, (0, 0)))
+        nn.stack_terms(loss, group.size, weights[i], temperatures[i], targets[i])
+    # terms_grad reads None as all ones, and skips their arithmetic.
+    weights = None if (weights[active] == 1).all() else weights
+    temperatures = None if (temperatures == 1).all() else temperatures
     rngs = {run.config.seed: np.random.default_rng(run.config.seed) for run in runs}
     firsts = {seed: nn.init_params(mlp, rng) for seed, rng in rngs.items()}
     shapes = firsts[config.seed].shapes
@@ -374,8 +388,10 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
             if not np.isfinite(scores).all():
                 bad = groups[group_index[np.isfinite(scores).all(axis=-1).argmin()]]
                 raise InputError(f"query {bad.query_id}: forward pass produced non-finite scores")
-            per_score = nn.terms_grad(scores, weights[plan_index], temperatures[plan_index],
-                                      targets[plan_index], pad[group_index])
+            per_score = nn.terms_grad(
+                scores, pad[group_index], None if weights is None else weights[plan_index],
+                None if temperatures is None else temperatures[plan_index], targets[plan_index],
+            )
             nn.backprop_into(g, hs, p, per_score, relu)
             nn.sgd_step(p, g, lr)
             if p is not params:

@@ -12,6 +12,7 @@ write leaves any previous file whole. Every file it reads goes through
 read_json (one JSON document: a config or a checkpoint) or read_jsonl (one
 document per line: a dataset or soft labels), which check UTF-8 with
 decode_utf8 and parse with parse_json, so a ParseError names the file and line.
+A missing file is a ParseError naming it too.
 """
 
 import hashlib
@@ -39,7 +40,7 @@ class TrainingError(MoltrError, RuntimeError):
 
 
 class ParseError(MoltrError, ValueError):
-    """Malformed persisted file."""
+    """Malformed or missing persisted file."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -144,11 +145,20 @@ def parse_json(text, name: str, line: int | None = None):
         raise ParseError(f"{name}: JSON nested too deeply", line=line) from e
 
 
+def _open(path, name: str):
+    """File path opened for reading bytes; a missing file raises a
+    ParseError naming it (name)."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError as e:
+        raise ParseError(f"{name}: no such file") from e
+
+
 def read_json(path, name: str, sha256: str | None = None):
     """The one JSON document in file path, named name in errors. A
     content-addressed file passes its sha256 hex digest, which the raw
     bytes must match before they are parsed."""
-    with open(path, "rb") as f:
+    with _open(path, name) as f:
         raw = f.read()
     if sha256 is not None and hashlib.sha256(raw).hexdigest() != sha256:
         raise ParseError(f"{name}: sha256 of the file is not its name")
@@ -159,7 +169,7 @@ def read_jsonl(path, name: str):
     """(line number, document) for each non-blank line of JSONL file path,
     named name in errors. Lines end at LF only and are read one at a time;
     the file is closed when the caller stops early."""
-    with open(path, "rb") as f:
+    with _open(path, name) as f:
         for lineno, raw in enumerate(f, start=1):
             text = decode_utf8(raw.rstrip(b"\n"), name, lineno)
             if text.strip():

@@ -330,49 +330,51 @@ def listwise_grad(scores, terms) -> np.ndarray:
     for no terms): terms_grad of the terms stacked. Unchecked kernel of
     distill_loss."""
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[-1]
-    return terms_grad(scores, *stack_terms(terms, len(terms), n, n))
+    n, k = scores.shape[-1], len(terms)
+    weights, temperatures, targets = np.zeros(k), np.ones(k), np.zeros((k, n))
+    stack_terms(terms, n, weights, temperatures, targets)
+    return terms_grad(scores, np.zeros(n), weights, temperatures, targets)
 
 
-def stack_terms(terms, slots: int, n: int, width: int):
-    """terms on n items as terms_grad's weights (slots,), temperatures
-    (slots,) and targets (slots, width). Targets fill the first n columns
-    and the rest stay 0; a slot past the terms gets weight 0 at
-    temperature 1, so it adds only zeros."""
-    weights, temperatures = np.zeros(slots), np.ones(slots)
-    targets = np.zeros((slots, width))
+def stack_terms(terms, n: int, weights, temperatures, targets) -> None:
+    """Write terms on n items into the slots of terms_grad's weights (K,),
+    temperatures (K,) and targets (K, width), in order: each target into
+    the first n columns. The caller fills the rest, weight 0 at
+    temperature 1 and target 0, so that they add only zeros."""
     for k, (w, t, target) in enumerate(terms):
         weights[k], temperatures[k], targets[k, :n] = w, t, target
-    return weights, temperatures, targets
 
 
-def terms_grad(scores, weights, temperatures, targets, pad=None) -> np.ndarray:
+def terms_grad(scores, pad, weights, temperatures, targets) -> np.ndarray:
     """d/d(scores) of sum_k weights[k] * CE(softmax(scores / T_k + pad),
     targets[k]) in a fresh array, row by row over any leading axes:
-    scores (..., n), weights and temperatures (..., K), targets
-    (..., K, n). pad (..., n) is 0 on items and -inf on padding, whose
-    probability, and so gradient, is then exactly 0.
+    scores and pad (..., n), weights and temperatures (..., K), targets
+    (..., K, n). pad is 0 on items and -inf on padding, whose probability,
+    and so gradient, is then exactly 0. weights or temperatures None
+    stands for all ones.
 
     Unchecked kernel of listwise_grad and the trainers. Each term gets its
-    own max-stabilized softmax, so terms at one temperature see the same
-    probabilities. The terms are summed in k order, and x / 1.0 and
-    x * 1.0 are x bit for bit, so a term at T = 1 or w = 1 is not rounded.
+    own max-stabilized softmax, one shared by every term when all are at
+    T = 1. The terms are summed in k order, and x / 1.0 and x * 1.0 are x
+    bit for bit, so a term at T = 1 or w = 1 is not rounded.
     """
-    if not weights.shape[-1]:
+    if not targets.shape[-2]:
         return np.zeros_like(scores)
-    t = temperatures[..., None]
-    z = scores[..., None, :] / t
-    if pad is not None:
-        z += pad[..., None, :]
+    z = scores[..., None, :] + pad[..., None, :]  # (s + pad) / T is s / T + pad bit for bit
+    if temperatures is not None:
+        t = temperatures[..., None]
+        z = z / t
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
-    z -= targets
-    z /= t
-    z *= weights[..., None]
-    total = z[..., 0, :]
-    for k in range(1, z.shape[-2]):
-        total = total + z[..., k, :]
+    g = z - targets
+    if temperatures is not None:
+        g /= t
+    if weights is not None:
+        g *= weights[..., None]
+    total = g[..., 0, :]
+    for k in range(1, g.shape[-2]):
+        total = total + g[..., k, :]
     return total
 
 

@@ -8,16 +8,19 @@ carries the content hashes of the checkpoint and dataset it came from.
 Each distinct model is trained and stored once: the distill study's
 distilled arm is its sweep student at the config's alpha, and its alpha
 1.0 student is the hard-only student's parameters. The distill, repro and
-boost studies train runs that share a dataset and a config up to their
-loss together, in lockstep, through distill.train_runs; the self study
-trains each run alone. The repro study scores each model once and
-compares every pair from those scores.
+boost studies train runs that share a dataset and an architecture
+together, in lockstep, through distill.train_runs, each run with its own
+seed; the self study trains each run alone. The repro study trains every
+seed's hard-only and distilled students as one family, scores each model
+once and compares every pair from those scores.
 
 The boost calibrations ask for points in batches and walk the path of a
-search that measures one point at a time. The soft side runs first: its
-first batch, beta 0, 1, 2 and 4, trains as one lockstep family, and beta
-0 (the unboosted soft labels) gives the seed's baseline. The serving side
-adds each gamma to the baseline's eval scores, with no forward pass.
+search that measures one point at a time. The soft sides of all parity
+seeds run first, in lockstep: each round trains every seed's next batch
+of betas as one family. A seed's first batch is beta 0, 1, 2 and 4 (beta
+0 alone when the target lift is within the tolerance), and beta 0 (the
+unboosted soft labels) gives the seed's baseline. The serving side adds
+each gamma to the baseline's eval scores, with no forward pass.
 """
 
 from __future__ import annotations
@@ -376,13 +379,11 @@ def study_irreproducibility(config: ExperimentConfig) -> dict:
     train_ds = study.train_ds
     soft = fuse_soft_labels(study.teachers(train_ds), train_ds)
 
-    families = {"hard_only": [], "distilled": []}
-    for cfg in study.seed_configs(config.num_seeds):
-        hard_only, distilled = train_runs(
-            train_ds, [Run.hard_only(cfg), Run.student(train_ds, soft, cfg)]
-        )
-        families["hard_only"].append(hard_only)
-        families["distilled"].append(distilled)
+    models = train_runs(train_ds, [
+        run for cfg in study.seed_configs(config.num_seeds)
+        for run in (Run.hard_only(cfg), Run.student(train_ds, soft, cfg))
+    ])
+    families = {"hard_only": models[0::2], "distilled": models[1::2]}
 
     body = {"tau_threshold": TAU_THRESHOLD}
     for name, models in families.items():
@@ -407,20 +408,22 @@ def _doublings(x: float, iterations: int, hi_max: float, max_iter: int) -> list[
     return [x * 2.0**k for k in (1, 2) if x * 2.0**k <= hi_max and iterations + k <= max_iter]
 
 
-def _bisect_exposure(measure, lift: float, tolerance: float, hi_max: float, max_iter: int):
-    """Find the boost x whose exposure is exposure(0) + lift, +/- tolerance.
+def _exposure_search(lift: float, tolerance: float, hi_max: float, max_iter: int):
+    """Search for the boost x whose exposure is exposure(0) + lift, +/- tolerance.
 
-    measure(xs) gives the (exposure, result) pair at each x in xs, with
-    exposure (noisily) non-decreasing in x. Returns (x, exposure, result)
-    at the x picked, and the pair at x = 0.
+    A generator: it yields each list of xs it needs measured and is sent
+    the (exposure, result) pair of each, with exposure (noisily)
+    non-decreasing in x. It returns (x, exposure, result) at the x picked,
+    and the pair at x = 0.
 
     The search doubles x from 1 until the exposure reaches the target, then
     bisects. It asks for each x it needs with the points it could visit
-    next, for the caller to measure at once: first x = 0 with 1 and its
-    next two doublings, then while bracketing the next two doublings up to
-    hi_max (see _doublings), and while bisecting both child midpoints. The
-    path, the result and every error are those of a search that measures
-    one x at a time, and only the path is checked for monotonicity.
+    next: first x = 0 with 1 and its next two doublings (x = 0 alone when
+    lift <= tolerance, where zero is on target), then while bracketing the
+    next two doublings up to hi_max (see _doublings), and while bisecting
+    both child midpoints. The path, the result and every error are those of
+    a search that measures one x at a time, and only the path is checked
+    for monotonicity.
     """
     evals = []
     measured = {}
@@ -430,25 +433,26 @@ def _bisect_exposure(measure, lift: float, tolerance: float, hi_max: float, max_
         if x not in measured:
             # Every point measured so far is on the path already, or off it for good.
             xs = [x, *ahead]
-            measured = dict(zip(xs, measure(xs)))
+            measured = dict(zip(xs, (yield xs)))
         e, result = measured[x]
         evals.append((x, e))
         return e, result
 
-    at_zero = f(0.0, [1.0, *_doublings(1.0, 0, hi_max, max_iter)])
+    first = [] if lift <= tolerance else [1.0, *_doublings(1.0, 0, hi_max, max_iter)]
+    at_zero = yield from f(0.0, first)
     target = at_zero[0] + lift
     if at_zero[0] >= target - tolerance:
         return (0.0, *at_zero), at_zero
     iterations = 0
     lo, hi = 0.0, 1.0
-    e_hi, r_hi = f(hi, _doublings(hi, iterations, hi_max, max_iter))
+    e_hi, r_hi = yield from f(hi, _doublings(hi, iterations, hi_max, max_iter))
     while e_hi < target and hi < hi_max:
         iterations += 1
         if iterations > max_iter:
             raise CalibrationError("exposure bracketing did not converge")
         lo = hi
         hi *= 2.0
-        e_hi, r_hi = f(hi, _doublings(hi, iterations, hi_max, max_iter))
+        e_hi, r_hi = yield from f(hi, _doublings(hi, iterations, hi_max, max_iter))
     if e_hi < target - tolerance:
         raise CalibrationError(
             f"exposure target {target:.3f} unreachable (max {e_hi:.3f} at {hi})"
@@ -458,7 +462,7 @@ def _bisect_exposure(measure, lift: float, tolerance: float, hi_max: float, max_
         iterations += 1
         mid = (lo + hi) / 2.0
         children = [(lo + mid) / 2.0, (mid + hi) / 2.0] if iterations < max_iter else []
-        e_mid, r_mid = f(mid, children)
+        e_mid, r_mid = yield from f(mid, children)
         if abs(e_mid - target) <= abs(best[1] - target):
             best = (mid, e_mid, r_mid)
         if abs(e_mid - target) <= tolerance:
@@ -474,6 +478,41 @@ def _bisect_exposure(measure, lift: float, tolerance: float, hi_max: float, max_
     raise CalibrationError(
         f"exposure calibration did not reach {target:.3f} within {max_iter} iterations"
     )
+
+
+def _lockstep(searches, measure) -> list:
+    """Each search's return value, or the CalibrationError it raised,
+    running the searches in rounds: each round, measure(requests) gets the
+    (index, xs) request of every search still running, at once, and
+    returns each request's measurements in order."""
+    outcomes = [None] * len(searches)
+    replies = dict.fromkeys(range(len(searches)))
+    while replies:
+        requests = []
+        for i, reply in replies.items():
+            try:
+                requests.append((i, searches[i].send(reply)))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except CalibrationError as e:
+                outcomes[i] = e
+        replies = dict(zip([i for i, _ in requests], measure(requests))) if requests else {}
+    return outcomes
+
+
+def _outcome(outcome):
+    """A _lockstep outcome's return value; a CalibrationError is raised."""
+    if isinstance(outcome, CalibrationError):
+        raise outcome
+    return outcome
+
+
+def _bisect_exposure(measure, lift: float, tolerance: float, hi_max: float, max_iter: int):
+    """The _exposure_search for lift, measuring each of its requests with
+    measure(xs)."""
+    search = _exposure_search(lift, tolerance, hi_max, max_iter)
+    (outcome,) = _lockstep([search], lambda requests: [measure(xs) for _, xs in requests])
+    return _outcome(outcome)
 
 
 def _check_monotone(evals) -> None:
@@ -501,23 +540,26 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
     # score, and beta 0 only turns a -0.0 soft score into +0.0, which
     # leaves every softmax target, and so the trained student, unchanged.
     # So beta 0 trains on the soft labels as they are, and gamma 0 reuses that student.
+    configs = study.seed_configs(config.parity_seeds)
+
+    def soft_exposures(requests):
+        """For each seed's request of betas, the (exposure, (model, eval
+        scores)) of its student on the soft labels boosted by each beta;
+        every seed's students train as one lockstep family."""
+        runs = [Run.student(train_ds, inject_boost(soft, replace(rule, beta=b), train_ds)
+                            if b else soft, configs[i])
+                for i, betas in requests for b in betas]
+        measured = iter([(exposure(scores), (model, scores))
+                         for model in train_runs(train_ds, runs)
+                         for scores in [score_dataset(model, eval_ds)]])
+        return [[next(measured) for _ in betas] for _, betas in requests]
+
+    searches = [_exposure_search(bc.target_lift, bc.exposure_tolerance, bc.beta_max,
+                                 bc.max_iterations) for _ in configs]
     rows = []
-    for cfg in study.seed_configs(config.parity_seeds):
-
-        def soft_exposure(betas):
-            """(exposure, (model, eval scores)) of the student on the soft
-            labels boosted by each beta, all trained in lockstep."""
-            softs = [inject_boost(soft, replace(rule, beta=b), train_ds) if b else soft
-                     for b in betas]
-            out = []
-            for model in train_runs(train_ds, [Run.student(train_ds, s, cfg) for s in softs]):
-                scores = score_dataset(model, eval_ds)
-                out.append((exposure(scores), (model, scores)))
-            return out
-
+    for cfg, outcome in zip(configs, _lockstep(searches, soft_exposures)):
         (beta, soft_exp, (soft_model, soft_scores)), (base_exp, (base, base_scores)) = (
-            _bisect_exposure(soft_exposure, bc.target_lift, bc.exposure_tolerance,
-                             bc.beta_max, bc.max_iterations)
+            _outcome(outcome)
         )
 
         def served(gamma):

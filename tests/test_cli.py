@@ -431,4 +431,18 @@ class TestErrorHandling:
         code = run(
             ["eval", "--data", dataset_path, "--model", str(workdir / "missing.json")]
         )
-        assert code in (1, 2)
+        assert code == 2
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "soft", "checkpoint"])
+    def test_a_missing_input_file_is_named(self, tmp_path, config_path, dataset_path,
+                                           soft_path, student_path, kind, capsys):
+        missing, out = str(tmp_path / f"missing_{kind}"), str(tmp_path / "out")
+        argv, name = {
+            "config": (["gen-data", "--config", missing, "--out", out], "config file"),
+            "dataset": (["eval", "--data", missing, "--model", student_path], "dataset"),
+            "soft": (["inject-boost", "--data", dataset_path, "--soft", missing,
+                      "--predicate", "is_new", "--beta", "0.5", "--out", out], "soft labels"),
+            "checkpoint": (["eval", "--data", dataset_path, "--model", missing], "checkpoint"),
+        }[kind]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {name} {missing}: no such file\n"

@@ -295,6 +295,37 @@ class TestBisection:
         assert (x, result) == (4.0, ("measured at", 4.0))
         assert at_zero == (0.0, "zero")
 
+    @pytest.mark.parametrize("lift", [0.01, 0.0, -0.1])
+    def test_a_lift_within_tolerance_asks_for_zero_alone(self, lift):
+        requests = []
+
+        def measure(xs):
+            requests.append(list(xs))
+            return [(0.1 + 0.05 * x, None) for x in xs]
+
+        (x, e, _), at_zero = pipeline._bisect_exposure(
+            measure, lift=lift, tolerance=0.01, hi_max=64, max_iter=50
+        )
+        assert requests == [[0.0]] and x == 0.0 and (e, None) == at_zero
+
+    def test_zero_off_target_by_rounding_asks_for_the_first_bracket_next(self):
+        # lift == tolerance, yet 0.3 >= (0.3 + 0.1) - 0.1 is false in floats.
+        assert not 0.3 >= (0.3 + 0.1) - 0.1
+        requests = []
+
+        def measure(xs):
+            requests.append(list(xs))
+            return [(0.3 + 0.05 * x, None) for x in xs]
+
+        (x, e, _), _ = pipeline._bisect_exposure(
+            measure, lift=0.1, tolerance=0.1, hi_max=64, max_iter=50
+        )
+        assert requests[:2] == [[0.0], [1.0, 2.0, 4.0]]
+        path = []
+        assert ((x, e, None), (0.3, None)) == sequential_bisection(
+            lambda x: (0.3 + 0.05 * x, None), path, 0.1, 0.1, 64, 50
+        )
+
     def test_at_zero_is_returned_as_given(self):
         assert pipeline._bisect_exposure(
             self.linear(0.1, at_zero=0.5), lift=-0.1, tolerance=0.01, hi_max=64, max_iter=50
@@ -577,8 +608,8 @@ def test_studies_train_runs_that_share_a_seed_together(tmp_path, monkeypatch):
     runs.clear()
     config = small_experiment(tmp_path / "repro", num_seeds=3)
     pipeline.study_irreproducibility(config)
-    # Each seed's hard-only and distilled students train as one pair.
-    assert runs == [1, 1, 1] + [2] * config.num_seeds
+    # Every seed's hard-only and distilled students train as one family.
+    assert runs == [1, 1, 1, 2 * config.num_seeds]
 
 
 class TestStudySelf:
@@ -635,11 +666,11 @@ class TestStudyBoost:
         # The boost study's page-size override is recorded in the config.
         assert rep["config"]["generator"]["items_per_query"] == [10, 14]
 
-    def test_baseline_is_trained_once_per_seed(self, tmp_path, monkeypatch):
+    def test_each_round_trains_every_seed_as_one_family(self, tmp_path, monkeypatch):
         config = small_experiment(tmp_path, parity_seeds=2)
         events, betas, gammas = [], [], []
         spy(monkeypatch, pipeline.Run, "student",
-            lambda ds, soft, cfg: events.append(("run", soft.provenance)))
+            lambda ds, soft, cfg: events.append(("run", (cfg.seed, soft.provenance))))
         spy(monkeypatch, pipeline, "train_runs", lambda ds, runs: events.append(("train", len(runs))))
         spy(monkeypatch, pipeline, "train_student", lambda *args: events.append(("lone", None)))
         spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: betas.append(rule.beta))
@@ -654,19 +685,45 @@ class TestStudyBoost:
                 assert value == len(runs)
                 families.append(runs)
                 runs = []
-        # Each seed's baseline, the unboosted student, trains once, first in
-        # a family with the soft calibration's first bracket, beta 1, 2 and 4.
-        baselines = [f for f in families if "teacher_fusion" in f]
-        assert len(baselines) == config.parity_seeds
-        for family in baselines:
-            assert family[0] == "teacher_fusion" and len(family) == 4
-            assert family.count("teacher_fusion") == 1
+        # The first round trains each seed's baseline, the unboosted
+        # student, with its first bracket, beta 1, 2 and 4, in seed order.
+        seeds = [row["seed"] for row in rep["per_seed"]]
+        assert len(seeds) == config.parity_seeds == 2
+        assert [seed for seed, _ in families[0]] == [s for s in seeds for _ in range(4)]
+        assert [p for _, p in families[0]] == [
+            "teacher_fusion", *(f"boosted(rating_at_least:rho=3.5:beta={b})" for b in (1.0, 2.0, 4.0))
+        ] * 2
+        baselines = [(s, p) for family in families for s, p in family if p == "teacher_fusion"]
+        assert baselines == [(s, "teacher_fusion") for s in seeds]
+        # Every later round trains each searching seed's points, one seed
+        # after the other.
+        for family in families:
+            order = [seed for seed, _ in family]
+            assert order == sorted(order, key=seeds.index)
         assert betas[:3] == [1.0, 2.0, 4.0]
         # Zero is each calibration's baseline point, already measured.
         assert betas and 0.0 not in betas
         assert gammas and 0.0 not in gammas
         assert sum(map(len, families)) == config.parity_seeds + len(betas)
-        assert len(rep["per_seed"]) == config.parity_seeds
+
+    def test_a_lift_within_tolerance_measures_zero_alone(self, tmp_path, monkeypatch):
+        base = small_experiment(tmp_path)
+        config = small_experiment(tmp_path, parity_seeds=2,
+                                  boost=replace(base.boost, target_lift=0.01))
+        assert config.boost.target_lift <= config.boost.exposure_tolerance
+        families, betas, gammas = [], [], []
+        spy(monkeypatch, pipeline, "train_runs", lambda ds, runs: families.append(len(runs)))
+        spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: betas.append(rule.beta))
+        spy(monkeypatch, evaluation, "boost_scores", lambda *args: gammas.append(args[-1]))
+        rep = pipeline.study_adhoc_boost(config)
+        # Each seed's soft side measures its baseline alone, and zero is on
+        # target, so neither side boosts anything.
+        assert families == [config.parity_seeds]
+        assert betas == [] and gammas == []
+        for row in rep["per_seed"]:
+            assert row["beta"] == row["gamma"] == 0.0
+            assert row["soft_exposure"] == row["serve_exposure"] == row["baseline_exposure"]
+            assert row["soft_boost_checkpoint"] == row["baseline_checkpoint"]
 
 
 class TestDeterminism:
