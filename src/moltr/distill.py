@@ -24,7 +24,6 @@ public trainer is its Run plus one train_runs call.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from contextlib import closing
@@ -339,23 +338,24 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
             raise InputError(f"query {group.query_id}: features contain non-finite values")
         features[gi] = group.features[np.minimum(np.arange(width), group.size - 1)]
         pad[gi, group.size:] = -np.inf
-    # The plan, indexed by run * len(groups) + group. Each run's terms are
-    # stacked as they come, with a slot added for every term more than the
-    # most so far, so no run's list of terms outlives its row.
-    plan_size = len(runs) * len(groups)
-    active = np.zeros(plan_size, dtype=bool)
-    weights, temperatures = np.zeros((plan_size, 0)), np.ones((plan_size, 0))
-    targets = np.zeros((plan_size, 0, width))
-    for i, (run, group) in enumerate(itertools.product(runs, groups)):
-        loss = run.terms(group)
-        if not loss:
-            continue
-        active[i] = True
-        if len(loss) > weights.shape[1]:
-            more = ((0, 0), (0, len(loss) - weights.shape[1]))
-            weights, temperatures = np.pad(weights, more), np.pad(temperatures, more, constant_values=1.0)
-            targets = np.pad(targets, (*more, (0, 0)))
-        nn.stack_terms(loss, group.size, weights[i], temperatures[i], targets[i])
+    # Each run's loss terms on each group, stacked as they come. A slot is
+    # added for every term more than the most so far, so no run's list of
+    # terms outlives its row.
+    active = np.zeros((len(runs), len(groups)), dtype=bool)
+    weights, temperatures = np.zeros(active.shape + (0,)), np.ones(active.shape + (0,))
+    targets = np.zeros(active.shape + (0, width))
+    for r, run in enumerate(runs):
+        for gi, group in enumerate(groups):
+            loss = run.terms(group)
+            if not loss:
+                continue
+            active[r, gi] = True
+            if len(loss) > weights.shape[-1]:
+                more = ((0, 0), (0, 0), (0, len(loss) - weights.shape[-1]))
+                weights = np.pad(weights, more)
+                temperatures = np.pad(temperatures, more, constant_values=1.0)
+                targets = np.pad(targets, (*more, (0, 0)))
+            nn.stack_terms(loss, group.size, weights[r, gi], temperatures[r, gi], targets[r, gi])
     # terms_grad reads None as all ones, and skips their arithmetic.
     weights = None if (weights[active] == 1).all() else weights
     temperatures = None if (temperatures == 1).all() else temperatures
@@ -366,19 +366,19 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     grads = nn.zeros_like_params(params)
     relu, lr = mlp.activation == "relu", config.learning_rate
     orders = {seed: np.arange(len(groups)) for seed in rngs}
-    offsets = np.arange(len(runs)) * len(groups)
+    everyone = np.arange(len(runs))
     for _ in range(config.epochs):
         for seed, rng in rngs.items():
             rng.shuffle(orders[seed])
-        # Row t: each run's group at step t, and its plan index.
-        group_steps = np.array([orders[run.config.seed] for run in runs]).T
-        plan_steps = group_steps + offsets
-        for group_index, plan_index, stepping in zip(group_steps, plan_steps, active[plan_steps]):
+        # Row t: the group each run takes at step t.
+        steps = np.array([orders[run.config.seed] for run in runs]).T
+        for group_index, stepping in zip(steps, active[everyone, steps]):
+            rows = everyone
             if stepping.all():
                 p, g = params, grads
             elif stepping.any():  # copies of the active rows, written back after the step
                 rows = np.flatnonzero(stepping)
-                group_index, plan_index = group_index[rows], plan_index[rows]
+                group_index = group_index[rows]
                 p = nn.ParameterSet(params.flat[rows], shapes)
                 g = nn.ParameterSet(grads.flat[:len(rows)], shapes)
             else:
@@ -388,9 +388,10 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
             if not np.isfinite(scores).all():
                 bad = groups[group_index[np.isfinite(scores).all(axis=-1).argmin()]]
                 raise InputError(f"query {bad.query_id}: forward pass produced non-finite scores")
+            at = rows, group_index
             per_score = nn.terms_grad(
-                scores, pad[group_index], None if weights is None else weights[plan_index],
-                None if temperatures is None else temperatures[plan_index], targets[plan_index],
+                scores, pad[group_index], None if weights is None else weights[at],
+                None if temperatures is None else temperatures[at], targets[at],
             )
             nn.backprop_into(g, hs, p, per_score, relu)
             nn.sgd_step(p, g, lr)

@@ -360,7 +360,9 @@ def terms_grad(scores, pad, weights, temperatures, targets) -> np.ndarray:
     """
     if not targets.shape[-2]:
         return np.zeros_like(scores)
-    z = scores[..., None, :] + pad[..., None, :]  # (s + pad) / T is s / T + pad bit for bit
+    # (s + pad) / T equals s / T + pad, up to the sign of a zero, which
+    # subtracting the max removes.
+    z = scores[..., None, :] + pad[..., None, :]
     if temperatures is not None:
         t = temperatures[..., None]
         z = z / t

@@ -484,7 +484,9 @@ def _lockstep(searches, measure) -> list:
     """Each search's return value, or the CalibrationError it raised,
     running the searches in rounds: each round, measure(requests) gets the
     (index, xs) request of every search still running, at once, and
-    returns each request's measurements in order."""
+    returns each request's measurements in order. An error is kept, not
+    raised, so that the caller can raise the errors in the order of
+    searches run one after another."""
     outcomes = [None] * len(searches)
     replies = dict.fromkeys(range(len(searches)))
     while replies:
@@ -549,9 +551,11 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
         runs = [Run.student(train_ds, inject_boost(soft, replace(rule, beta=b), train_ds)
                             if b else soft, configs[i])
                 for i, betas in requests for b in betas]
-        measured = iter([(exposure(scores), (model, scores))
-                         for model in train_runs(train_ds, runs)
-                         for scores in [score_dataset(model, eval_ds)]])
+        measured = []
+        for model in train_runs(train_ds, runs):
+            scores = score_dataset(model, eval_ds)
+            measured.append((exposure(scores), (model, scores)))
+        measured = iter(measured)
         return [[next(measured) for _ in betas] for _, betas in requests]
 
     searches = [_exposure_search(bc.target_lift, bc.exposure_tolerance, bc.beta_max,

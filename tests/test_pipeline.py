@@ -445,6 +445,40 @@ def test_batched_bisection_walks_the_sequential_path(case, monkeypatch):
     assert visited[:1] == leaders[:1]
 
 
+def test_searches_in_lockstep_give_what_each_gives_alone():
+    names = sorted(BISECTION_CASES)
+    cases = [BISECTION_CASES[name] for name in names]
+
+    def measured(i, x):
+        curve, zero = cases[i][:2]
+        return (zero, "zero") if x == 0.0 else (curve(x), ("measured at", x))
+
+    rounds = []
+
+    def measure(requests):
+        rounds.append([i for i, _ in requests])
+        return [[measured(i, x) for x in xs] for i, xs in requests]
+
+    searches = [pipeline._exposure_search(target - zero, tolerance, hi_max, max_iter)
+                for _, zero, target, tolerance, hi_max, max_iter in cases]
+    outcomes = pipeline._lockstep(searches, measure)
+    for i, (case, outcome) in enumerate(zip(cases, outcomes)):
+        _, zero, target, tolerance, hi_max, max_iter = case
+        try:
+            alone = sequential_bisection(lambda x: measured(i, x), [], target - zero, tolerance,
+                                         hi_max, max_iter)
+        except CalibrationError as e:
+            alone = f"CalibrationError: {e}"
+        if isinstance(outcome, CalibrationError):
+            outcome = f"CalibrationError: {outcome}"
+        assert outcome == alone, names[i]
+    # Every search asks in the first round; a search that has stopped
+    # asks in no later round.
+    assert rounds[0] == list(range(len(cases)))
+    for before, after in zip(rounds, rounds[1:]):
+        assert set(after) <= set(before) and after == sorted(after)
+
+
 def test_off_path_points_are_not_checked_for_monotonicity():
     # The path brackets at x=2 and bisects up towards it. x=4 (from the
     # first bracket) and x=1.25 (the sibling of the second midpoint) are
