@@ -330,14 +330,16 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     mlp = config.mlp
     if dataset.m != mlp.input_dim:
         raise InputError(f"dataset m={dataset.m} != mlp input dim {mlp.input_dim}")
-    width = max(g.size for g in groups)
-    features = np.empty((len(groups), width, dataset.m))
-    pad = np.zeros((len(groups), width))
-    for gi, group in enumerate(groups):
-        if not np.isfinite(group.features).all():
-            raise InputError(f"query {group.query_id}: features contain non-finite values")
-        features[gi] = group.features[np.minimum(np.arange(width), group.size - 1)]
-        pad[gi, group.size:] = -np.inf
+    items = np.concatenate([g.features for g in groups])
+    if not np.isfinite(items).all():
+        bad = next(g for g in groups if not np.isfinite(g.features).all())
+        raise InputError(f"query {bad.query_id}: features contain non-finite values")
+    sizes = np.array([g.size for g in groups])
+    width, column = sizes.max(), np.arange(sizes.max())
+    # Group g's item j, or its last item for j past its size.
+    features = items[(np.cumsum(sizes) - sizes)[:, None] + np.minimum(column, sizes[:, None] - 1)]
+    pad = np.where(column < sizes[:, None], 0.0, -np.inf)
+    del items
     # Each run's loss terms on each group, stacked as they come. A slot is
     # added for every term more than the most so far, so no run's list of
     # terms outlives its row.
@@ -356,9 +358,12 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
                 temperatures = np.pad(temperatures, more, constant_values=1.0)
                 targets = np.pad(targets, (*more, (0, 0)))
             nn.stack_terms(loss, group.size, weights[r, gi], temperatures[r, gi], targets[r, gi])
-    # terms_grad reads None as all ones, and skips their arithmetic.
-    weights = None if (weights[active] == 1).all() else weights
-    temperatures = None if (temperatures == 1).all() else temperatures
+    # terms_grad reads None as all ones, and skips their arithmetic. Steps
+    # take the plan's rows at run * len(groups) + group.
+    plan_shape = (active.size, targets.shape[-2])
+    weights = None if (weights[active] == 1).all() else weights.reshape(plan_shape)
+    temperatures = None if (temperatures == 1).all() else temperatures.reshape(plan_shape)
+    targets, active = targets.reshape(*plan_shape, width), active.ravel()
     rngs = {run.config.seed: np.random.default_rng(run.config.seed) for run in runs}
     firsts = {seed: nn.init_params(mlp, rng) for seed, rng in rngs.items()}
     shapes = firsts[config.seed].shapes
@@ -366,32 +371,36 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     grads = nn.zeros_like_params(params)
     relu, lr = mlp.activation == "relu", config.learning_rate
     orders = {seed: np.arange(len(groups)) for seed in rngs}
-    everyone = np.arange(len(runs))
+    offsets = np.arange(len(runs)) * len(groups)
     for _ in range(config.epochs):
         for seed, rng in rngs.items():
             rng.shuffle(orders[seed])
-        # Row t: the group each run takes at step t.
+        # Row t: the group each run takes at step t, and its plan row.
         steps = np.array([orders[run.config.seed] for run in runs]).T
-        for group_index, stepping in zip(steps, active[everyone, steps]):
-            rows = everyone
-            if stepping.all():
+        plan = steps + offsets
+        live = active[plan]
+        for group_index, plan_index, stepping, full in zip(
+            steps, plan, live, live.all(axis=1).tolist()
+        ):
+            if full:
                 p, g = params, grads
             elif stepping.any():  # copies of the active rows, written back after the step
                 rows = np.flatnonzero(stepping)
-                group_index = group_index[rows]
+                group_index, plan_index = group_index[rows], plan_index[rows]
                 p = nn.ParameterSet(params.flat[rows], shapes)
                 g = nn.ParameterSet(grads.flat[:len(rows)], shapes)
             else:
                 continue
-            hs = nn.layer_outputs(p, features[group_index], relu)
+            hs = nn.layer_outputs(p, features.take(group_index, axis=0), relu)
             scores = hs[-1][..., 0]
             if not np.isfinite(scores).all():
                 bad = groups[group_index[np.isfinite(scores).all(axis=-1).argmin()]]
                 raise InputError(f"query {bad.query_id}: forward pass produced non-finite scores")
-            at = rows, group_index
             per_score = nn.terms_grad(
-                scores, pad[group_index], None if weights is None else weights[at],
-                None if temperatures is None else temperatures[at], targets[at],
+                scores, pad.take(group_index, axis=0),
+                None if weights is None else weights.take(plan_index, axis=0),
+                None if temperatures is None else temperatures.take(plan_index, axis=0),
+                targets.take(plan_index, axis=0),
             )
             nn.backprop_into(g, hs, p, per_score, relu)
             nn.sgd_step(p, g, lr)
