@@ -21,6 +21,12 @@ features (<f8, n x m), item_ids (<i8), ratings (<f8), is_new (one byte per
 item) and labels (int8, n x K). n comes first, so the encoding is
 prefix-free: two datasets hash equal exactly when their JSONL texts are
 equal. The digest is not the sha256 of the saved file.
+
+length_buckets splits a list of groups into buckets of one list length,
+whose fields read stacked along a new first axis. Scoring, fusion, the
+metrics and the training plan each run once per bucket instead of once
+per group: a stacked call gives each row the arithmetic of its group's
+own call, which padding to one width would not.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ MISSING_LABEL = -1
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _ITEM_FIELDS = frozenset({"item_id", "features", "review_rating", "is_new"})
 _NUMBERS = frozenset({int, float})
+# The most groups one bucket stacks, which bounds a bucketed pass's memory.
+BUCKET_GROUPS = 256
 
 
 @dataclass
@@ -120,6 +128,36 @@ class QueryGroup:
 
     def has_labels_for(self, k: int) -> bool:
         return bool((self.labels[:, k] != MISSING_LABEL).any())
+
+
+class Bucket:
+    """Query groups of one list length n, read as one group of stacked
+    arrays: index holds their positions in the list they came from, and a
+    QueryGroup field read on the bucket (query_id, features, labels, ...)
+    is their values stacked along a new first axis, stacked on first read.
+    So bucket.labels is (B, n, K), and a function of a group's arrays that
+    works row by row, such as BoostRule.match_mask, takes a bucket too."""
+
+    def __init__(self, groups, index: np.ndarray):
+        self.index = index
+        self.groups = [groups[i] for i in index.tolist()]
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = np.stack([getattr(g, name) for g in self.groups])
+        setattr(self, name, value)
+        return value
+
+
+def length_buckets(groups) -> list[Bucket]:
+    """groups in buckets of one list length each, shortest lists first, each
+    holding at most BUCKET_GROUPS groups in their order in groups."""
+    sizes = np.array([g.size for g in groups], dtype=np.intp)
+    order = np.argsort(sizes, kind="stable")
+    same = np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1) if sizes.size else []
+    return [Bucket(groups, chunk) for index in same
+            for chunk in np.split(index, range(BUCKET_GROUPS, index.size, BUCKET_GROUPS))]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import nn
-from .data import Dataset, QueryGroup
+from .data import Dataset, QueryGroup, length_buckets
 from .errors import (
     Config, ConfigError, InputError, ParseError, TrainingError, read_jsonl, write_atomic,
 )
@@ -234,28 +234,31 @@ class BoostRule:
         return f"rating_at_least:rho={self.rho}:beta={self.beta}"
 
 
-def _objective_target(group: QueryGroup, k: int) -> np.ndarray | None:
-    """Objective k's labels normalized to a distribution, or None with no positive."""
-    vals, _ = group.objective_labels(k)
-    total = vals.sum()
-    if total <= 0:
-        return None
-    return vals / total
+def _objective_targets(labels: np.ndarray, k: int) -> np.ndarray:
+    """Objective k's labels normalized to a distribution row by row, from
+    (..., n, K) labels; a row with no positive label is all zeros, which
+    nn.stack_terms reads as no target."""
+    vals = (labels[..., k] == 1).astype(np.float64)
+    total = vals.sum(axis=-1, keepdims=True)
+    return np.divide(vals, total, out=np.zeros_like(vals), where=total > 0)
 
 
 def _label_terms(k: int):
-    """terms(group) for listwise CE against objective k's labels alone."""
-    return lambda group: nn.blend_terms(_objective_target(group, k), None, 1.0, 1.0)
+    """terms(bucket) for listwise CE against objective k's labels alone."""
+    return lambda bucket: nn.blend_terms(_objective_targets(bucket.labels, k), None, 1.0, 1.0)
 
 
 class Run(NamedTuple):
-    """One training run for train_runs: terms(group) gives the group's loss
-    as nn.listwise_grad terms, or None or no terms to skip the group. Its
-    model gets config.mlp and lineage."""
+    """One training run for train_runs. terms(bucket) gives its loss on a
+    data.Bucket of groups of one length n, from the bucket's stacked
+    labels (B, n, K) and query_id (B,), as nn.stack_terms arrays of at
+    most slots terms: a group whose weights are all 0 is skipped, and None
+    skips the whole bucket. Its model gets config.mlp and lineage."""
 
     config: DistillConfig
     lineage: str
     terms: Callable
+    slots: int = 1
 
     @classmethod
     def hard_only(cls, config: DistillConfig) -> "Run":
@@ -270,21 +273,30 @@ class Run(NamedTuple):
         soft.check_alignment(dataset)
         alpha, t, teacher_t = config.alpha, config.temperature, config.teacher_temperature
 
-        def terms(group):
+        def terms(bucket):
             soft_target = None  # at alpha 1 blend_terms drops the soft term
             if alpha < 1:
-                soft_target = nn.listwise_softmax(soft.scores[group.query_id], teacher_t)
-            return nn.blend_terms(_objective_target(group, 0), soft_target, alpha, t)
+                rows = np.stack([soft.scores[qid] for qid in bucket.query_id.tolist()])
+                finite = np.isfinite(rows).all(axis=-1)
+                if not finite.all():
+                    qid = bucket.query_id[finite.argmin()]
+                    raise InputError(f"query {qid}: soft scores contain non-finite values")
+                soft_target = nn.softmax(rows, teacher_t)
+            return nn.blend_terms(_objective_targets(bucket.labels, 0), soft_target, alpha, t)
 
-        return cls(config, lineage, terms)
+        # blend_terms keeps a slot for the hard term unless alpha is 0, and
+        # for the soft term unless alpha is 1.
+        return cls(config, lineage, terms, (alpha != 0) + (alpha != 1))
 
     @classmethod
     def scalarized(cls, dataset: Dataset, objective_weights, config: DistillConfig) -> "Run":
-        """The run of train_scalarized_baseline."""
+        """The run of train_scalarized_baseline: a slot per objective whose
+        weight is not 0."""
         weights = _weight_vector(objective_weights, dataset.K, "objective_weights")
-        return cls(config, "baseline:scalarized", lambda group: nn.live_terms(
-            [(w, 1.0, _objective_target(group, k)) for k, w in enumerate(weights)]
-        ))
+        return cls(config, "baseline:scalarized", lambda bucket: nn.stack_terms(
+            [(w, 1.0, _objective_targets(bucket.labels, k)) for k, w in enumerate(weights)],
+            bucket.labels.shape[:-1],
+        ), int(np.count_nonzero(weights)))
 
 
 def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
@@ -292,9 +304,10 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     loop over query groups. The runs must share the architecture, epochs
     and learning rate; each keeps its own mlp.seed.
 
-    Each run's terms(group) runs once per group before the first epoch,
-    and its terms are stacked then, padded to the family's most terms by
-    terms of weight 0. Every group is padded once to the dataset's longest
+    Each run's terms(bucket) runs once per length bucket of the groups
+    (data.length_buckets) before the first epoch, and its terms are written
+    then into arrays of the family's most slots, a slot a run leaves empty
+    holding a term of weight 0. Every group is padded once to the dataset's longest
     list by repeating its last item, so a padded row has exactly the
     activations of a real one, and a pad of -inf gives it probability and
     score gradient 0. A generator per seed draws the run's initial weights
@@ -340,24 +353,28 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     features = items[(np.cumsum(sizes) - sizes)[:, None] + np.minimum(column, sizes[:, None] - 1)]
     pad = np.where(column < sizes[:, None], 0.0, -np.inf)
     del items
-    # Each run's loss terms on each group, stacked as they come. A slot is
-    # added for every term more than the most so far, so no run's list of
-    # terms outlives its row.
+    # Each run's loss terms on each group, written bucket by bucket into
+    # arrays allocated once, at the family's most slots.
+    slots = max(run.slots for run in runs)
     active = np.zeros((len(runs), len(groups)), dtype=bool)
-    weights, temperatures = np.zeros(active.shape + (0,)), np.ones(active.shape + (0,))
-    targets = np.zeros(active.shape + (0, width))
-    for r, run in enumerate(runs):
-        for gi, group in enumerate(groups):
-            loss = run.terms(group)
-            if not loss:
+    weights, temperatures = np.zeros(active.shape + (slots,)), np.ones(active.shape + (slots,))
+    targets = np.zeros(active.shape + (slots, width))
+    for bucket in length_buckets(groups):
+        index, n = bucket.index, bucket.groups[0].size
+        for r, run in enumerate(runs):
+            loss = run.terms(bucket)
+            if loss is None:
                 continue
-            active[r, gi] = True
-            if len(loss) > weights.shape[-1]:
-                more = ((0, 0), (0, 0), (0, len(loss) - weights.shape[-1]))
-                weights = np.pad(weights, more)
-                temperatures = np.pad(temperatures, more, constant_values=1.0)
-                targets = np.pad(targets, (*more, (0, 0)))
-            nn.stack_terms(loss, group.size, weights[r, gi], temperatures[r, gi], targets[r, gi])
+            w, t, target = loss
+            if w.shape[-1] > run.slots:
+                raise ConfigError(f"run {run.lineage!r} gave {w.shape[-1]} loss terms "
+                                  f"for {run.slots} slots")
+            live = w.any(axis=-1)
+            rows = index[live]
+            active[r, rows] = True
+            weights[r, rows, :w.shape[-1]] = w[live]
+            temperatures[r, rows, :w.shape[-1]] = t
+            targets[r, rows, :w.shape[-1], :n] = target[live]
     # terms_grad reads None as all ones, and skips their arithmetic. Steps
     # take the plan's rows at run * len(groups) + group.
     plan_shape = (active.size, targets.shape[-2])
@@ -437,18 +454,52 @@ def train_teachers(dataset: Dataset, config: DistillConfig) -> TeacherEnsemble:
     return TeacherEnsemble(models=models)
 
 
-def fusion_serve_scores(teachers: TeacherEnsemble, group: QueryGroup) -> np.ndarray:
-    """Serving-time model fusion: weighted sum of teacher scores."""
-    fused = np.zeros(group.size)
+def _forward(params: nn.ParameterSet, activation: str, group) -> np.ndarray:
+    """The scores of a query group (n,) or of a data.Bucket's groups (B, n),
+    with one run's params, or (R, B, n) with R runs' stacked as (R, 1, P).
+    Non-finite features or scores raise an InputError naming the first
+    query that has them."""
+    query_ids = np.reshape(group.query_id, -1)
+    features = group.features
+    finite = np.isfinite(features).all(axis=(-2, -1))
+    if not finite.all():
+        raise InputError(f"query {query_ids[np.argmin(finite)]}: features contain non-finite values")
+    scores = nn.layer_outputs(params, features, activation == "relu")[-1][..., 0]
+    finite = np.isfinite(scores).all(axis=-1).reshape(-1, query_ids.size).all(axis=0)
+    if not finite.all():
+        bad = query_ids[np.argmin(finite)]
+        raise InputError(f"query {bad}: forward pass produced non-finite scores")
+    return scores
+
+
+def _by_query(dataset: Dataset, buckets, scores) -> dict[int, np.ndarray]:
+    """{query_id: scores} in dataset order, from the (B, n) scores of each
+    of the dataset's length buckets."""
+    rows = [None] * len(dataset.groups)
+    for bucket, bucket_scores in zip(buckets, scores):
+        for i, row in zip(bucket.index.tolist(), bucket_scores):
+            rows[i] = row
+    return {g.query_id: row for g, row in zip(dataset.groups, rows)}
+
+
+def fusion_serve_scores(teachers: TeacherEnsemble, group) -> np.ndarray:
+    """Serving-time model fusion: weighted sum of teacher scores, for a
+    query group or, row by row, a data.Bucket of them."""
+    *rows, m = group.features.shape
+    fused = np.zeros(rows)
     for w, model in zip(teachers.fusion_weights, teachers.models):
-        fused = fused + w * model.score_group(group)
+        if m != model.config.input_dim:
+            raise InputError(f"feature dim {m} != input dim {model.config.input_dim}")
+        fused = fused + w * _forward(model.params, model.config.activation, group)
     return fused
 
 
 def fuse_soft_labels(teachers: TeacherEnsemble, dataset: Dataset) -> SoftLabelSet:
-    """Fused raw teacher scores per query; teachers stay frozen."""
+    """Fused raw teacher scores per query, one length bucket at a time;
+    teachers stay frozen."""
     before = teachers.params_hashes()
-    scores = {g.query_id: fusion_serve_scores(teachers, g) for g in dataset.groups}
+    buckets = length_buckets(dataset.groups)
+    scores = _by_query(dataset, buckets, [fusion_serve_scores(teachers, b) for b in buckets])
     if teachers.params_hashes() != before:
         raise TrainingError("teacher parameters changed during fusion")
     return SoftLabelSet(scores=scores, provenance="teacher_fusion")
@@ -465,10 +516,25 @@ def inject_boost(soft: SoftLabelSet, rule: BoostRule, dataset: Dataset) -> SoftL
 
 
 def score_dataset(model: Model, dataset: Dataset) -> dict[int, np.ndarray]:
-    """Deterministic per-group score vectors (the serving path)."""
-    if dataset.m != model.config.input_dim:
+    """Deterministic per-group score vectors, each bit for bit the model's
+    score_group (the serving path), computed one length bucket at a time."""
+    return score_models([model], dataset)[0]
+
+
+def score_models(models: list[Model], dataset: Dataset) -> list[dict[int, np.ndarray]]:
+    """Each model's score_dataset, the models scored together: one forward
+    pass per length bucket over their stacked parameters. The models must
+    share an architecture and activation; each keeps its own seed."""
+    config = models[0].config
+    if any(replace(m.config, seed=0) != replace(config, seed=0) for m in models):
+        raise InputError("models scored together must share an architecture and activation")
+    if dataset.m != config.input_dim:
         raise InputError("dataset feature dim does not match model")
-    return {g.query_id: model.score_group(g) for g in dataset.groups}
+    flat = np.array([m.params.flat for m in models])[:, None, :]
+    params = nn.ParameterSet(flat, models[0].params.shapes)
+    buckets = length_buckets(dataset.groups)
+    scores = [_forward(params, config.activation, b) for b in buckets]
+    return [_by_query(dataset, buckets, [s[r] for s in scores]) for r in range(len(models))]
 
 
 def train_student(

@@ -3,6 +3,13 @@
 All metrics are pure functions over scores and labels. Score ties are
 broken deterministically: by list position for NDCG and exposure, and by
 ascending item id for the side-by-side change rate.
+
+rank_order, ndcg_at_k and exposure_rate work row by row over any leading
+axes, so the dataset-wide metrics run once per length bucket
+(data.length_buckets), over the bucket's scores stacked (B, n), and not
+once per query. Each row's value is bit for bit its query's: a stable sort
+orders each row alone, NDCG sums its gains in rank order as the per-query
+definition does, and every mean is a math.fsum, which no order changes.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import Dataset, QueryGroup
+from .data import Dataset, QueryGroup, length_buckets
 from .distill import BoostRule, Model
 from .errors import InputError
 from .nn import softmax
@@ -44,56 +51,95 @@ class SxSReport:
 
 
 def rank_order(scores: np.ndarray, item_ids: np.ndarray | None = None) -> np.ndarray:
-    """Indices in descending-score order; ties by ascending item_ids, else by position."""
+    """Indices in descending-score order, row by row over any leading axes;
+    ties by ascending item_ids, else by position."""
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    ids = np.arange(n) if item_ids is None else np.asarray(item_ids)
-    return np.lexsort((ids, -scores))
+    ids = np.arange(scores.shape[-1]) if item_ids is None else np.asarray(item_ids)
+    return np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=-1)
 
 
-def ndcg_at_k(scores: np.ndarray, primary_labels: np.ndarray, k: int | None) -> float:
+def ndcg_at_k(scores: np.ndarray, primary_labels: np.ndarray, k: int | None):
     """Binary-relevance NDCG; all-zero labels give 0 by convention.
 
-    k=None means the full list.
+    k=None means the full list. Row by row over any leading axes: a float
+    for one list, an array for (..., n) lists.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(primary_labels, dtype=np.float64)
-    if scores.shape != labels.shape or scores.ndim != 1 or scores.size < 1:
-        raise InputError("scores and labels must be matching 1-d vectors")
+    if scores.shape != labels.shape or scores.ndim < 1 or scores.shape[-1] < 1:
+        raise InputError("scores and labels must be matching nonempty (..., n) arrays")
     if k is not None and k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    ranks = (np.flatnonzero((labels > 0)[rank_order(scores)]) + 1).tolist()
-    return _ndcg(ranks, scores.size if k is None else k)
+    positive = np.take_along_axis(labels > 0, rank_order(scores), axis=-1)
+    return _scalar(_ndcg(positive, scores.shape[-1] if k is None else k))
 
 
-def _ndcg(ranks: list[int], k: int) -> float:
-    """NDCG cut at k from the ascending 1-based ranks of every relevant item
-    in the full list; k at or past the list's end means the full list."""
-    if not ranks:
-        return 0.0
-    dcg = 0.0
-    for rank in ranks:
-        if rank > k:
-            break
-        dcg += 1.0 / math.log2(rank + 1)
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(ranks), k) + 1))
-    return dcg / ideal
+def _scalar(values: np.ndarray):
+    """values, or a 0-d array as a float."""
+    return float(values) if values.ndim == 0 else values
 
 
-def exposure_rate(scores: np.ndarray, flags: np.ndarray, k: int) -> float:
-    """Fraction of top-k positions held by flagged items; k clamps to n."""
+def _ndcg(positive: np.ndarray, k: int) -> np.ndarray:
+    """NDCG cut at k of each row of positive, (..., n) relevance flags in
+    rank order; k at or past n means the full list. The gains 1 / log2(rank
+    + 1) are summed best rank first, as a per-query loop sums them."""
+    cut = min(k, positive.shape[-1])
+    gains = [1.0 / math.log2(rank + 1) for rank in range(1, cut + 1)]
+    dcg = np.zeros(positive.shape[:-1])
+    for j, gain in enumerate(gains):
+        dcg = dcg + np.where(positive[..., j], gain, 0.0)  # adding 0.0 changes nothing
+    count = np.minimum(np.count_nonzero(positive, axis=-1), cut)
+    ideal = np.array([sum(1.0 / math.log2(r + 1) for r in range(1, c + 1))
+                      for c in range(int(count.max(initial=0)) + 1)])[count]
+    return np.divide(dcg, ideal, out=np.zeros_like(dcg), where=count > 0)
+
+
+def exposure_rate(scores: np.ndarray, flags: np.ndarray, k: int):
+    """Fraction of top-k positions held by flagged items; k clamps to n.
+    Row by row over any leading axes, like ndcg_at_k."""
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(flags, dtype=bool)
     if scores.shape != flags.shape:
         raise InputError("scores and flags must have matching shapes")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    return _exposure(rank_order(scores), flags, k)
+    return _scalar(_exposure(np.take_along_axis(flags, rank_order(scores), axis=-1), k))
 
 
-def _exposure(order: np.ndarray, flags: np.ndarray, k: int) -> float:
-    k = min(k, order.size)
-    return float(flags[order[:k]].sum()) / k
+def _exposure(flags: np.ndarray, k: int) -> np.ndarray:
+    """The share of each row's first k entries (k clamped to n) set in
+    flags, (..., n) in rank order."""
+    k = min(k, flags.shape[-1])
+    return np.count_nonzero(flags[..., :k], axis=-1) / k
+
+
+def _stacked(scores_by_query: dict, bucket) -> np.ndarray:
+    """A length bucket's scores, stacked (B, n); a query without n scores
+    raises an InputError naming it."""
+    n = bucket.groups[0].size
+    rows = [np.asarray(scores_by_query[g.query_id], dtype=np.float64) for g in bucket.groups]
+    for g, row in zip(bucket.groups, rows):
+        if row.shape != (n,):
+            raise InputError(f"query {g.query_id}: {row.shape} scores for {n} items")
+    return np.stack(rows)
+
+
+def _per_query(scores_by_query: dict, dataset: Dataset, metric) -> np.ndarray:
+    """metric(scores, bucket) of every query, in dataset order: called once
+    per length bucket with its scores stacked, it gives a row per query."""
+    if not dataset.groups:
+        raise InputError("dataset is empty")
+    out = None
+    for bucket in length_buckets(dataset.groups):
+        values = metric(_stacked(scores_by_query, bucket), bucket)
+        if out is None:
+            out = np.empty((len(dataset.groups), *values.shape[1:]))
+        out[bucket.index] = values
+    return out
+
+
+def _mean(values) -> float:
+    return float(math.fsum(values) / len(values))
 
 
 def serve_with_boost(
@@ -110,17 +156,17 @@ def boost_scores(
     return scores + gamma * rule.match_mask(group)
 
 
-def _tau(seq: np.ndarray) -> float:
-    """Kendall tau of a permutation seq of range(n): the positions in ranking
-    b of the items taken in ranking a's order."""
-    n = seq.size
+def _tau(seq: np.ndarray) -> np.ndarray:
+    """Kendall tau of each row of seq, a permutation of range(n): the
+    positions in ranking b of the items taken in ranking a's order."""
+    n = seq.shape[-1]
     if n < 2:
-        return 1.0
+        return np.ones(seq.shape[:-1])
     pairs = n * (n - 1) // 2
     i = np.arange(n)
-    concordant = np.count_nonzero((seq[:, None] < seq) & (i[:, None] < i))
-    discordant = pairs - concordant
-    return (concordant - discordant) / pairs
+    ordered = (seq[..., :, None] < seq[..., None, :]) & (i[:, None] < i)
+    concordant = np.count_nonzero(ordered, axis=(-2, -1))
+    return (concordant - (pairs - concordant)) / pairs
 
 
 def prediction_difference(preds_a, preds_b) -> float:
@@ -157,31 +203,24 @@ def sxs_report(
     PD is computed over per-item softmax probabilities (positive by
     construction), concatenated across all queries.
     """
-    if not dataset.groups:
-        raise InputError("dataset is empty")
-    changed = 0
-    taus = []
-    probs_a = []
-    probs_b = []
-    for g in dataset.groups:
-        sa, sb = scores_a[g.query_id], scores_b[g.query_id]
-        oa = rank_order(sa, g.item_ids)
-        ob = rank_order(sb, g.item_ids)
-        pos_b = np.empty(g.size, dtype=np.intp)
-        pos_b[ob] = np.arange(g.size)
-        tau = _tau(pos_b[oa])
-        taus.append(tau)
-        if (1.0 - tau) / 2.0 > tau_threshold:
-            changed += 1
-        probs_a.append(softmax(sa, 1.0))
-        probs_b.append(softmax(sb, 1.0))
+    probs_a, probs_b = [], []
+
+    def tau(sa, bucket):
+        sb = _stacked(scores_b, bucket)
+        ids = bucket.item_ids
+        pos_b = np.argsort(rank_order(sb, ids), axis=-1)  # the inverse permutation
+        probs_a.append(softmax(sa, 1.0).ravel())
+        probs_b.append(softmax(sb, 1.0).ravel())
+        return _tau(np.take_along_axis(pos_b, rank_order(sa, ids), axis=-1))
+
+    taus = _per_query(scores_a, dataset, tau)
     pd = prediction_difference(np.concatenate(probs_a), np.concatenate(probs_b))
     return SxSReport(
-        change_rate=changed / len(dataset.groups),
-        mean_tau=float(math.fsum(taus) / len(taus)),
+        change_rate=np.count_nonzero((1.0 - taus) / 2.0 > tau_threshold) / len(taus),
+        mean_tau=_mean(taus),
         pd=pd,
         tau_threshold=tau_threshold,
-        query_count=len(dataset.groups),
+        query_count=len(taus),
     )
 
 
@@ -193,40 +232,33 @@ def ranking_metrics_report(
 ) -> RankingMetricsReport:
     """Aggregate NDCG and exposure rates over a scored dataset.
 
-    Each query is ranked once and its label rows gathered once in that
-    order; its NDCG@5, NDCG@10, full NDCG and every per-objective exposure
-    come from those rows. Per-objective exposure flags an item when its label
-    for that objective is 1. Boosted exposure uses the rule's predicate.
+    Each length bucket is ranked once and its label rows gathered once in
+    that order; every query's NDCG@5, NDCG@10, full NDCG and every
+    per-objective exposure come from those rows. Per-objective exposure
+    flags an item when its label for that objective is 1. Boosted exposure
+    uses the rule's predicate.
     """
-    if not dataset.groups:
-        raise InputError("dataset is empty")
     if exposure_k < 1:
         raise InputError(f"k must be >= 1, got {exposure_k}")
-    ndcg5, ndcg10, ndcgf = [], [], []
-    obj_exp = [[] for _ in range(dataset.K)]
-    boost_exp = []
-    for g in dataset.groups:
-        s = np.asarray(scores_by_query[g.query_id], dtype=np.float64)
-        if s.shape != (g.size,):
-            raise InputError(f"query {g.query_id}: {s.shape} scores for {g.size} items")
-        order = rank_order(s)
-        positive = g.labels[order] == 1
-        ranks = (np.flatnonzero(positive[:, 0]) + 1).tolist()
-        ndcg5.append(_ndcg(ranks, 5))
-        ndcg10.append(_ndcg(ranks, 10))
-        ndcgf.append(_ndcg(ranks, g.size))
-        k = min(exposure_k, g.size)
-        for col, count in zip(obj_exp, np.count_nonzero(positive[:k], axis=0).tolist()):
-            col.append(count / k)
+
+    def metrics(scores, bucket):
+        order = rank_order(scores)
+        positive = np.take_along_axis(bucket.labels, order[..., None], axis=-2) == 1
+        columns = [_ndcg(positive[..., 0], k) for k in (5, 10, scores.shape[-1])]
+        exposures = [_exposure(positive[..., k], exposure_k) for k in range(dataset.K)]
         if boost_rule is not None:
-            boost_exp.append(_exposure(order, boost_rule.match_mask(g), exposure_k))
-    mean = lambda xs: float(math.fsum(xs) / len(xs))
+            flags = np.take_along_axis(boost_rule.match_mask(bucket), order, axis=-1)
+            exposures.append(_exposure(flags, exposure_k))
+        return np.stack(columns + exposures, axis=-1)
+
+    table = _per_query(scores_by_query, dataset, metrics)
+    means = [_mean(column) for column in table.T]
     return RankingMetricsReport(
-        ndcg_at_5=mean(ndcg5),
-        ndcg_at_10=mean(ndcg10),
-        ndcg_full=mean(ndcgf),
-        objective_exposure_at_10=[mean(e) for e in obj_exp],
-        boosted_exposure_at_10=mean(boost_exp) if boost_exp else None,
+        ndcg_at_5=means[0],
+        ndcg_at_10=means[1],
+        ndcg_full=means[2],
+        objective_exposure_at_10=means[3:3 + dataset.K],
+        boosted_exposure_at_10=means[-1] if boost_rule is not None else None,
         query_count=len(dataset.groups),
     )
 
@@ -237,18 +269,23 @@ def mean_boosted_exposure(
     rule: BoostRule,
     k: int = 10,
 ) -> float:
-    vals = [
-        exposure_rate(scores_by_query[g.query_id], rule.match_mask(g), k)
-        for g in dataset.groups
-    ]
-    return float(math.fsum(vals) / len(vals))
+    return _mean(_per_query(
+        scores_by_query, dataset,
+        lambda scores, bucket: exposure_rate(scores, rule.match_mask(bucket), k),
+    ))
+
+
+def query_ndcg(
+    scores_by_query: dict[int, np.ndarray], dataset: Dataset, k: int | None = 10
+) -> list[float]:
+    """Each query's ndcg_at_k, in dataset order."""
+    return _per_query(
+        scores_by_query, dataset,
+        lambda scores, bucket: ndcg_at_k(scores, bucket.labels[..., 0] == 1, k),
+    ).tolist()
 
 
 def mean_ndcg(
     scores_by_query: dict[int, np.ndarray], dataset: Dataset, k: int | None = 10
 ) -> float:
-    vals = [
-        ndcg_at_k(scores_by_query[g.query_id], g.primary_labels(), k)
-        for g in dataset.groups
-    ]
-    return float(math.fsum(vals) / len(vals))
+    return _mean(query_ndcg(scores_by_query, dataset, k))

@@ -8,8 +8,9 @@ entropy.
 The arithmetic exists once, in four unchecked kernels: layer_outputs (the
 forward pass), backprop_into (gradients written into reused arrays),
 softmax, and terms_grad (the score gradient of weighted listwise-CE terms,
-the form of every loss; blend_terms writes the distillation loss in it,
-and listwise_grad stacks a list of terms for it). The public mlp_forward,
+the form of every loss). Every loss is a list of (weight, temperature,
+target) terms over many lists at once, stacked as arrays by stack_terms;
+blend_terms writes the distillation loss that way, row by row. The public mlp_forward,
 backward, listwise_softmax and distill_loss check their inputs and call a
 kernel; they leave their inputs unchanged and return fresh arrays. The
 trainers in distill call the kernels on inputs they check once per run. A
@@ -20,8 +21,9 @@ A ParameterSet holds one run, flat (P,), or R runs of one architecture as
 the rows of flat (R, P). layer_outputs, backprop_into and sgd_step take
 either form, and a stacked call may give each run its own items: each
 run's slice of a stacked call is the same arithmetic, bit for bit, as the
-call on that run's own ParameterSet and items. terms_grad likewise works
-row by row over any leading axes.
+call on that run's own ParameterSet and items. softmax, stack_terms,
+blend_terms and terms_grad likewise work row by row over any leading axes,
+each row bit for bit what it gives alone.
 """
 
 from __future__ import annotations
@@ -246,12 +248,12 @@ def backward(
 
 
 def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
-    """Max-stabilized temperature softmax in a fresh array. Unchecked kernel
-    of listwise_softmax."""
+    """Max-stabilized temperature softmax in a fresh array, row by row over
+    any leading axes. Unchecked kernel of listwise_softmax."""
     z = scores if temperature == 1.0 else scores / temperature  # x / 1.0 is x bit for bit
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum()
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -277,22 +279,36 @@ def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-(target * np.log(safe)).sum())
 
 
-def live_terms(terms: list) -> list:
-    """terms without those of weight 0 or with no target: the one rule for
-    which loss terms a step drops."""
-    return [term for term in terms if term[0] != 0 and term[2] is not None]
+def stack_terms(terms, shape) -> tuple:
+    """Loss terms on lists of shape (..., n) as terms_grad's arrays: weights
+    (..., S), temperatures (S,) and targets (..., S, n), one slot per term
+    (w, T, target) in order, each target broadcast to shape. A term of
+    weight 0 or with no target (None) gets no slot, and a target row of
+    zeros is no target, so its list gets weight 0 in that slot: the one
+    rule for which loss terms a step drops."""
+    kept = [(w, t, target) for w, t, target in terms if w != 0 and target is not None]
+    targets = np.zeros((*shape[:-1], len(kept), shape[-1]))
+    for k, (_, _, target) in enumerate(kept):
+        targets[..., k, :] = target
+    weights = np.array([w for w, _, _ in kept], dtype=np.float64)
+    temperatures = np.array([t for _, t, _ in kept], dtype=np.float64)
+    return np.where(targets.any(axis=-1), weights, 0.0), temperatures, targets
 
 
-def blend_terms(hard, soft, alpha: float, temperature: float) -> list:
-    """The distillation loss as terms: alpha times CE against hard at
-    temperature 1, then 1 - alpha times CE against soft at temperature.
-    A lone live term gets weight 1, so alpha == 1 with a hard target is
-    exactly hard-label training, and a group with no hard target trains
+def blend_terms(hard, soft, alpha: float, temperature: float) -> tuple:
+    """The distillation loss as stacked terms (stack_terms), row by row:
+    alpha times CE against hard at temperature 1, then 1 - alpha times CE
+    against soft at temperature. hard holds (..., n) target rows, a row of
+    zeros for a list with no hard target; soft holds such rows or is None.
+    A row's lone live term gets weight 1, so alpha == 1 with a hard target
+    is exactly hard-label training, and a list with no hard target trains
     on the soft term alone."""
-    terms = live_terms([(alpha, 1.0, hard), (1.0 - alpha, temperature, soft)])
-    if len(terms) == 1:
-        terms = [(1.0, *terms[0][1:])]
-    return terms
+    weights, temperatures, targets = stack_terms(
+        [(alpha, 1.0, hard), (1.0 - alpha, temperature, soft)], np.shape(hard)
+    )
+    live = weights != 0
+    lone = np.count_nonzero(live, axis=-1) == 1
+    return np.where(lone[..., None], live, weights), temperatures, targets
 
 
 def distill_loss(
@@ -309,40 +325,31 @@ def distill_loss(
 
     The hard term always uses temperature 1; temperature applies only to
     the student softmax of the soft term. Both the value and the gradient
-    come from blend_terms, so alpha == 1 or 0, or a missing target
-    (None), leaves the other term out entirely.
+    come from blend_terms, so alpha == 1 or 0, or a missing target (None,
+    or all zeros), leaves the other term out entirely.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise InputError("scores contain non-finite values")
-    terms = [(w, t, np.asarray(target, dtype=np.float64))
-             for w, t, target in blend_terms(hard, soft, alpha, temperature)]
-    parts = [w * cross_entropy(listwise_softmax(scores, t), target) for w, t, target in terms]
+    hard, soft = (None if t is None else np.asarray(t, dtype=np.float64) for t in (hard, soft))
+    for target in (hard, soft):
+        if target is not None and target.shape != scores.shape:
+            raise InputError(f"length mismatch: {scores.shape} vs {target.shape}")
+    terms = blend_terms(np.zeros(scores.shape) if hard is None else hard, soft, alpha, temperature)
+    parts = [w * cross_entropy(listwise_softmax(scores, t), target)
+             for w, t, target in zip(*terms) if w != 0]
     loss = sum(parts[1:], parts[0]) if parts else 0.0
     return float(loss), listwise_grad(scores, terms)
 
 
 def listwise_grad(scores, terms) -> np.ndarray:
-    """d/d(scores) of sum_k w_k * CE(softmax(scores, T_k), target_k) over
-    terms (w_k, T_k, target_k), summed in order, in a fresh array (zeros
-    for no terms): terms_grad of the terms stacked. Unchecked kernel of
-    distill_loss."""
+    """d/d(scores) of the weighted CE sum of stacked terms (stack_terms,
+    blend_terms), row by row, in a fresh array (zeros for no terms):
+    terms_grad with nothing padded. Unchecked kernel of distill_loss."""
     scores = np.asarray(scores, dtype=np.float64)
-    n, k = scores.shape[-1], len(terms)
-    weights, temperatures, targets = np.zeros(k), np.ones(k), np.zeros((k, n))
-    stack_terms(terms, n, weights, temperatures, targets)
-    return terms_grad(scores, np.zeros(n), weights, temperatures, targets)
-
-
-def stack_terms(terms, n: int, weights, temperatures, targets) -> None:
-    """Write terms on n items into the slots of terms_grad's weights (K,),
-    temperatures (K,) and targets (K, width), in order: each target into
-    the first n columns. The caller fills the rest, weight 0 at
-    temperature 1 and target 0, so that they add only zeros."""
-    for k, (w, t, target) in enumerate(terms):
-        weights[k], temperatures[k], targets[k, :n] = w, t, target
+    return terms_grad(scores, np.zeros_like(scores), *terms)
 
 
 def terms_grad(scores, pad, weights, temperatures, targets) -> np.ndarray:

@@ -10,9 +10,10 @@ distilled arm is its sweep student at the config's alpha, and its alpha
 1.0 student is the hard-only student's parameters. The distill, repro and
 boost studies train runs that share a dataset and an architecture
 together, in lockstep, through distill.train_runs, each run with its own
-seed; the self study trains each run alone. The repro study trains every
-seed's hard-only and distilled students as one family, scores each model
-once and compares every pair from those scores.
+seed, and score each family together, one length bucket at a time, through
+distill.score_models; the self study trains each run alone. The repro
+study trains every seed's hard-only and distilled students as one family,
+scores each model once and compares every pair from those scores.
 
 The boost calibrations ask for points in batches and walk the path of a
 search that measures one point at a time. The soft sides of all parity
@@ -40,9 +41,9 @@ from .distill import (
     Run,
     TeacherEnsemble,
     fuse_soft_labels,
-    fusion_serve_scores,
     inject_boost,
     score_dataset,
+    score_models,
     self_distill_step,
     train_runs,
     train_student,
@@ -265,8 +266,7 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
                  "dataset_hash": study.eval_hash, "metrics": metrics, **extra}
         return entry, scores
 
-    def trained(model, **extra):
-        scores = score_dataset(model, eval_ds)
+    def trained(model, scores, **extra):
         return measured(model.lineage, study.store.put_model(model), scores, **extra)
 
     # One lockstep family: every run shares the data and config.distill up
@@ -275,23 +275,27 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
     # hard-only parameters, scores and metrics under its own lineage.
     alphas = dict.fromkeys((config.distill.alpha, *config.alpha_sweep))
     distilled = [a for a in alphas if a != 1.0]
-    hard_only, *sweep, scalarized = train_runs(train_ds, [
+    models = train_runs(train_ds, [
         Run.hard_only(config.distill),
         *(Run.student(train_ds, soft, replace(config.distill, alpha=a)) for a in distilled),
         Run.scalarized(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill),
     ])
-    hard_run = trained(hard_only)
-    students = {alpha: trained(model, alpha=alpha) for alpha, model in zip(distilled, sweep)}
+    (hard_only, *sweep, scalarized), (hard_scores, *sweep_scores, scalarized_scores) = (
+        models, score_models(models, eval_ds)
+    )
+    hard_run = trained(hard_only, hard_scores)
+    students = {alpha: trained(model, scores, alpha=alpha)
+                for alpha, model, scores in zip(distilled, sweep, sweep_scores)}
     if 1.0 in alphas:
         entry, scores = hard_run
         checkpoint = study.store.put_model(Model(hard_only.config, hard_only.params, "student_v0"))
         students[1.0] = ({**entry, "lineage": "student_v0", "checkpoint_hash": checkpoint,
                           "alpha": 1.0}, scores)
-    fusion_scores = {g.query_id: fusion_serve_scores(teachers, g) for g in eval_ds.groups}
+    fusion_scores = fuse_soft_labels(teachers, eval_ds).scores
     teacher_hashes = ",".join(study.teacher_hashes)
     arm_runs = {
         "fusion_baseline": measured("baseline:model_fusion", teacher_hashes, fusion_scores),
-        "scalarized_baseline": trained(scalarized),
+        "scalarized_baseline": trained(scalarized, scalarized_scores),
         "hard_only_student": hard_run,
         "distilled_student": students[config.distill.alpha],
     }
@@ -361,12 +365,11 @@ def study_self_distillation(config: ExperimentConfig) -> dict:
     )
 
 
-def _pairwise_sxs(models: list[Model], dataset: Dataset, tau_threshold: float):
-    """Mean change rate and PD over every pair, each model scored once."""
-    scores = [score_dataset(m, dataset) for m in models]
+def _pairwise_sxs(scores: list[dict], dataset: Dataset, tau_threshold: float):
+    """Mean change rate and PD over every pair of models' scores."""
     rates, pds = [], []
-    for i in range(len(models)):
-        for j in range(i + 1, len(models)):
+    for i in range(len(scores)):
+        for j in range(i + 1, len(scores)):
             rep = evaluation.sxs_report(scores[i], scores[j], dataset, tau_threshold)
             rates.append(rep.change_rate)
             pds.append(rep.pd)
@@ -383,14 +386,16 @@ def study_irreproducibility(config: ExperimentConfig) -> dict:
         run for cfg in study.seed_configs(config.num_seeds)
         for run in (Run.hard_only(cfg), Run.student(train_ds, soft, cfg))
     ])
-    families = {"hard_only": models[0::2], "distilled": models[1::2]}
+    scores = score_models(models, study.eval_ds)
+    families = {"hard_only": slice(0, None, 2), "distilled": slice(1, None, 2)}
 
     body = {"tau_threshold": TAU_THRESHOLD}
-    for name, models in families.items():
-        rate, pd = _pairwise_sxs(models, study.eval_ds, TAU_THRESHOLD)
+    for name, family in families.items():
+        rate, pd = _pairwise_sxs(scores[family], study.eval_ds, TAU_THRESHOLD)
         body[name] = {
             "models": [
-                {"seed": m.seed, "checkpoint_hash": study.store.put_model(m)} for m in models
+                {"seed": m.seed, "checkpoint_hash": study.store.put_model(m)}
+                for m in models[family]
             ],
             "mean_change_rate": rate,
             "mean_pd": pd,
@@ -551,11 +556,9 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
         runs = [Run.student(train_ds, inject_boost(soft, replace(rule, beta=b), train_ds)
                             if b else soft, configs[i])
                 for i, betas in requests for b in betas]
-        measured = []
-        for model in train_runs(train_ds, runs):
-            scores = score_dataset(model, eval_ds)
-            measured.append((exposure(scores), (model, scores)))
-        measured = iter(measured)
+        models = train_runs(train_ds, runs)
+        measured = iter([(exposure(scores), (model, scores))
+                         for model, scores in zip(models, score_models(models, eval_ds))])
         return [[next(measured) for _ in betas] for _, betas in requests]
 
     searches = [_exposure_search(bc.target_lift, bc.exposure_tolerance, bc.beta_max,
@@ -680,9 +683,8 @@ def _write_report(output_dir, report, per_query_scores, eval_ds) -> None:
             writer = csv.writer(f)
             writer.writerow(["arm", "query_id", "ndcg_at_10"])
             for arm in sorted(per_query_scores):
-                scores = per_query_scores[arm]
-                for g in eval_ds.groups:
-                    ndcg = evaluation.ndcg_at_k(scores[g.query_id], g.primary_labels(), 10)
+                ndcgs = evaluation.query_ndcg(per_query_scores[arm], eval_ds, 10)
+                for g, ndcg in zip(eval_ds.groups, ndcgs):
                     writer.writerow([arm, g.query_id, repr(ndcg)])
 
 

@@ -76,13 +76,22 @@ def scalarized_steps(dataset, objective_weights, epochs):
     ]
 
 
+def objective_target(group, k):
+    """Objective k's labels in a group, each 1 divided by their count, or
+    None when the group has no positive label for k."""
+    positive = (group.labels[:, k] == 1).astype(np.float64)
+    count = positive.sum()
+    return positive / count if count > 0 else None
+
+
 def padded_train(dataset, config, target, alpha=1.0, soft=None):
     """The per-step SGD loop that the trainers fuse, over the public nn
     functions, with each group padded as they pad it: to the dataset's
     longest list by repeating its last item, every padded item masked out
     of each softmax, and the score gradient summed term by term,
     sum_k w_k * (softmax(scores / T_k) - target_k) / T_k, with the loss
-    terms of nn.blend_terms. target(group) is the hard target or None."""
+    terms of nn.blend_terms that have a weight. target(group) is the hard
+    target or None."""
     mlp = config.mlp
     width = max(g.size for g in dataset.groups)
     rng = np.random.default_rng(config.seed)
@@ -97,7 +106,11 @@ def padded_train(dataset, config, target, alpha=1.0, soft=None):
                 soft_target = nn.listwise_softmax(
                     soft.scores[group.query_id], config.teacher_temperature
                 )
-            terms = nn.blend_terms(target(group), soft_target, alpha, config.temperature)
+            hard = target(group)
+            terms = [(w, t, hard_or_soft) for w, t, hard_or_soft in zip(*nn.blend_terms(
+                np.zeros(group.size) if hard is None else hard, soft_target, alpha,
+                config.temperature,
+            )) if w != 0]
             if not terms:
                 continue
             n = group.size

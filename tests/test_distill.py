@@ -392,8 +392,10 @@ class TestScalarized:
     def test_sparse_objectives_take_fewer_steps(self, dataset):
         weights = [1.0, 2.0, 3.0]  # distinct, so a term's weight names its objective
         run = distill.Run.scalarized(dataset, weights, train_config())
-        terms = [run.terms(g) for g in dataset.groups]
-        steps = [sum(any(term[0] == w for term in t) for t in terms) for w in weights]
+        # Each bucket's stacked term weights, a row per group and a slot
+        # per objective.
+        terms = [run.terms(b)[0] for b in data.length_buckets(dataset.groups)]
+        steps = [sum(int(np.count_nonzero(t == w)) for t in terms) for w in weights]
         assert steps == scalarized_steps(dataset, weights, epochs=1)
         assert steps[0] > steps[1]
         assert steps[0] > steps[2]

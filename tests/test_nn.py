@@ -229,7 +229,9 @@ class TestDistillLoss:
             else:
                 want = (alpha * (nn.softmax(scores, 1.0) - hard)
                         + (1.0 - alpha) * ((nn.softmax(scores, 1.0) - soft) / 1.0))
-            got = nn.listwise_grad(scores, nn.blend_terms(hard, soft, alpha, 1.0))
+            # A row of zeros is no hard target.
+            hard_rows = np.zeros(n) if hard is None else hard
+            got = nn.listwise_grad(scores, nn.blend_terms(hard_rows, soft, alpha, 1.0))
             assert got.tobytes() == want.tobytes()
 
     def test_alpha_out_of_range(self):
@@ -255,7 +257,7 @@ class TestListwiseGrad:
                 scores = rng.normal(size=n) * 3.0
                 terms = [(rng.uniform(0.0, 2.0), rng.choice([1.0, 0.5, 2.5, 4.0]),
                           rng.dirichlet(np.ones(n))) for _ in range(count)]
-                got = nn.listwise_grad(scores, terms)
+                got = nn.listwise_grad(scores, nn.stack_terms(terms, scores.shape))
                 assert np.allclose(got, oracle_grad(scores, terms), rtol=0.0, atol=1e-12)
 
     def test_mixed_temperatures_match_the_formula(self):
@@ -263,11 +265,11 @@ class TestListwiseGrad:
         scores = rng.normal(size=6)
         targets = [rng.dirichlet(np.ones(6)) for _ in range(3)]
         terms = list(zip([0.3, 1.0, 0.6], [1.0, 2.0, 1.0], targets))
-        got = nn.listwise_grad(scores, terms)
+        got = nn.listwise_grad(scores, nn.stack_terms(terms, scores.shape))
         assert np.allclose(got, oracle_grad(scores, terms), rtol=0.0, atol=1e-12)
 
     def test_no_terms_give_zeros(self):
-        got = nn.listwise_grad(np.array([0.5, -1.0]), [])
+        got = nn.listwise_grad(np.array([0.5, -1.0]), nn.stack_terms([], (2,)))
         assert got.tobytes() == np.zeros(2).tobytes()
 
     @pytest.mark.parametrize("weights", [[1 / 3] * 3, [1.0, 0.0, 0.5], [0.2, 0.3, 0.5], [0.7]])
@@ -281,7 +283,8 @@ class TestListwiseGrad:
             for w, target in zip(weights, targets):  # summed in k order
                 g = w * (p - target)
                 want = g if want is None else want + g
-            got = nn.listwise_grad(scores, [(w, 1.0, t) for w, t in zip(weights, targets)])
+            terms = nn.stack_terms([(w, 1.0, t) for w, t in zip(weights, targets)], scores.shape)
+            got = nn.listwise_grad(scores, terms)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("temperature", [1.0, 2.5, 0.5])
@@ -302,28 +305,48 @@ class TestListwiseGrad:
 
 
 class TestBlendTerms:
-    hard, soft = np.array([1.0, 0.0]), np.array([0.4, 0.6])
+    hard, soft, none = np.array([1.0, 0.0]), np.array([0.4, 0.6]), np.zeros(2)
+
+    def slots(self, terms):
+        """(weight, temperature, target name) per slot."""
+        names = {(1.0, 0.0): "hard", (0.4, 0.6): "soft", (0.0, 0.0): "none"}
+        return [(w, t, names[tuple(target)]) for w, t, target in zip(*(a.tolist() for a in terms))]
 
     def test_both_terms_hard_first(self):
-        terms = nn.blend_terms(self.hard, self.soft, 0.2, 3.0)
-        assert [(w, t) for w, t, _ in terms] == [(0.2, 1.0), (0.8, 3.0)]
-        assert terms[0][2] is self.hard and terms[1][2] is self.soft
+        assert self.slots(nn.blend_terms(self.hard, self.soft, 0.2, 3.0)) == [
+            (0.2, 1.0, "hard"), (0.8, 3.0, "soft")
+        ]
 
+    # A term of weight 0, or with no soft target, gets no slot; a row of
+    # zeros, no hard target, keeps its slot at weight 0, and a weight of
+    # 0 everywhere skips the list.
     @pytest.mark.parametrize("alpha,hard,soft,want", [
         (1.0, "hard", "soft", [(1.0, 1.0, "hard")]),
         (0.0, "hard", "soft", [(1.0, 3.0, "soft")]),
-        (0.2, None, "soft", [(1.0, 3.0, "soft")]),
+        (0.2, "none", "soft", [(0.0, 1.0, "none"), (1.0, 3.0, "soft")]),
         (0.2, "hard", None, [(1.0, 1.0, "hard")]),
-        (1.0, None, "soft", []),
+        (1.0, "none", "soft", [(0.0, 1.0, "none")]),
         (0.0, "hard", None, []),
-        (0.5, None, None, []),
+        (0.5, "none", None, [(0.0, 1.0, "none")]),
     ])
     def test_a_dead_term_is_dropped_and_a_lone_term_weighs_one(self, alpha, hard, soft, want):
-        assert nn.blend_terms(hard, soft, alpha, 3.0) == want
+        soft = None if soft is None else getattr(self, soft)
+        assert self.slots(nn.blend_terms(getattr(self, hard), soft, alpha, 3.0)) == want
 
-    def test_live_terms_keeps_order_and_weights(self):
-        terms = [(0.5, 1.0, "a"), (0.0, 1.0, "b"), (2.0, 1.0, None), (0.25, 2.0, "c")]
-        assert nn.live_terms(terms) == [(0.5, 1.0, "a"), (0.25, 2.0, "c")]
+    def test_the_lone_term_rule_holds_row_by_row(self):
+        hard = np.stack([self.hard, self.none, self.hard])
+        weights, temperatures, targets = nn.blend_terms(hard, np.stack([self.soft] * 3), 0.2, 3.0)
+        assert weights.tolist() == [[0.2, 0.8], [0.0, 1.0], [0.2, 0.8]]
+        assert temperatures.tolist() == [1.0, 3.0]
+        assert targets.shape == (3, 2, 2)
+
+    def test_stack_terms_keeps_order_and_weights(self):
+        a, c = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+        terms = [(0.5, 1.0, a), (0.0, 1.0, c), (2.0, 1.0, None), (0.25, 2.0, c), (3.0, 1.0, self.none)]
+        weights, temperatures, targets = nn.stack_terms(terms, (2,))
+        assert weights.tolist() == [0.5, 0.25, 0.0]
+        assert temperatures.tolist() == [1.0, 2.0, 1.0]
+        assert targets.tolist() == [a.tolist(), c.tolist(), self.none.tolist()]
 
 
 def loss_for_params(params, x, hard, soft, alpha=0.3, temp=2.0, activation="relu"):

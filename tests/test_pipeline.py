@@ -623,7 +623,8 @@ def test_studies_train_runs_that_share_a_seed_together(tmp_path, monkeypatch):
     runs, scored, measured = [], [], []
     for module in (distill, pipeline):
         spy(monkeypatch, module, "train_runs", lambda ds, family: runs.append(len(family)))
-    spy(monkeypatch, pipeline, "score_dataset", lambda model, ds: scored.append(model.lineage))
+    spy(monkeypatch, pipeline, "score_models",
+        lambda models, ds: scored.extend(m.lineage for m in models))
     spy(monkeypatch, evaluation, "ranking_metrics_report", lambda *args: measured.append(1))
     config = small_experiment(tmp_path / "distill", alpha_sweep=(0.0, 0.2, 0.5, 1.0))
     rep = pipeline.study_distill_vs_baselines(config)
@@ -673,17 +674,17 @@ class TestStudyRepro:
         assert len(seeds) == 2
 
     def test_each_model_is_scored_once(self, tmp_path, monkeypatch):
-        calls = []
-        spy(monkeypatch, Model, "score_group", lambda model, group: calls.append((model, group)))
+        calls, served = [], []
+        spy(monkeypatch, pipeline, "score_models", lambda models, ds: calls.append((models, ds)))
+        spy(monkeypatch, Model, "score_group", lambda model, group: served.append(model))
         config = small_experiment(tmp_path, num_seeds=3)
-        pipeline.study_irreproducibility(config)
-        # Teachers score the training split for fusion; every student
-        # scores each eval query once, however many pairs it is in.
-        scored = [(id(m), g.query_id) for m, g in calls if not m.lineage.startswith("teacher:")]
-        assert set(Counter(scored).values()) == {1}
-        per_student = Counter(model for model, _ in scored)
-        assert len(per_student) == 2 * config.num_seeds
-        assert len(set(per_student.values())) == 1
+        rep = pipeline.study_irreproducibility(config)
+        # Every student scores the eval split once, however many pairs it
+        # is in: all of them in one family call, and no query on its own.
+        ((models, ds),) = calls
+        assert len({id(m) for m in models}) == len(models) == 2 * config.num_seeds
+        assert ds.content_hash() == rep["eval_dataset_hash"]
+        assert served == []
 
 
 class TestStudyBoost:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import padded_train, scalarized_steps
+from oracles import objective_target, padded_train, scalarized_steps
 
 from moltr import cli, data, distill, nn
 from moltr.errors import ConfigError, InputError, TrainingError
@@ -132,7 +132,7 @@ def test_every_trainer_is_pinned(hashes):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_trainers_equal_the_public_nn_loop(activation, alpha):
     ds = data.generate_dataset(gen_config())
-    primary = distill._objective_target
+    primary = objective_target
     cfg = train_config(activation, alpha=alpha, temperature=1.5, teacher_temperature=3.0, epochs=2)
     teachers = distill.train_teachers(ds, train_config(activation, alpha=1.0, epochs=1))
     soft = distill.fuse_soft_labels(teachers, ds)
@@ -172,7 +172,7 @@ def test_runs_trained_together_equal_runs_trained_alone(activation):
     runs = family(ds, distill.fuse_soft_labels(teachers, ds), activation)
     # The hard-only run skips the groups without a booking; the distilled
     # students step on every group, and the scalarized run on most.
-    primary = [distill._objective_target(g, 0) for g in ds.groups]
+    primary = [objective_target(g, 0) for g in ds.groups]
     assert 0 < sum(t is None for t in primary) < len(ds.groups)
     together = distill.train_runs(ds, list(runs.values()))
     for (name, run), model in zip(runs.items(), together):
@@ -222,8 +222,9 @@ def blow_up_run(config, groups):
     """A run that steps only on groups, with a loss term so heavy (weight
     1e200, against target -1) that its params, still finite, score any
     later group as non-finite."""
-    def terms(group):
-        return [(1e200, 1.0, -1.0)] if any(group is g for g in groups) else None
+    def terms(bucket):
+        hit = np.isin(bucket.query_id, [g.query_id for g in groups])
+        return np.where(hit, 1e200, 0.0)[:, None], np.ones(1), np.full((*hit.shape, 1, 1), -1.0)
 
     return distill.Run(config, "blow_up", terms)
 
@@ -308,7 +309,7 @@ def test_families_of_mixed_seeds_equal_their_runs_trained_alone(activation, data
     alone = assert_each_run_trains_as_alone(ds, runs)
     assert alone["idle_s6"].params == nn.init_params(runs["idle_s6"].config.mlp)
     assert alone["hard_only_s5"].params == padded_train(
-        ds, runs["hard_only_s5"].config, lambda g: distill._objective_target(g, 0)
+        ds, runs["hard_only_s5"].config, lambda g: objective_target(g, 0)
     )
 
 
