@@ -5,8 +5,9 @@ All trainers share one deterministic engine, train_runs: a generator
 seeded with the run's one seed, mlp.seed, draws the initial weights and
 then one shuffle of the query-group order per epoch, and each group is a
 single SGD step for each run that does not skip it. A run's loss on a
-group is a list of weighted listwise-CE terms, built once per run and
-stacked into arrays. Every group is padded once, to the dataset's longest
+group is a list of weighted listwise-CE terms, built once per run for a
+whole length bucket (data.length_buckets) at a time and written into
+arrays allocated once. Every group is padded once, to the dataset's longest
 list, by repeating its last item, and the padding is masked out of every
 softmax, so every step computes at that one width. Each step calls nn's
 forward, terms_grad and backprop kernels, the same code behind nn's public
@@ -20,6 +21,11 @@ together: each run takes its own next group, and one gather, one stacked
 forward pass, one loss call, one backprop and one update serve every run
 per step, each run's rows bit for bit what it gives trained alone. Each
 public trainer is its Run plus one train_runs call.
+
+Scoring and fusion run once per length bucket, not once per query:
+score_models scores a family's models together over their stacked
+parameters, and every score is bit for bit what Model.score_group, the
+serving path, gives its query.
 """
 
 from __future__ import annotations
@@ -307,10 +313,10 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     Each run's terms(bucket) runs once per length bucket of the groups
     (data.length_buckets) before the first epoch, and its terms are written
     then into arrays of the family's most slots, a slot a run leaves empty
-    holding a term of weight 0. Every group is padded once to the dataset's longest
-    list by repeating its last item, so a padded row has exactly the
-    activations of a real one, and a pad of -inf gives it probability and
-    score gradient 0. A generator per seed draws the run's initial weights
+    holding a term of weight 0. Every group is padded once to the
+    dataset's longest list by repeating its last item, so a padded row has
+    exactly the activations of a real one, and a pad of -inf gives it
+    probability and score gradient 0. A generator per seed draws the run's initial weights
     and then one shuffle of the group order per epoch. At each step every
     run takes its own next group, and the runs that do not skip it take
     one gather of their groups, one stacked nn.layer_outputs, one
@@ -463,7 +469,8 @@ def _forward(params: nn.ParameterSet, activation: str, group) -> np.ndarray:
     features = group.features
     finite = np.isfinite(features).all(axis=(-2, -1))
     if not finite.all():
-        raise InputError(f"query {query_ids[np.argmin(finite)]}: features contain non-finite values")
+        bad = query_ids[np.argmin(finite)]
+        raise InputError(f"query {bad}: features contain non-finite values")
     scores = nn.layer_outputs(params, features, activation == "relu")[-1][..., 0]
     finite = np.isfinite(scores).all(axis=-1).reshape(-1, query_ids.size).all(axis=0)
     if not finite.all():

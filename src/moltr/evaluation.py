@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .data import Dataset, QueryGroup, length_buckets
-from .distill import BoostRule, Model
+from .distill import BoostRule, Model, score_dataset
 from .errors import InputError
 from .nn import softmax
 
@@ -184,8 +184,8 @@ def prediction_difference(preds_a, preds_b) -> float:
 def sxs_change_rate(
     model_a: Model, model_b: Model, dataset: Dataset, tau_threshold: float = 0.02
 ) -> SxSReport:
-    """sxs_report of two models' scores over a dataset."""
-    a, b = ({g.query_id: m.score_group(g) for g in dataset.groups} for m in (model_a, model_b))
+    """sxs_report of two models' scores over a dataset (score_dataset)."""
+    a, b = (score_dataset(m, dataset) for m in (model_a, model_b))
     return sxs_report(a, b, dataset, tau_threshold)
 
 

@@ -10,12 +10,13 @@ forward pass), backprop_into (gradients written into reused arrays),
 softmax, and terms_grad (the score gradient of weighted listwise-CE terms,
 the form of every loss). Every loss is a list of (weight, temperature,
 target) terms over many lists at once, stacked as arrays by stack_terms;
-blend_terms writes the distillation loss that way, row by row. The public mlp_forward,
-backward, listwise_softmax and distill_loss check their inputs and call a
-kernel; they leave their inputs unchanged and return fresh arrays. The
-trainers in distill call the kernels on inputs they check once per run. A
-ParameterSet keeps every layer in one flat buffer, and sgd_step updates
-that buffer in place with one finiteness check per step.
+blend_terms writes the distillation loss that way, row by row. The public
+mlp_forward, backward, listwise_softmax and distill_loss check their
+inputs and call a kernel; they leave their inputs unchanged and return
+fresh arrays. The trainers in distill call the kernels on inputs they
+check once per run. A ParameterSet keeps every layer in one flat buffer,
+and sgd_step updates that buffer in place with one finiteness check per
+step.
 
 A ParameterSet holds one run, flat (P,), or R runs of one architecture as
 the rows of flat (R, P). layer_outputs, backprop_into and sgd_step take

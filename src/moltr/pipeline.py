@@ -259,15 +259,12 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
     teachers = study.teachers(train_ds)
     soft = fuse_soft_labels(teachers, train_ds)
 
-    def measured(lineage, checkpoint, scores, **extra):
+    def measured(lineage, checkpoint, scores):
         """A run's report entry, less its arm name, and its eval scores."""
         metrics = evaluation.ranking_metrics_report(scores, eval_ds, rule).to_dict()
         entry = {"lineage": lineage, "checkpoint_hash": checkpoint,
-                 "dataset_hash": study.eval_hash, "metrics": metrics, **extra}
+                 "dataset_hash": study.eval_hash, "metrics": metrics}
         return entry, scores
-
-    def trained(model, scores, **extra):
-        return measured(model.lineage, study.store.put_model(model), scores, **extra)
 
     # One lockstep family: every run shares the data and config.distill up
     # to its loss. Acceptance criterion 3: train_student at alpha 1.0 is
@@ -280,14 +277,15 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
         *(Run.student(train_ds, soft, replace(config.distill, alpha=a)) for a in distilled),
         Run.scalarized(train_ds, [1.0 / train_ds.K] * train_ds.K, config.distill),
     ])
-    (hard_only, *sweep, scalarized), (hard_scores, *sweep_scores, scalarized_scores) = (
-        models, score_models(models, eval_ds)
+    hard_run, *sweep, scalarized_run = (
+        measured(model.lineage, study.store.put_model(model), scores)
+        for model, scores in zip(models, score_models(models, eval_ds))
     )
-    hard_run = trained(hard_only, hard_scores)
-    students = {alpha: trained(model, scores, alpha=alpha)
-                for alpha, model, scores in zip(distilled, sweep, sweep_scores)}
+    students = {alpha: ({**entry, "alpha": alpha}, scores)
+                for alpha, (entry, scores) in zip(distilled, sweep)}
     if 1.0 in alphas:
         entry, scores = hard_run
+        hard_only = models[0]
         checkpoint = study.store.put_model(Model(hard_only.config, hard_only.params, "student_v0"))
         students[1.0] = ({**entry, "lineage": "student_v0", "checkpoint_hash": checkpoint,
                           "alpha": 1.0}, scores)
@@ -295,7 +293,7 @@ def study_distill_vs_baselines(config: ExperimentConfig) -> dict:
     teacher_hashes = ",".join(study.teacher_hashes)
     arm_runs = {
         "fusion_baseline": measured("baseline:model_fusion", teacher_hashes, fusion_scores),
-        "scalarized_baseline": trained(scalarized, scalarized_scores),
+        "scalarized_baseline": scalarized_run,
         "hard_only_student": hard_run,
         "distilled_student": students[config.distill.alpha],
     }

@@ -1,6 +1,8 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moltr import cli, distill, errors, pipeline
@@ -446,3 +448,26 @@ class TestErrorHandling:
         }[kind]
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {name} {missing}: no such file\n"
+
+    @pytest.mark.parametrize("command", ["eval", "score", "fuse"])
+    def test_a_non_finite_score_names_the_query(self, tmp_path, dataset_path, student_path,
+                                                command, capsys):
+        # Every weight 1e200: the parameters are finite, but the forward
+        # pass overflows on most lists.
+        doc = json.loads(Path(student_path).read_text())
+        for layer in doc["layers"]:
+            layer["weights"] = [1e200] * len(layer["weights"])
+        model, out = tmp_path / "huge.json", str(tmp_path / "out")
+        model.write_text(json.dumps(doc))
+        argv = {
+            "eval": ["eval", "--data", dataset_path, "--model", str(model)],
+            "score": ["score", "--data", dataset_path, "--model", str(model), "--out", out],
+            "fuse": ["fuse", "--data", dataset_path, "--teachers", str(model), "--out", out],
+        }[command]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        named = re.fullmatch(r"error: query (\d+): forward pass produced non-finite scores\n", err)
+        assert named, err
+        (group,) = [g for g in load_dataset(dataset_path).groups if g.query_id == int(named[1])]
+        with np.errstate(all="ignore"), pytest.raises(errors.InputError, match="non-finite"):
+            Model.load(str(model)).score_group(group)

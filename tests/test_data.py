@@ -185,6 +185,37 @@ class TestDataset:
         assert same_text == (mutation == "none" or (mutation == "swap_groups" and i == j))
 
 
+class TestLengthBuckets:
+    @pytest.mark.parametrize("bucket_groups", [1, 3, data.BUCKET_GROUPS])
+    def test_buckets_cover_every_group_once_by_length(self, monkeypatch, bucket_groups):
+        monkeypatch.setattr(data, "BUCKET_GROUPS", bucket_groups)
+        ds = data.generate_dataset(data.GeneratorConfig(
+            num_queries=50, items_per_query=(2, 9), m=4, K=2, seed=1
+        ))
+        buckets = data.length_buckets(ds.groups)
+        sizes = [b.groups[0].size for b in buckets]
+        assert sizes == sorted(sizes)
+        assert sorted(np.concatenate([b.index for b in buckets]).tolist()) == list(range(50))
+        for b in buckets:
+            assert 1 <= len(b.index) <= bucket_groups
+            assert b.index.tolist() == sorted(b.index.tolist())
+            assert b.groups == [ds.groups[i] for i in b.index]
+            assert {g.size for g in b.groups} == {b.groups[0].size}
+
+    def test_a_field_reads_stacked(self):
+        ds = data.generate_dataset(data.GeneratorConfig(
+            num_queries=30, items_per_query=(3, 4), m=4, K=2, seed=1
+        ))
+        for b in data.length_buckets(ds.groups):
+            assert b.labels.shape == (len(b.index), b.groups[0].size, 2)
+            assert b.labels.tobytes() == b"".join(g.labels.tobytes() for g in b.groups)
+            assert b.query_id.tolist() == [g.query_id for g in b.groups]
+            assert b.features is b.features  # stacked once
+        with pytest.raises(AttributeError):
+            b.no_such_field
+        assert data.length_buckets([]) == []
+
+
 class TestGeneratorConfig:
     def test_bad_ranges(self):
         with pytest.raises(ConfigError):

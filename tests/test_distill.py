@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,44 @@ def train_config(**kwargs):
     )
     defaults.update(kwargs)
     return distill.DistillConfig(**defaults)
+
+
+def mixed_length_dataset():
+    """Lists of 2 to 30 items: some length holds a single group, and some
+    more groups than a bucket of 3 holds."""
+    ds = data.generate_dataset(gen_config(num_queries=70, items_per_query=(2, 30), seed=8))
+    counts = Counter(g.size for g in ds.groups).values()
+    assert 1 in counts and max(counts) > 3
+    return ds
+
+
+def assert_bucketed_scoring_is_the_serving_path(activation, bucket_groups=3):
+    """score_dataset, score_models and fuse_soft_labels, in buckets of at
+    most bucket_groups groups, give each query what a loop of
+    Model.score_group (the serving path) gives, bit for bit."""
+    ds = mixed_length_dataset()
+    mlp = nn.MlpConfig(layer_dims=(6, 8, 4, 1), activation=activation, init_scale=0.3, seed=5)
+    cfg = train_config(mlp=mlp, epochs=1)
+    models = distill.train_runs(ds, [distill.Run.hard_only(cfg.with_seed(s)) for s in (5, 6, 7)])
+    ensemble = distill.TeacherEnsemble(models=models, fusion_weights=[0.5, 0.2, 0.3])
+    saved, data.BUCKET_GROUPS = data.BUCKET_GROUPS, bucket_groups
+    try:
+        family = distill.score_models(models, ds)
+        alone = [distill.score_dataset(m, ds) for m in models]
+        fused = distill.fuse_soft_labels(ensemble, ds).scores
+    finally:
+        data.BUCKET_GROUPS = saved
+    order = [g.query_id for g in ds.groups]
+    assert all(list(scores) == order for scores in (*family, *alone, fused))
+    for g in ds.groups:
+        serving = [m.score_group(g) for m in models]
+        for want, together, lone in zip(serving, family, alone):
+            assert together[g.query_id].tobytes() == want.tobytes()
+            assert lone[g.query_id].tobytes() == want.tobytes()
+        want = np.zeros(g.size)
+        for w, scores in zip(ensemble.fusion_weights, serving):
+            want = want + w * scores
+        assert fused[g.query_id].tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -428,3 +467,23 @@ class TestScoreDataset:
         other = data.generate_dataset(gen_config(m=9, num_queries=5))
         with pytest.raises(InputError):
             distill.score_dataset(teachers.models[0], other)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_buckets_give_the_serving_path_bit_for_bit(self, activation):
+        assert_bucketed_scoring_is_the_serving_path(activation)
+
+    def test_models_scored_together_share_an_architecture(self, dataset, teachers):
+        other = distill.train_hard_only(
+            dataset, train_config(mlp=nn.MlpConfig(layer_dims=(6, 4, 1), seed=5), epochs=1)
+        )
+        with pytest.raises(InputError, match="share an architecture"):
+            distill.score_models([teachers.models[0], other], dataset)
+
+    def test_non_finite_features_name_the_query(self, teachers):
+        ds = data.generate_dataset(gen_config(num_queries=20))
+        bad = ds.groups[11]
+        bad.features[0, 1] = np.inf
+        with pytest.raises(InputError, match=f"query {bad.query_id}: features"):
+            distill.score_dataset(teachers.models[0], ds)
+        with pytest.raises(InputError, match=f"query {bad.query_id}: features"):
+            distill.fuse_soft_labels(teachers, ds)

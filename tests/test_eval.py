@@ -214,16 +214,6 @@ class TestServeWithBoost:
         )
 
 
-class FixedScores:
-    """Stands in for a Model whose scores are given per query."""
-
-    def __init__(self, scores):
-        self.scores = scores
-
-    def score_group(self, group):
-        return self.scores[group.query_id]
-
-
 class TestSxS:
     def test_self_comparison_is_clean(self):
         ds = small_dataset()
@@ -249,6 +239,13 @@ class TestSxS:
         strict = evaluation.sxs_change_rate(a, b, ds, tau_threshold=0.0)
         loose = evaluation.sxs_change_rate(a, b, ds, tau_threshold=0.9)
         assert strict.change_rate >= loose.change_rate
+
+    def test_models_are_compared_on_their_serving_scores(self):
+        ds = small_dataset()
+        a, b = model_for(ds, seed=1), model_for(ds, seed=2)
+        served = [{g.query_id: m.score_group(g) for g in ds.groups} for m in (a, b)]
+        want = evaluation.sxs_report(*served, ds, tau_threshold=0.1)
+        assert evaluation.sxs_change_rate(a, b, ds, tau_threshold=0.1) == want
 
     @pytest.mark.parametrize("tied", [True, False], ids=["tied", "distinct"])
     def test_report_equals_the_kendall_tau_loop(self, tied):
@@ -284,7 +281,7 @@ class TestSxS:
             query_count=len(ds),
         )
         assert 0 < changed < len(ds)
-        got = evaluation.sxs_change_rate(FixedScores(a), FixedScores(b), ds, tau_threshold=0.1)
+        got = evaluation.sxs_report(a, b, ds, tau_threshold=0.1)
         assert got == want
 
     def test_empty_dataset(self):
@@ -384,6 +381,40 @@ class TestReport:
         scores[bad] = scores[bad][:-1]
         with pytest.raises(InputError, match=f"query {bad}:"):
             evaluation.ranking_metrics_report(scores, ds)
+
+    @pytest.mark.parametrize("bucket_groups", [3, data.BUCKET_GROUPS])
+    def test_means_equal_the_per_query_loop(self, monkeypatch, bucket_groups):
+        # Tied scores on lists of 2 to 14 items, so the cutoffs clamp on
+        # some queries; buckets of 3 groups split every length.
+        monkeypatch.setattr(data, "BUCKET_GROUPS", bucket_groups)
+        ds = data.generate_dataset(data.GeneratorConfig(
+            num_queries=80, items_per_query=(2, 14), m=6, K=2, seed=6, new_item_fraction=0.3
+        ))
+        rng = np.random.default_rng(4)
+        scores = {g.query_id: rng.integers(0, 3, size=g.size).astype(float) for g in ds.groups}
+        rule = distill.BoostRule(predicate="is_new")
+        for k in (1, 3, 10):
+            vals = [evaluation.exposure_rate(scores[g.query_id], rule.match_mask(g), k)
+                    for g in ds.groups]
+            want = float(math.fsum(vals) / len(vals))
+            assert evaluation.mean_boosted_exposure(scores, ds, rule, k) == want
+        for k in (1, 5, 10, None):
+            vals = [evaluation.ndcg_at_k(scores[g.query_id], g.primary_labels(), k)
+                    for g in ds.groups]
+            assert evaluation.query_ndcg(scores, ds, k) == vals
+            assert evaluation.mean_ndcg(scores, ds, k) == float(math.fsum(vals) / len(vals))
+
+    def test_metrics_work_row_by_row(self):
+        rng = np.random.default_rng(8)
+        scores = rng.integers(0, 3, size=(5, 7)).astype(float)
+        labels = rng.integers(0, 2, size=(5, 7))
+        ndcg = evaluation.ndcg_at_k(scores, labels, 3)
+        exposure = evaluation.exposure_rate(scores, labels == 1, 4)
+        for row in range(5):
+            assert ndcg[row] == evaluation.ndcg_at_k(scores[row], labels[row], 3)
+            assert exposure[row] == evaluation.exposure_rate(scores[row], labels[row] == 1, 4)
+            assert (evaluation.rank_order(scores)[row].tolist()
+                    == evaluation.rank_order(scores[row]).tolist())
 
     def test_mean_boosted_exposure_matches_report(self):
         ds = small_dataset(new_item_fraction=0.3)

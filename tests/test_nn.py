@@ -342,7 +342,8 @@ class TestBlendTerms:
 
     def test_stack_terms_keeps_order_and_weights(self):
         a, c = np.array([1.0, 0.0]), np.array([0.5, 0.5])
-        terms = [(0.5, 1.0, a), (0.0, 1.0, c), (2.0, 1.0, None), (0.25, 2.0, c), (3.0, 1.0, self.none)]
+        terms = [(0.5, 1.0, a), (0.0, 1.0, c), (2.0, 1.0, None), (0.25, 2.0, c),
+                 (3.0, 1.0, self.none)]
         weights, temperatures, targets = nn.stack_terms(terms, (2,))
         assert weights.tolist() == [0.5, 0.25, 0.0]
         assert temperatures.tolist() == [1.0, 2.0, 1.0]

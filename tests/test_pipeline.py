@@ -1,7 +1,6 @@
 import hashlib
 import json
 import re
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 

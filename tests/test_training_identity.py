@@ -313,6 +313,60 @@ def test_families_of_mixed_seeds_equal_their_runs_trained_alone(activation, data
     )
 
 
+def long_list_runs():
+    """A dataset of 20 to 30 items per list, and name -> Run over every
+    slot case: hard-only, students at alpha 0, 0.2 and 1 with T 2 (teacher
+    T 2.5), and scalarized with one zero weight."""
+    ds = data.generate_dataset(data.GeneratorConfig(
+        num_queries=30, items_per_query=(20, 30), m=6, K=3, seed=4, label_rates=[0.4, 0.5]
+    ))
+    rng = np.random.default_rng(9)
+    soft = distill.SoftLabelSet({g.query_id: rng.normal(size=g.size) for g in ds.groups}, "test")
+
+    def cfg(seed, **kwargs):
+        return train_config(epochs=1, **kwargs).with_seed(seed)
+
+    students = {f"student_a{a}": distill.Run.student(
+        ds, soft, cfg(6, alpha=a, temperature=2.0, teacher_temperature=2.5)
+    ) for a in (0.0, 0.2, 1.0)}
+    return ds, soft, {
+        "hard_only": distill.Run.hard_only(cfg(5)),
+        **students,
+        "scalarized": distill.Run.scalarized(ds, [0.5, 0.0, 0.3], cfg(7)),
+    }
+
+
+def bucketed_terms_equal_each_group_alone():
+    """Each run's terms on a length bucket equal, row by row and bit for
+    bit, its terms on a bucket of that group alone."""
+    ds, _, runs = long_list_runs()
+    for bucket in data.length_buckets(ds.groups):
+        for name, run in runs.items():
+            weights, temperatures, targets = run.terms(bucket)
+            for row, i in enumerate(bucket.index):
+                w, t, target = run.terms(data.Bucket(ds.groups, np.array([i])))
+                assert temperatures.tobytes() == t.tobytes(), name
+                assert weights[row].tobytes() == w[0].tobytes(), name
+                assert targets[row].tobytes() == target[0].tobytes(), name
+
+
+def test_every_slot_case_trains_as_alone_on_long_lists():
+    ds, soft, runs = long_list_runs()
+    assert [run.slots for run in runs.values()] == [1, 1, 2, 1, 2]
+    alone = assert_each_run_trains_as_alone(ds, runs)
+    primary = lambda g: objective_target(g, 0)  # noqa: E731
+    config = runs["student_a0.2"].config
+    assert alone["student_a0.2"].params == padded_train(ds, config, primary, 0.2, soft)
+    bucketed_terms_equal_each_group_alone()
+
+
+def test_a_run_with_more_terms_than_slots_is_refused():
+    ds, _, runs = long_list_runs()
+    run = runs["student_a0.2"]._replace(slots=1)
+    with pytest.raises(ConfigError, match="2 loss terms for 1 slots"):
+        distill.train_runs(ds, [run])
+
+
 def smallest_mixed_family():
     """The smallest family of the sweep with two seeds, trained as a family
     and alone."""
@@ -321,14 +375,23 @@ def smallest_mixed_family():
     assert_each_run_trains_as_alone(ds, {k: runs[k] for k in ("hard_only_s5", "student_t1_s6")})
 
 
-def test_a_mixed_seed_family_equals_its_runs_on_another_blas_kernel():
+@pytest.mark.parametrize("kernel", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["haswell_blas", "x86_64_v3_dispatch"])
+def test_a_mixed_seed_family_equals_its_runs_on_another_blas_kernel(kernel):
     # Each BLAS kernel rounds a row in its own way, and some round it by
     # the row count in every layer; one width for every step keeps each
-    # run's arithmetic that of its run alone on this kernel too.
+    # run's arithmetic that of its run alone on this kernel too. A length
+    # bucket stacks groups of one length, so its scores and its loss
+    # targets are each group's own on this kernel and at this SIMD level.
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path}
-    code = "import test_training_identity as t; t.smallest_mixed_family()"
+    env = {**os.environ, **kernel, "PYTHONPATH": path}
+    code = ("import test_training_identity as t, test_distill as d; t.smallest_mixed_family(); "
+            "t.bucketed_terms_equal_each_group_alone(); "
+            "d.assert_bucketed_scoring_is_the_serving_path('relu'); "
+            "d.assert_bucketed_scoring_is_the_serving_path('tanh')")
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
 
