@@ -26,7 +26,11 @@ length_buckets splits a list of groups into buckets of one list length,
 whose fields read stacked along a new first axis. Scoring, fusion, the
 metrics and the training plan each run once per bucket instead of once
 per group: a stacked call gives each row the arithmetic of its group's
-own call, which padding to one width would not.
+own call, which padding to one width would not. Bucket.rows stacks a
+query-keyed dict of vectors into a bucket's rows, and by_query turns
+bucket rows back into such a dict; check_finite names the first query
+whose row is not finite. Every pass that moves between the two shapes, or
+checks a row, goes through these.
 """
 
 from __future__ import annotations
@@ -118,14 +122,6 @@ class QueryGroup:
     def size(self) -> int:
         return len(self.item_ids)
 
-    def objective_labels(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(values with missing as 0, present mask) for objective k."""
-        col = self.labels[:, k]
-        return (col == 1).astype(np.float64), col != MISSING_LABEL
-
-    def primary_labels(self) -> np.ndarray:
-        return self.objective_labels(0)[0]
-
     def has_labels_for(self, k: int) -> bool:
         return bool((self.labels[:, k] != MISSING_LABEL).any())
 
@@ -149,6 +145,17 @@ class Bucket:
         setattr(self, name, value)
         return value
 
+    def rows(self, by_query: dict) -> np.ndarray:
+        """The bucket's rows of by_query, {query_id: n values}, stacked
+        (B, n) as float64; a query without n values raises an InputError
+        naming it."""
+        n = self.groups[0].size
+        rows = [np.asarray(by_query[g.query_id], dtype=np.float64) for g in self.groups]
+        for g, row in zip(self.groups, rows):
+            if row.shape != (n,):
+                raise InputError(f"query {g.query_id}: {row.shape} scores for {n} items")
+        return np.stack(rows)
+
 
 def length_buckets(groups) -> list[Bucket]:
     """groups in buckets of one list length each, shortest lists first, each
@@ -158,6 +165,28 @@ def length_buckets(groups) -> list[Bucket]:
     same = np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1) if sizes.size else []
     return [Bucket(groups, chunk) for index in same
             for chunk in np.split(index, range(BUCKET_GROUPS, index.size, BUCKET_GROUPS))]
+
+
+def by_query(groups, buckets, rows) -> dict[int, np.ndarray]:
+    """{query_id: row} in the order of groups, from the (B, n) rows of each
+    of their length buckets; Bucket.rows the other way round."""
+    ordered = [None] * len(groups)
+    for bucket, bucket_rows in zip(buckets, rows):
+        for i, row in zip(bucket.index.tolist(), bucket_rows):
+            ordered[i] = row
+    return {g.query_id: row for g, row in zip(groups, ordered)}
+
+
+def check_finite(values, query_ids, what: str, row_axes: int = 1) -> None:
+    """Raise an InputError "query <id>: <what>" naming the first of
+    query_ids whose row of values is not finite. values is (..., Q, *row)
+    for Q = len(query_ids), a row being its last row_axes axes, and a
+    query's row counts under every leading index (each of R stacked runs)."""
+    query_ids = np.reshape(query_ids, -1)
+    finite = np.isfinite(values).all(axis=tuple(range(-row_axes, 0)))
+    finite = finite.reshape(-1, query_ids.size).all(axis=0)
+    if not finite.all():
+        raise InputError(f"query {query_ids[finite.argmin()]}: {what}")
 
 
 @dataclass(frozen=True)

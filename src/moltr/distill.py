@@ -7,9 +7,10 @@ then one shuffle of the query-group order per epoch, and each group is a
 single SGD step for each run that does not skip it. A run's loss on a
 group is a list of weighted listwise-CE terms, built once per run for a
 whole length bucket (data.length_buckets) at a time and written into
-arrays allocated once. Every group is padded once, to the dataset's longest
-list, by repeating its last item, and the padding is masked out of every
-softmax, so every step computes at that one width. Each step calls nn's
+arrays allocated once, at the most terms any run gives on the first
+bucket. Every group is padded once, to the dataset's longest list, by
+repeating its last item, and the padding is masked out of every softmax,
+so every step computes at that one width. Each step calls nn's
 forward, terms_grad and backprop kernels, the same code behind nn's public
 functions, and nn.sgd_step updates the flat parameter buffer in place. Two
 runs with the same config and seed are bit-identical, and equal to a loop
@@ -26,10 +27,15 @@ Scoring and fusion run once per length bucket, not once per query:
 score_models scores a family's models together over their stacked
 parameters, and every score is bit for bit what Model.score_group, the
 serving path, gives its query.
+
+BoostRule.apply is the one ad-hoc boost: inject_boost adds it to the soft
+labels before training, and evaluation.serve_with_boost and the boost
+study add it, at beta gamma, to served scores.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import closing
@@ -39,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import nn
-from .data import Dataset, QueryGroup, length_buckets
+from .data import Dataset, QueryGroup, by_query, check_finite, length_buckets
 from .errors import (
     Config, ConfigError, InputError, ParseError, TrainingError, read_jsonl, write_atomic,
 )
@@ -215,7 +221,8 @@ class SoftLabelSet:
 
 @dataclass(frozen=True)
 class BoostRule:
-    """Predicate over a group's items plus the boost magnitude added to soft scores."""
+    """Predicate over a group's items plus the boost beta that apply adds to
+    the matching items' scores."""
 
     predicate: str  # "rating_at_least" | "is_new"
     beta: float = 0.0
@@ -233,6 +240,11 @@ class BoostRule:
         if self.predicate == "is_new":
             return group.is_new.copy()
         return group.ratings >= self.rho
+
+    def apply(self, scores: np.ndarray, group) -> np.ndarray:
+        """scores with beta added to the items of group matching the rule,
+        for a query group or, row by row, a data.Bucket of them."""
+        return scores + self.beta * self.match_mask(group)
 
     def describe(self) -> str:
         if self.predicate == "is_new":
@@ -257,14 +269,15 @@ def _label_terms(k: int):
 class Run(NamedTuple):
     """One training run for train_runs. terms(bucket) gives its loss on a
     data.Bucket of groups of one length n, from the bucket's stacked
-    labels (B, n, K) and query_id (B,), as nn.stack_terms arrays of at
-    most slots terms: a group whose weights are all 0 is skipped, and None
-    skips the whole bucket. Its model gets config.mlp and lineage."""
+    labels (B, n, K) and query_id (B,), as nn.stack_terms arrays: weights
+    (B, S), temperatures (S,) and targets (B, S, n), one slot per term. A
+    group whose weights are all 0 is skipped, so a run of S = 0 never
+    steps. train_runs reads S from the first bucket, and no later bucket
+    may give more. Its model gets config.mlp and lineage."""
 
     config: DistillConfig
     lineage: str
     terms: Callable
-    slots: int = 1
 
     @classmethod
     def hard_only(cls, config: DistillConfig) -> "Run":
@@ -282,17 +295,12 @@ class Run(NamedTuple):
         def terms(bucket):
             soft_target = None  # at alpha 1 blend_terms drops the soft term
             if alpha < 1:
-                rows = np.stack([soft.scores[qid] for qid in bucket.query_id.tolist()])
-                finite = np.isfinite(rows).all(axis=-1)
-                if not finite.all():
-                    qid = bucket.query_id[finite.argmin()]
-                    raise InputError(f"query {qid}: soft scores contain non-finite values")
+                rows = bucket.rows(soft.scores)
+                check_finite(rows, bucket.query_id, "soft scores contain non-finite values")
                 soft_target = nn.softmax(rows, teacher_t)
             return nn.blend_terms(_objective_targets(bucket.labels, 0), soft_target, alpha, t)
 
-        # blend_terms keeps a slot for the hard term unless alpha is 0, and
-        # for the soft term unless alpha is 1.
-        return cls(config, lineage, terms, (alpha != 0) + (alpha != 1))
+        return cls(config, lineage, terms)
 
     @classmethod
     def scalarized(cls, dataset: Dataset, objective_weights, config: DistillConfig) -> "Run":
@@ -302,7 +310,7 @@ class Run(NamedTuple):
         return cls(config, "baseline:scalarized", lambda bucket: nn.stack_terms(
             [(w, 1.0, _objective_targets(bucket.labels, k)) for k, w in enumerate(weights)],
             bucket.labels.shape[:-1],
-        ), int(np.count_nonzero(weights)))
+        ))
 
 
 def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
@@ -312,19 +320,21 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
 
     Each run's terms(bucket) runs once per length bucket of the groups
     (data.length_buckets) before the first epoch, and its terms are written
-    then into arrays of the family's most slots, a slot a run leaves empty
-    holding a term of weight 0. Every group is padded once to the
-    dataset's longest list by repeating its last item, so a padded row has
-    exactly the activations of a real one, and a pad of -inf gives it
-    probability and score gradient 0. A generator per seed draws the run's initial weights
-    and then one shuffle of the group order per epoch. At each step every
-    run takes its own next group, and the runs that do not skip it take
-    one gather of their groups, one stacked nn.layer_outputs, one
-    nn.terms_grad, one stacked nn.backprop_into into arrays reused across
-    steps, and one nn.sgd_step on their rows of the (R, P) buffer, with
-    one finiteness check that names the layer on failure. A run that skips
-    its group has its rows neither read nor written there and its scores
-    unchecked, and no skip moves a shuffle stream.
+    then into arrays as wide as the most terms a run gives on the first
+    bucket, a slot a run leaves empty holding a term of weight 0; a run
+    that gives more terms on a later bucket than on the first is refused.
+    Every group is padded once to the dataset's longest list by repeating
+    its last item, so a padded row has exactly the activations of a real
+    one, and a pad of -inf gives it probability and score gradient 0. A
+    generator per seed draws the run's initial weights and then one shuffle
+    of the group order per epoch. At each step every run takes its own next
+    group, and the runs that do not skip it take one gather of their groups,
+    one stacked nn.layer_outputs, one nn.terms_grad, one stacked
+    nn.backprop_into into arrays reused across steps, and one nn.sgd_step on
+    their rows of the (R, P) buffer, with one finiteness check that names
+    the layer on failure. A run that skips its group has its rows neither
+    read nor written there and its scores unchecked, and no skip moves a
+    shuffle stream.
 
     Every step of every run, a lone run's included, computes at that one
     width, so each run's rows in a stacked call are the arithmetic of its
@@ -349,32 +359,30 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     mlp = config.mlp
     if dataset.m != mlp.input_dim:
         raise InputError(f"dataset m={dataset.m} != mlp input dim {mlp.input_dim}")
+    query_ids = np.array([g.query_id for g in groups])
     items = np.concatenate([g.features for g in groups])
-    if not np.isfinite(items).all():
-        bad = next(g for g in groups if not np.isfinite(g.features).all())
-        raise InputError(f"query {bad.query_id}: features contain non-finite values")
     sizes = np.array([g.size for g in groups])
     width, column = sizes.max(), np.arange(sizes.max())
     # Group g's item j, or its last item for j past its size.
     features = items[(np.cumsum(sizes) - sizes)[:, None] + np.minimum(column, sizes[:, None] - 1)]
+    check_finite(features, query_ids, "features contain non-finite values", row_axes=2)
     pad = np.where(column < sizes[:, None], 0.0, -np.inf)
     del items
     # Each run's loss terms on each group, written bucket by bucket into
-    # arrays allocated once, at the family's most slots.
-    slots = max(run.slots for run in runs)
+    # arrays allocated once, at the most terms a run gives on the first bucket.
+    buckets = length_buckets(groups)
+    losses = ([run.terms(bucket) for run in runs] for bucket in buckets)
+    first = next(losses)
+    counts = [w.shape[-1] for w, _, _ in first]
     active = np.zeros((len(runs), len(groups)), dtype=bool)
-    weights, temperatures = np.zeros(active.shape + (slots,)), np.ones(active.shape + (slots,))
-    targets = np.zeros(active.shape + (slots, width))
-    for bucket in length_buckets(groups):
+    weights = np.zeros(active.shape + (max(counts),))
+    temperatures, targets = np.ones(weights.shape), np.zeros(weights.shape + (width,))
+    for bucket, loss in zip(buckets, itertools.chain([first], losses)):
         index, n = bucket.index, bucket.groups[0].size
-        for r, run in enumerate(runs):
-            loss = run.terms(bucket)
-            if loss is None:
-                continue
-            w, t, target = loss
-            if w.shape[-1] > run.slots:
-                raise ConfigError(f"run {run.lineage!r} gave {w.shape[-1]} loss terms "
-                                  f"for {run.slots} slots")
+        for r, (run, (w, t, target)) in enumerate(zip(runs, loss)):
+            if w.shape[-1] > counts[r]:
+                raise ConfigError(f"run {run.lineage!r} gave {w.shape[-1]} loss terms on a "
+                                  f"later length bucket, {counts[r]} on the first")
             live = w.any(axis=-1)
             rows = index[live]
             active[r, rows] = True
@@ -417,8 +425,8 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
             hs = nn.layer_outputs(p, features.take(group_index, axis=0), relu)
             scores = hs[-1][..., 0]
             if not np.isfinite(scores).all():
-                bad = groups[group_index[np.isfinite(scores).all(axis=-1).argmin()]]
-                raise InputError(f"query {bad.query_id}: forward pass produced non-finite scores")
+                check_finite(scores, query_ids[group_index],
+                             "forward pass produced non-finite scores")
             per_score = nn.terms_grad(
                 scores, pad.take(group_index, axis=0),
                 None if weights is None else weights.take(plan_index, axis=0),
@@ -465,28 +473,10 @@ def _forward(params: nn.ParameterSet, activation: str, group) -> np.ndarray:
     with one run's params, or (R, B, n) with R runs' stacked as (R, 1, P).
     Non-finite features or scores raise an InputError naming the first
     query that has them."""
-    query_ids = np.reshape(group.query_id, -1)
-    features = group.features
-    finite = np.isfinite(features).all(axis=(-2, -1))
-    if not finite.all():
-        bad = query_ids[np.argmin(finite)]
-        raise InputError(f"query {bad}: features contain non-finite values")
-    scores = nn.layer_outputs(params, features, activation == "relu")[-1][..., 0]
-    finite = np.isfinite(scores).all(axis=-1).reshape(-1, query_ids.size).all(axis=0)
-    if not finite.all():
-        bad = query_ids[np.argmin(finite)]
-        raise InputError(f"query {bad}: forward pass produced non-finite scores")
+    check_finite(group.features, group.query_id, "features contain non-finite values", row_axes=2)
+    scores = nn.layer_outputs(params, group.features, activation == "relu")[-1][..., 0]
+    check_finite(scores, group.query_id, "forward pass produced non-finite scores")
     return scores
-
-
-def _by_query(dataset: Dataset, buckets, scores) -> dict[int, np.ndarray]:
-    """{query_id: scores} in dataset order, from the (B, n) scores of each
-    of the dataset's length buckets."""
-    rows = [None] * len(dataset.groups)
-    for bucket, bucket_scores in zip(buckets, scores):
-        for i, row in zip(bucket.index.tolist(), bucket_scores):
-            rows[i] = row
-    return {g.query_id: row for g, row in zip(dataset.groups, rows)}
 
 
 def fusion_serve_scores(teachers: TeacherEnsemble, group) -> np.ndarray:
@@ -506,19 +496,17 @@ def fuse_soft_labels(teachers: TeacherEnsemble, dataset: Dataset) -> SoftLabelSe
     teachers stay frozen."""
     before = teachers.params_hashes()
     buckets = length_buckets(dataset.groups)
-    scores = _by_query(dataset, buckets, [fusion_serve_scores(teachers, b) for b in buckets])
+    scores = by_query(dataset.groups, buckets, [fusion_serve_scores(teachers, b) for b in buckets])
     if teachers.params_hashes() != before:
         raise TrainingError("teacher parameters changed during fusion")
     return SoftLabelSet(scores=scores, provenance="teacher_fusion")
 
 
 def inject_boost(soft: SoftLabelSet, rule: BoostRule, dataset: Dataset) -> SoftLabelSet:
-    """Add beta to matching items' raw soft scores; others untouched."""
+    """The soft labels with rule.apply's beta added to matching items' raw
+    scores; others untouched."""
     soft.check_alignment(dataset)
-    boosted = {}
-    for g in dataset.groups:
-        mask = rule.match_mask(g)
-        boosted[g.query_id] = soft.scores[g.query_id] + rule.beta * mask
+    boosted = {g.query_id: rule.apply(soft.scores[g.query_id], g) for g in dataset.groups}
     return SoftLabelSet(scores=boosted, provenance=f"boosted({rule.describe()})")
 
 
@@ -541,7 +529,7 @@ def score_models(models: list[Model], dataset: Dataset) -> list[dict[int, np.nda
     params = nn.ParameterSet(flat, models[0].params.shapes)
     buckets = length_buckets(dataset.groups)
     scores = [_forward(params, config.activation, b) for b in buckets]
-    return [_by_query(dataset, buckets, [s[r] for s in scores]) for r in range(len(models))]
+    return [by_query(dataset.groups, buckets, [s[r] for s in scores]) for r in range(len(models))]
 
 
 def train_student(

@@ -9,13 +9,16 @@ axes, so the dataset-wide metrics run once per length bucket
 (data.length_buckets), over the bucket's scores stacked (B, n), and not
 once per query. Each row's value is bit for bit its query's: a stable sort
 orders each row alone, NDCG sums its gains in rank order as the per-query
-definition does, and every mean is a math.fsum, which no order changes.
+definition does, and every mean is a statistics.fmean, an exact
+math.fsum that no order changes. A bucket's score rows come from
+data.Bucket.rows, and a served boost is distill.BoostRule.apply.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
+from statistics import fmean
 
 import numpy as np
 
@@ -113,17 +116,6 @@ def _exposure(flags: np.ndarray, k: int) -> np.ndarray:
     return np.count_nonzero(flags[..., :k], axis=-1) / k
 
 
-def _stacked(scores_by_query: dict, bucket) -> np.ndarray:
-    """A length bucket's scores, stacked (B, n); a query without n scores
-    raises an InputError naming it."""
-    n = bucket.groups[0].size
-    rows = [np.asarray(scores_by_query[g.query_id], dtype=np.float64) for g in bucket.groups]
-    for g, row in zip(bucket.groups, rows):
-        if row.shape != (n,):
-            raise InputError(f"query {g.query_id}: {row.shape} scores for {n} items")
-    return np.stack(rows)
-
-
 def _per_query(scores_by_query: dict, dataset: Dataset, metric) -> np.ndarray:
     """metric(scores, bucket) of every query, in dataset order: called once
     per length bucket with its scores stacked, it gives a row per query."""
@@ -131,37 +123,24 @@ def _per_query(scores_by_query: dict, dataset: Dataset, metric) -> np.ndarray:
         raise InputError("dataset is empty")
     out = None
     for bucket in length_buckets(dataset.groups):
-        values = metric(_stacked(scores_by_query, bucket), bucket)
+        values = metric(bucket.rows(scores_by_query), bucket)
         if out is None:
             out = np.empty((len(dataset.groups), *values.shape[1:]))
         out[bucket.index] = values
     return out
 
 
-def _mean(values) -> float:
-    return float(math.fsum(values) / len(values))
-
-
 def serve_with_boost(
     model: Model, group: QueryGroup, rule: BoostRule, gamma: float
 ) -> np.ndarray:
     """Serving-time score boost: add gamma to items matching the rule."""
-    return boost_scores(model.score_group(group), group, rule, gamma)
-
-
-def boost_scores(
-    scores: np.ndarray, group: QueryGroup, rule: BoostRule, gamma: float
-) -> np.ndarray:
-    """group's scores with gamma added to the items matching the rule."""
-    return scores + gamma * rule.match_mask(group)
+    return replace(rule, beta=gamma).apply(model.score_group(group), group)
 
 
 def _tau(seq: np.ndarray) -> np.ndarray:
     """Kendall tau of each row of seq, a permutation of range(n): the
     positions in ranking b of the items taken in ranking a's order."""
     n = seq.shape[-1]
-    if n < 2:
-        return np.ones(seq.shape[:-1])
     pairs = n * (n - 1) // 2
     i = np.arange(n)
     ordered = (seq[..., :, None] < seq[..., None, :]) & (i[:, None] < i)
@@ -177,8 +156,7 @@ def prediction_difference(preds_a, preds_b) -> float:
         raise InputError("predictions must be matching nonempty 1-d vectors")
     if (a <= 0).any() or (b <= 0).any():
         raise InputError("predictions must be strictly positive")
-    terms = np.abs(a - b) / ((a + b) / 2.0)
-    return float(math.fsum(terms) / a.size)
+    return fmean(np.abs(a - b) / ((a + b) / 2.0))
 
 
 def sxs_change_rate(
@@ -206,7 +184,7 @@ def sxs_report(
     probs_a, probs_b = [], []
 
     def tau(sa, bucket):
-        sb = _stacked(scores_b, bucket)
+        sb = bucket.rows(scores_b)
         ids = bucket.item_ids
         pos_b = np.argsort(rank_order(sb, ids), axis=-1)  # the inverse permutation
         probs_a.append(softmax(sa, 1.0).ravel())
@@ -217,7 +195,7 @@ def sxs_report(
     pd = prediction_difference(np.concatenate(probs_a), np.concatenate(probs_b))
     return SxSReport(
         change_rate=np.count_nonzero((1.0 - taus) / 2.0 > tau_threshold) / len(taus),
-        mean_tau=_mean(taus),
+        mean_tau=fmean(taus),
         pd=pd,
         tau_threshold=tau_threshold,
         query_count=len(taus),
@@ -252,7 +230,7 @@ def ranking_metrics_report(
         return np.stack(columns + exposures, axis=-1)
 
     table = _per_query(scores_by_query, dataset, metrics)
-    means = [_mean(column) for column in table.T]
+    means = [fmean(column) for column in table.T]
     return RankingMetricsReport(
         ndcg_at_5=means[0],
         ndcg_at_10=means[1],
@@ -269,7 +247,7 @@ def mean_boosted_exposure(
     rule: BoostRule,
     k: int = 10,
 ) -> float:
-    return _mean(_per_query(
+    return fmean(_per_query(
         scores_by_query, dataset,
         lambda scores, bucket: exposure_rate(scores, rule.match_mask(bucket), k),
     ))
@@ -288,4 +266,4 @@ def query_ndcg(
 def mean_ndcg(
     scores_by_query: dict[int, np.ndarray], dataset: Dataset, k: int | None = 10
 ) -> float:
-    return _mean(query_ndcg(scores_by_query, dataset, k))
+    return fmean(query_ndcg(scores_by_query, dataset, k))

@@ -20,8 +20,10 @@ search that measures one point at a time. The soft sides of all parity
 seeds run first, in lockstep: each round trains every seed's next batch
 of betas as one family. A seed's first batch is beta 0, 1, 2 and 4 (beta
 0 alone when the target lift is within the tolerance), and beta 0 (the
-unboosted soft labels) gives the seed's baseline. The serving side adds
-each gamma to the baseline's eval scores, with no forward pass.
+unboosted soft labels) gives the seed's baseline. Both sides boost through
+the one BoostRule.apply: the soft side through distill.inject_boost, and
+the serving side adds each gamma to the baseline's eval scores, with no
+forward pass.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from statistics import fmean
 
 from . import distill, evaluation, nn
 from .data import Dataset, GeneratorConfig, generate_dataset, split_by_time
@@ -210,10 +213,6 @@ class CheckpointStore:
         return digest
 
 
-def _mean(xs) -> float:
-    return float(math.fsum(xs) / len(xs))
-
-
 class _Study:
     """What every study shares: the train and eval splits, the checkpoint
     store, the teachers, the seed family and the report header."""
@@ -348,8 +347,8 @@ def study_self_distillation(config: ExperimentConfig) -> dict:
             }
         )
 
-    mean_v1 = _mean([r["ndcg10_v1"] for r in rows])
-    mean_rv0 = _mean([r["ndcg10_retrained_v0"] for r in rows])
+    mean_v1 = fmean([r["ndcg10_v1"] for r in rows])
+    mean_rv0 = fmean([r["ndcg10_retrained_v0"] for r in rows])
     return study.report(
         "self_distillation",
         {
@@ -371,7 +370,7 @@ def _pairwise_sxs(scores: list[dict], dataset: Dataset, tau_threshold: float):
             rep = evaluation.sxs_report(scores[i], scores[j], dataset, tau_threshold)
             rates.append(rep.change_rate)
             pds.append(rep.pd)
-    return _mean(rates), _mean(pds)
+    return fmean(rates), fmean(pds)
 
 
 def study_irreproducibility(config: ExperimentConfig) -> dict:
@@ -570,10 +569,8 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
         def served(gamma):
             """The baseline's eval scores boosted by gamma: serving rescores
             nothing, since scoring is deterministic."""
-            scores = {
-                g.query_id: evaluation.boost_scores(base_scores[g.query_id], g, rule, gamma)
-                for g in eval_ds.groups
-            }
+            boost = replace(rule, beta=gamma)
+            scores = {g.query_id: boost.apply(base_scores[g.query_id], g) for g in eval_ds.groups}
             return exposure(scores), scores
 
         (gamma, serve_exp, serve_scores), _ = _bisect_exposure(
@@ -604,10 +601,10 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
         {
             "boost_rule": rule.describe(),
             "per_seed": rows,
-            "mean_serve_ndcg_loss": _mean(
+            "mean_serve_ndcg_loss": fmean(
                 [r["baseline_ndcg10"] - r["serve_ndcg10"] for r in rows]
             ),
-            "mean_soft_ndcg_loss": _mean([r["baseline_ndcg10"] - r["soft_ndcg10"] for r in rows]),
+            "mean_soft_ndcg_loss": fmean([r["baseline_ndcg10"] - r["soft_ndcg10"] for r in rows]),
             "max_exposure_gap": max(r["exposure_gap"] for r in rows),
         },
     )

@@ -49,6 +49,17 @@ def weighted_ce_sum(pred, targets, weights):
     return float(sum(w * nn.cross_entropy(pred, t) for w, t in zip(weights, targets)))
 
 
+def objective_labels(group, k):
+    """(values with missing as 0, present mask) for objective k in a group."""
+    col = group.labels[:, k]
+    return (col == 1).astype(np.float64), col != MISSING_LABEL
+
+
+def primary_labels(group):
+    """The primary objective's labels in a group, missing as 0."""
+    return objective_labels(group, 0)[0]
+
+
 def label_coverage(dataset, k):
     """Fraction of query groups with at least one observed label for objective k."""
     covered = sum(bool((g.labels[:, k] != MISSING_LABEL).any()) for g in dataset.groups)

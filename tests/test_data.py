@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import label_coverage
+from oracles import label_coverage, objective_labels, primary_labels
 
 from moltr import data
 from moltr.errors import ConfigError, InputError, ParseError
@@ -103,7 +103,7 @@ class TestQueryGroup:
     def test_objective_labels_mask(self):
         g = make_group(n=3, K=2, booked=1)
         g.labels[1, 1] = 1
-        vals, mask = g.objective_labels(1)
+        vals, mask = objective_labels(g, 1)
         assert vals.tolist() == [0.0, 1.0, 0.0]
         assert mask.tolist() == [False, True, False]
         assert g.has_labels_for(1)
@@ -293,7 +293,7 @@ class TestGenerator:
     def test_secondary_labels_only_on_booked_item(self):
         ds = data.generate_dataset(tiny_config(num_queries=500))
         for g in ds.groups:
-            primary = g.primary_labels()
+            primary = primary_labels(g)
             for j, row in enumerate(g.labels):
                 for k in range(1, ds.K):
                     if row[k] != data.MISSING_LABEL:
@@ -330,7 +330,7 @@ class TestGenerator:
         top_booked = 0
         for g in ds.groups:
             u0 = g.features @ w[0]
-            booked = int(np.argmax(g.primary_labels()))
+            booked = int(np.argmax(primary_labels(g)))
             if booked == int(np.argmax(u0)):
                 top_booked += 1
         assert top_booked / len(ds) > 0.5  # uniform would give ~1/4

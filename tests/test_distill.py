@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import kendall_tau, scalarized_steps
+from oracles import kendall_tau, primary_labels, scalarized_steps
 
 from moltr import data, distill, nn
 from moltr.errors import ConfigError, InputError, ParseError, TrainingError
@@ -203,7 +203,7 @@ class TestTeachers:
                 if not g.has_labels_for(0):
                     continue
                 total += 1
-                booked = int(np.argmax(g.primary_labels()))
+                booked = int(np.argmax(primary_labels(g)))
                 if int(np.argmax(m.score_group(g))) == booked:
                     hits += 1
             return hits / total
@@ -354,6 +354,23 @@ class TestStudent:
         )
         hard = distill.train_hard_only(dataset, train_config(alpha=1.0))
         assert student.params == hard.params
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "boosted_past_max"])
+    def test_non_finite_soft_scores_name_the_query(self, dataset, soft, bad):
+        qid = dataset.groups[5].query_id
+        if bad == "nan":
+            row = soft.scores[qid].copy()
+            row[1] = np.nan
+            labels = distill.SoftLabelSet({**soft.scores, qid: row}, "test")
+        else:  # 1e308 + 1e308 is inf; rho 0 matches every item
+            scores = {**soft.scores, qid: np.full_like(soft.scores[qid], 1e308)}
+            rule = distill.BoostRule(predicate="rating_at_least", rho=0.0, beta=1e308)
+            labels = distill.inject_boost(distill.SoftLabelSet(scores, "test"), rule, dataset)
+        with pytest.raises(InputError, match=f"query {qid}: soft scores contain non-finite"):
+            distill.train_student(dataset, labels, train_config(alpha=0.2))
+        student = distill.train_student(dataset, labels, train_config(alpha=1.0))
+        assert student.params == distill.train_hard_only(dataset, train_config(alpha=1.0)).params
 
     def test_soft_labels_change_outcome(self, dataset, soft):
         blended = distill.train_student(dataset, soft, train_config(alpha=0.2))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import kendall_tau
+from oracles import kendall_tau, objective_labels, primary_labels
 
 from moltr import data, distill, evaluation, nn
 from moltr.errors import InputError
@@ -355,15 +355,15 @@ class TestReport:
 
         def objective_exposure(k, exposure_k):
             def metric(s, g):
-                vals, mask = g.objective_labels(k)
+                vals, mask = objective_labels(g, k)
                 return evaluation.exposure_rate(s, mask & (vals > 0), exposure_k)
             return metric
 
         for exposure_k in (10, 3):
             want = evaluation.RankingMetricsReport(
-                ndcg_at_5=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 5)),
-                ndcg_at_10=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), 10)),
-                ndcg_full=mean(lambda s, g: evaluation.ndcg_at_k(s, g.primary_labels(), None)),
+                ndcg_at_5=mean(lambda s, g: evaluation.ndcg_at_k(s, primary_labels(g), 5)),
+                ndcg_at_10=mean(lambda s, g: evaluation.ndcg_at_k(s, primary_labels(g), 10)),
+                ndcg_full=mean(lambda s, g: evaluation.ndcg_at_k(s, primary_labels(g), None)),
                 objective_exposure_at_10=[
                     mean(objective_exposure(k, exposure_k)) for k in range(ds.K)
                 ],
@@ -399,7 +399,7 @@ class TestReport:
             want = float(math.fsum(vals) / len(vals))
             assert evaluation.mean_boosted_exposure(scores, ds, rule, k) == want
         for k in (1, 5, 10, None):
-            vals = [evaluation.ndcg_at_k(scores[g.query_id], g.primary_labels(), k)
+            vals = [evaluation.ndcg_at_k(scores[g.query_id], primary_labels(g), k)
                     for g in ds.groups]
             assert evaluation.query_ndcg(scores, ds, k) == vals
             assert evaluation.mean_ndcg(scores, ds, k) == float(math.fsum(vals) / len(vals))

@@ -702,13 +702,15 @@ class TestStudyBoost:
 
     def test_each_round_trains_every_seed_as_one_family(self, tmp_path, monkeypatch):
         config = small_experiment(tmp_path, parity_seeds=2)
-        events, betas, gammas = [], [], []
+        events, betas, applied, trained = [], [], [], set()
         spy(monkeypatch, pipeline.Run, "student",
             lambda ds, soft, cfg: events.append(("run", (cfg.seed, soft.provenance))))
         spy(monkeypatch, pipeline, "train_runs", lambda ds, runs: events.append(("train", len(runs))))
         spy(monkeypatch, pipeline, "train_student", lambda *args: events.append(("lone", None)))
-        spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: betas.append(rule.beta))
-        spy(monkeypatch, evaluation, "boost_scores", lambda *args: gammas.append(args[-1]))
+        spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: (
+            betas.append(rule.beta), trained.update(map(id, ds.groups))))
+        spy(monkeypatch, distill.BoostRule, "apply",
+            lambda rule, scores, group: applied.append((rule.beta, id(group))))
         rep = pipeline.study_adhoc_boost(config)
         families, runs = [], []
         for kind, value in events:
@@ -737,6 +739,8 @@ class TestStudyBoost:
         assert betas[:3] == [1.0, 2.0, 4.0]
         # Zero is each calibration's baseline point, already measured.
         assert betas and 0.0 not in betas
+        # The serving side boosts the eval groups, the soft side the train groups.
+        gammas = [beta for beta, group in applied if group not in trained]
         assert gammas and 0.0 not in gammas
         assert sum(map(len, families)) == config.parity_seeds + len(betas)
 
@@ -745,15 +749,15 @@ class TestStudyBoost:
         config = small_experiment(tmp_path, parity_seeds=2,
                                   boost=replace(base.boost, target_lift=0.01))
         assert config.boost.target_lift <= config.boost.exposure_tolerance
-        families, betas, gammas = [], [], []
+        families, betas, applied = [], [], []
         spy(monkeypatch, pipeline, "train_runs", lambda ds, runs: families.append(len(runs)))
         spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: betas.append(rule.beta))
-        spy(monkeypatch, evaluation, "boost_scores", lambda *args: gammas.append(args[-1]))
+        spy(monkeypatch, distill.BoostRule, "apply", lambda *args: applied.append(args))
         rep = pipeline.study_adhoc_boost(config)
         # Each seed's soft side measures its baseline alone, and zero is on
         # target, so neither side boosts anything.
         assert families == [config.parity_seeds]
-        assert betas == [] and gammas == []
+        assert betas == [] and applied == []
         for row in rep["per_seed"]:
             assert row["beta"] == row["gamma"] == 0.0
             assert row["soft_exposure"] == row["serve_exposure"] == row["baseline_exposure"]

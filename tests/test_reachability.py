@@ -3,11 +3,13 @@ errors.py reads files.
 
 The scan reads src/moltr/*.py with ast. A definition counts as reached when
 some module other than __init__ names it outside the definition's own body:
-a Name in load context or an attribute access. Imports and __init__'s
-exports do not count, since they only pass the name on. Names are matched
-without their owner, so a method whose name is also another attribute's
-(ParameterSet.copy beside ndarray.copy) counts as reached and the scan
-cannot see it.
+a module-level function or class by a Name in load context or an attribute
+access, a method by an attribute access only, so a local variable or a
+parameter of the same name (ndcg_at_k's primary_labels) does not reach it.
+Imports and __init__'s exports do not count, since they only pass the name
+on. Names are matched without their owner, so a method whose name is also
+another attribute's (ParameterSet.copy beside ndarray.copy) counts as
+reached and the scan cannot see it.
 """
 
 import ast
@@ -42,12 +44,14 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def references(node) -> Counter:
-    """How often each name is loaded, or read as an attribute, under node."""
+def references(node, attributes_only: bool) -> Counter:
+    """How often each name is read as an attribute under node, or, unless
+    attributes_only, also loaded as a Name."""
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
-        if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        if isinstance(n, ast.Attribute)
+        or not attributes_only and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     )
 
 
@@ -57,10 +61,11 @@ def parsed():
 
 def unreached():
     trees = {module: tree for module, tree in parsed().items() if module != "__init__"}
-    total = sum(map(references, trees.values()), Counter())
+    total = {method: sum((references(tree, method) for tree in trees.values()), Counter())
+             for method in (False, True)}  # keyed by whether the definition is a method
     return [f"{module}.{qualname}" for module, tree in trees.items()
             for qualname, name, node in definitions(tree)
-            if not (total - references(node))[name]]
+            if not (total["." in qualname] - references(node, "." in qualname))[name]]
 
 
 def test_src_holds_only_what_runs():

@@ -229,12 +229,17 @@ def blow_up_run(config, groups):
     return distill.Run(config, "blow_up", terms)
 
 
+def idle_run(config):
+    """A run of no loss terms, so of zero slots, which never steps."""
+    return distill.Run(config, "idle", lambda bucket: nn.stack_terms([], bucket.labels.shape[:-1]))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_a_skipping_run_is_neither_checked_nor_updated():
     ds = data.generate_dataset(gen_config())
     cfg = train_config(epochs=1)
     first, second = first_groups(ds, cfg, 2)
-    idle = distill.Run(cfg, "idle", lambda group: None)
+    idle = idle_run(cfg)
     hard_only, blown, idle_model = distill.train_runs(
         ds, [distill.Run.hard_only(cfg), blow_up_run(cfg, [first]), idle]
     )
@@ -282,7 +287,7 @@ def sweep_runs(ds, activation, epochs):
         "student_t1_s6": distill.Run.student(ds, soft, cfg(6)),
         "student_t2_s5": distill.Run.student(ds, soft, cfg(5, temperature=2.0)),
         "scalarized_s7": distill.Run.scalarized(ds, [0.5, 0.2, 0.3], cfg(7)),
-        "idle_s6": distill.Run(cfg(6), "idle", lambda group: None),
+        "idle_s6": idle_run(cfg(6)),
     }
     if epochs == 1:
         runs["blow_up_s7"] = blow_up_run(cfg(7), first_groups(ds, cfg(7), 1))
@@ -316,7 +321,7 @@ def test_families_of_mixed_seeds_equal_their_runs_trained_alone(activation, data
 def long_list_runs():
     """A dataset of 20 to 30 items per list, and name -> Run over every
     slot case: hard-only, students at alpha 0, 0.2 and 1 with T 2 (teacher
-    T 2.5), and scalarized with one zero weight."""
+    T 2.5), scalarized with one zero weight, and an idle run of no slot."""
     ds = data.generate_dataset(data.GeneratorConfig(
         num_queries=30, items_per_query=(20, 30), m=6, K=3, seed=4, label_rates=[0.4, 0.5]
     ))
@@ -333,6 +338,7 @@ def long_list_runs():
         "hard_only": distill.Run.hard_only(cfg(5)),
         **students,
         "scalarized": distill.Run.scalarized(ds, [0.5, 0.0, 0.3], cfg(7)),
+        "idle": idle_run(cfg(8)),
     }
 
 
@@ -350,21 +356,41 @@ def bucketed_terms_equal_each_group_alone():
                 assert targets[row].tobytes() == target[0].tobytes(), name
 
 
-def test_every_slot_case_trains_as_alone_on_long_lists():
+def every_slot_case_trains_as_alone():
+    """Each run of long_list_runs takes one slot count on every bucket, the
+    count train_runs reads from the first, and trains as alone."""
     ds, soft, runs = long_list_runs()
-    assert [run.slots for run in runs.values()] == [1, 1, 2, 1, 2]
+    buckets = data.length_buckets(ds.groups)
+    assert len(buckets) > 1
+    slots = {name: {run.terms(b)[0].shape[-1] for b in buckets} for name, run in runs.items()}
+    assert slots == {"hard_only": {1}, "student_a0.0": {1}, "student_a0.2": {2},
+                     "student_a1.0": {1}, "scalarized": {2}, "idle": {0}}
     alone = assert_each_run_trains_as_alone(ds, runs)
+    assert alone["idle"].params == nn.init_params(runs["idle"].config.mlp)
     primary = lambda g: objective_target(g, 0)  # noqa: E731
     config = runs["student_a0.2"].config
     assert alone["student_a0.2"].params == padded_train(ds, config, primary, 0.2, soft)
+
+
+def test_every_slot_case_trains_as_alone_on_long_lists():
+    every_slot_case_trains_as_alone()
     bucketed_terms_equal_each_group_alone()
 
 
 def test_a_run_with_more_terms_than_slots_is_refused():
     ds, _, runs = long_list_runs()
-    run = runs["student_a0.2"]._replace(slots=1)
-    with pytest.raises(ConfigError, match="2 loss terms for 1 slots"):
-        distill.train_runs(ds, [run])
+    student = runs["student_a0.2"]
+    shortest = min(g.size for g in ds.groups)
+
+    def terms(bucket):
+        """The student's two terms, but its hard term alone on the first bucket."""
+        w, t, target = student.terms(bucket)
+        if bucket.groups[0].size == shortest:
+            return w[:, :1], t[:1], target[:, :1]
+        return w, t, target
+
+    with pytest.raises(ConfigError, match="run 'student_v0' gave 2 loss terms on a later"):
+        distill.train_runs(ds, [student._replace(terms=terms)])
 
 
 def smallest_mixed_family():
@@ -385,11 +411,13 @@ def test_a_mixed_seed_family_equals_its_runs_on_another_blas_kernel(kernel):
     # run's arithmetic that of its run alone on this kernel too. A length
     # bucket stacks groups of one length, so its scores and its loss
     # targets are each group's own on this kernel and at this SIMD level.
+    # The slot count each run's terms give, zero for the idle run, is
+    # checked there too.
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     env = {**os.environ, **kernel, "PYTHONPATH": path}
     code = ("import test_training_identity as t, test_distill as d; t.smallest_mixed_family(); "
-            "t.bucketed_terms_equal_each_group_alone(); "
+            "t.every_slot_case_trains_as_alone(); t.bucketed_terms_equal_each_group_alone(); "
             "d.assert_bucketed_scoring_is_the_serving_path('relu'); "
             "d.assert_bucketed_scoring_is_the_serving_path('tanh')")
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
