@@ -149,11 +149,13 @@ class Bucket:
         """The bucket's rows of by_query, {query_id: n values}, stacked
         (B, n) as float64; a query without n values raises an InputError
         naming it."""
-        n = self.groups[0].size
-        rows = [np.asarray(by_query[g.query_id], dtype=np.float64) for g in self.groups]
-        for g, row in zip(self.groups, rows):
-            if row.shape != (n,):
-                raise InputError(f"query {g.query_id}: {row.shape} scores for {n} items")
+        n, rows = self.groups[0].size, []
+        for g in self.groups:
+            if g.query_id not in by_query:
+                raise InputError(f"query {g.query_id}: no scores")
+            rows.append(np.asarray(by_query[g.query_id], dtype=np.float64))
+            if rows[-1].shape != (n,):
+                raise InputError(f"query {g.query_id}: {rows[-1].shape} scores for {n} items")
         return np.stack(rows)
 
 

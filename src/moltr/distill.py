@@ -21,7 +21,8 @@ rate differ only in their seeds and loss terms, so train_runs trains them
 together: each run takes its own next group, and one gather, one stacked
 forward pass, one loss call, one backprop and one update serve every run
 per step, each run's rows bit for bit what it gives trained alone. Each
-public trainer is its Run plus one train_runs call.
+public trainer is its Run plus one train_runs call, and self_distill
+retrains a whole generation of students as one family.
 
 Scoring and fusion run once per length bucket, not once per query:
 score_models scores a family's models together over their stacked
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -549,30 +550,34 @@ def train_hard_only(dataset: Dataset, config: DistillConfig) -> Model:
     return train_runs(dataset, [Run.hard_only(config)])[0]
 
 
-def student_version(model: Model) -> int | None:
-    if model.lineage.startswith("student_v"):
-        try:
-            return int(model.lineage[len("student_v"):])
-        except ValueError:
-            return None
-    return None
-
-
-def self_distill_step(
-    prev_student: Model, dataset_new: Dataset, config: DistillConfig
-) -> Model:
-    """Retrain using the previous student's own scores as soft labels."""
-    if dataset_new.m != prev_student.config.input_dim:
+def self_distill(prev_students: list[Model], dataset_new: Dataset,
+                 configs: list[DistillConfig]) -> list[Model]:
+    """Each previous student retrained on dataset_new under its config, with
+    its own scores as soft labels: the frozen students score dataset_new in
+    one score_models pass, and their successors train as one train_runs
+    family. student_v<n> begets student_v<n+1>, any other lineage student_v1."""
+    if not prev_students or len(configs) != len(prev_students):
+        raise ConfigError(f"got {len(configs)} configs for {len(prev_students)} previous students")
+    if any(dataset_new.m != prev.config.input_dim for prev in prev_students):
         raise InputError("dataset feature dim does not match previous student")
-    before = prev_student.params.params_hash()
-    raw = score_dataset(prev_student, dataset_new)
-    prev_version = student_version(prev_student)
-    version = 1 if prev_version is None else prev_version + 1
-    soft = SoftLabelSet(scores=raw, provenance=f"self_distill(version={version})")
-    model = train_student(dataset_new, soft, config, lineage=f"student_v{version}")
-    if prev_student.params.params_hash() != before:
+    before = [prev.params.params_hash() for prev in prev_students]
+    runs = []
+    for prev, raw, config in zip(prev_students, score_models(prev_students, dataset_new), configs):
+        version = 1
+        if prev.lineage.startswith("student_v"):
+            with suppress(ValueError):
+                version = int(prev.lineage[len("student_v"):]) + 1
+        soft = SoftLabelSet(scores=raw, provenance=f"self_distill(version={version})")
+        runs.append(Run.student(dataset_new, soft, config, lineage=f"student_v{version}"))
+    models = train_runs(dataset_new, runs)
+    if [prev.params.params_hash() for prev in prev_students] != before:
         raise TrainingError("previous student parameters changed during self-distill")
-    return model
+    return models
+
+
+def self_distill_step(prev_student: Model, dataset_new: Dataset, config: DistillConfig) -> Model:
+    """The self_distill of one student: retrained on its own scores as soft labels."""
+    return self_distill([prev_student], dataset_new, [config])[0]
 
 
 def train_scalarized_baseline(dataset: Dataset, objective_weights, config: DistillConfig) -> Model:

@@ -7,11 +7,12 @@ carries the content hashes of the checkpoint and dataset it came from.
 
 Each distinct model is trained and stored once: the distill study's
 distilled arm is its sweep student at the config's alpha, and its alpha
-1.0 student is the hard-only student's parameters. The distill, repro and
-boost studies train runs that share a dataset and an architecture
-together, in lockstep, through distill.train_runs, each run with its own
-seed, and score each family together, one length bucket at a time, through
-distill.score_models; the self study trains each run alone. The repro
+1.0 student is the hard-only student's parameters. Every study trains runs
+that share a dataset and an architecture together, in lockstep, through
+distill.train_runs, each run with its own seed, and scores each family
+together, one length bucket at a time, through distill.score_models. The
+self study's V0s, their V1s (distill.self_distill) and the V0s retrained
+from the teachers train as three families and score in one pass. The repro
 study trains every seed's hard-only and distilled students as one family,
 scores each model once and compares every pair from those scores.
 
@@ -45,11 +46,10 @@ from .distill import (
     TeacherEnsemble,
     fuse_soft_labels,
     inject_boost,
-    score_dataset,
     score_models,
-    self_distill_step,
+    self_distill,
     train_runs,
-    train_student,
+    train_student,  # unused here; perfbench's tracer test checks this name is wrapped
     train_teachers,
 )
 from .errors import CalibrationError, Config, ConfigError, write_atomic
@@ -326,29 +326,28 @@ def study_self_distillation(config: ExperimentConfig) -> dict:
     soft_a = fuse_soft_labels(teachers, window_a)
     soft_b = fuse_soft_labels(teachers, window_b)
 
-    def ndcg10(model):
-        return evaluation.mean_ndcg(score_dataset(model, study.eval_ds), study.eval_ds, 10)
+    configs = study.seed_configs(config.parity_seeds)
+    v0s = train_runs(window_a, [Run.student(window_a, soft_a, cfg) for cfg in configs])
+    v1s = self_distill(v0s, window_b, configs)
+    rv0s = train_runs(window_b, [Run.student(window_b, soft_b, cfg) for cfg in configs])
+    ndcg10 = [evaluation.mean_ndcg(scores, study.eval_ds, 10)
+              for scores in score_models(v1s + rv0s, study.eval_ds)]
+    ndcg_v1, ndcg_rv0 = ndcg10[:len(configs)], ndcg10[len(configs):]
+    rows = [
+        {
+            "seed": cfg.seed,
+            "v0_checkpoint": study.store.put_model(v0),
+            "v1_checkpoint": study.store.put_model(v1),
+            "retrained_v0_checkpoint": study.store.put_model(rv0),
+            "v1_lineage": v1.lineage,
+            "ndcg10_v1": v1_ndcg,
+            "ndcg10_retrained_v0": rv0_ndcg,
+            "dataset_hash": study.eval_hash,
+        }
+        for cfg, v0, v1, rv0, v1_ndcg, rv0_ndcg in zip(configs, v0s, v1s, rv0s, ndcg_v1, ndcg_rv0)
+    ]
 
-    rows = []
-    for cfg in study.seed_configs(config.parity_seeds):
-        v0 = train_student(window_a, soft_a, cfg)
-        v1 = self_distill_step(v0, window_b, cfg)
-        rv0 = train_student(window_b, soft_b, cfg, lineage="student_v0")
-        rows.append(
-            {
-                "seed": cfg.seed,
-                "v0_checkpoint": study.store.put_model(v0),
-                "v1_checkpoint": study.store.put_model(v1),
-                "retrained_v0_checkpoint": study.store.put_model(rv0),
-                "v1_lineage": v1.lineage,
-                "ndcg10_v1": ndcg10(v1),
-                "ndcg10_retrained_v0": ndcg10(rv0),
-                "dataset_hash": study.eval_hash,
-            }
-        )
-
-    mean_v1 = fmean([r["ndcg10_v1"] for r in rows])
-    mean_rv0 = fmean([r["ndcg10_retrained_v0"] for r in rows])
+    mean_v1, mean_rv0 = fmean(ndcg_v1), fmean(ndcg_rv0)
     return study.report(
         "self_distillation",
         {

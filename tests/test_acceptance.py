@@ -20,11 +20,14 @@ from moltr.data import GeneratorConfig, generate_dataset
 from moltr.distill import (
     BoostRule,
     DistillConfig,
+    Run,
     SoftLabelSet,
     TeacherEnsemble,
     fuse_soft_labels,
     score_dataset,
+    score_models,
     train_hard_only,
+    train_runs,
     train_student,
     train_teacher,
     train_teachers,
@@ -331,18 +334,18 @@ def test_criterion_8_sparsity_mitigation():
     teacher_exp = evaluation.mean_boosted_exposure(
         score_dataset(teachers[2], eval_ds), eval_ds, rule, 10
     )
-    rows = []
-    for seed in (11, 1011, 2011):
-        cfg = student_cfg.with_seed(seed)
-        dist_exp = evaluation.mean_boosted_exposure(
-            score_dataset(train_student(train_ds, soft, cfg), eval_ds),
-            eval_ds, rule, 10,
+    # Each seed's distilled and hard-only students train as one family and
+    # score the eval split together.
+    seeds = (11, 1011, 2011)
+    models = train_runs(train_ds, [
+        run for seed in seeds for run in (
+            Run.student(train_ds, soft, student_cfg.with_seed(seed)),
+            Run.hard_only(student_cfg.with_seed(seed)),
         )
-        hard_exp = evaluation.mean_boosted_exposure(
-            score_dataset(train_hard_only(train_ds, cfg), eval_ds),
-            eval_ds, rule, 10,
-        )
-        rows.append((seed, hard_exp, dist_exp))
+    ])
+    exposures = [evaluation.mean_boosted_exposure(scores, eval_ds, rule, 10)
+                 for scores in score_models(models, eval_ds)]
+    rows = list(zip(seeds, exposures[1::2], exposures[::2]))
     mean_dist_gap = float(np.mean([abs(d - teacher_exp) for _, _, d in rows]))
     mean_hard_gap = float(np.mean([abs(h - teacher_exp) for _, h, _ in rows]))
     verdict(

@@ -410,7 +410,46 @@ class TestSelfDistill:
         assert v0.params == before  # previous student untouched
         v2 = distill.self_distill_step(v1, new_data, train_config())
         assert v2.lineage == "student_v2"
-        assert distill.student_version(v2) == 2
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_a_generation_is_each_student_self_distilled_alone(self, dataset, activation):
+        # Two V0s and a V1, each of its own seed, and successors of other
+        # seeds: the family gives each student's self_distill_step bit for bit.
+        mlp = nn.MlpConfig(layer_dims=(6, 8, 1), activation=activation, init_scale=0.3, seed=5)
+        cfg = train_config(mlp=mlp)
+        soft = distill.fuse_soft_labels(distill.train_teachers(dataset, cfg), dataset)
+        v0s = distill.train_runs(dataset, [distill.Run.student(dataset, soft, cfg.with_seed(s))
+                                           for s in (5, 6, 7)])
+        new_data = data.generate_dataset(gen_config(num_queries=60, seed=21))
+        prev = [v0s[0], v0s[1], distill.self_distill_step(v0s[2], dataset, cfg.with_seed(8))]
+        configs = [cfg.with_seed(s) for s in (15, 16, 17)]
+        family = distill.self_distill(prev, new_data, configs)
+        alone = [distill.self_distill_step(p, new_data, c) for p, c in zip(prev, configs)]
+        assert [m.lineage for m in family] == [m.lineage for m in alone] == [
+            "student_v1", "student_v1", "student_v2"]
+        for together, lone, config in zip(family, alone, configs):
+            assert together.params.flat.tobytes() == lone.params.flat.tobytes()
+            assert together.config == lone.config == config.mlp
+
+    @pytest.mark.parametrize("changed", [0, 1, 2])
+    def test_freeze_checks_every_previous_student(self, dataset, soft, monkeypatch, changed):
+        prev = [distill.train_student(dataset, soft, train_config().with_seed(s))
+                for s in (5, 6, 7)]
+        train_runs = distill.train_runs
+
+        def tampering(ds, runs):
+            prev[changed].params.flat[0] += 1.0
+            return train_runs(ds, runs)
+
+        monkeypatch.setattr(distill, "train_runs", tampering)
+        with pytest.raises(TrainingError, match="previous student parameters changed"):
+            distill.self_distill(prev, dataset, [train_config()] * 3)
+
+    @pytest.mark.parametrize("students, configs", [(3, 2), (3, 4), (0, 0)])
+    def test_a_config_per_previous_student(self, dataset, soft, students, configs):
+        v0 = distill.train_student(dataset, soft, train_config())
+        with pytest.raises(ConfigError, match=f"got {configs} configs for {students} previous"):
+            distill.self_distill([v0] * students, dataset, [train_config()] * configs)
 
     def test_feature_dim_checked(self, dataset, soft):
         v0 = distill.train_student(dataset, soft, train_config())

@@ -382,6 +382,24 @@ class TestReport:
         with pytest.raises(InputError, match=f"query {bad}:"):
             evaluation.ranking_metrics_report(scores, ds)
 
+    def test_every_metric_names_a_query_without_scores(self):
+        ds = small_dataset(num_queries=5)
+        scores = {g.query_id: np.zeros(g.size) for g in ds.groups}
+        bad = ds.groups[3].query_id
+        del scores[bad]
+        rule = distill.BoostRule(predicate="is_new")
+        for metric in (
+            lambda: evaluation.ranking_metrics_report(scores, ds),
+            lambda: evaluation.mean_ndcg(scores, ds, 10),
+            lambda: evaluation.mean_boosted_exposure(scores, ds, rule),
+            lambda: evaluation.sxs_report(scores, scores, ds),
+        ):
+            with pytest.raises(InputError, match=f"^query {bad}: no scores$"):
+                metric()
+        full = {g.query_id: np.zeros(g.size) for g in ds.groups}
+        with pytest.raises(InputError, match=f"^query {bad}: no scores$"):
+            evaluation.sxs_report(full, scores, ds)
+
     @pytest.mark.parametrize("bucket_groups", [3, data.BUCKET_GROUPS])
     def test_means_equal_the_per_query_loop(self, monkeypatch, bucket_groups):
         # Tied scores on lists of 2 to 14 items, so the cutoffs clamp on

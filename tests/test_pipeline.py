@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from moltr import distill, evaluation, nn, pipeline
-from moltr.data import GeneratorConfig, generate_dataset
+from moltr.data import GeneratorConfig, generate_dataset, split_by_time
 from moltr.distill import DistillConfig, Model
 from moltr.errors import CalibrationError, ConfigError
 
@@ -644,6 +644,24 @@ def test_studies_train_runs_that_share_a_seed_together(tmp_path, monkeypatch):
     pipeline.study_irreproducibility(config)
     # Every seed's hard-only and distilled students train as one family.
     assert runs == [1, 1, 1, 2 * config.num_seeds]
+
+    runs.clear()
+    families, lone = [], []
+    for module in (distill, pipeline):
+        spy(monkeypatch, module, "score_models",
+            lambda models, ds: families.append((len(models), ds.content_hash())))
+    spy(monkeypatch, distill, "score_dataset", lambda model, ds: lone.append(model))
+    spy(monkeypatch, Model, "score_group", lambda model, group: lone.append(model))
+    config = small_experiment(tmp_path / "self", parity_seeds=2)
+    rep = pipeline.study_self_distillation(config)
+    # Three teachers one by one, then every seed's V0, V1 and retrained V0
+    # as three families. The V0s score window B together, and the V1 and
+    # retrained V0 models the eval split together; nothing scores alone.
+    p = config.parity_seeds
+    assert runs == [1, 1, 1, p, p, p]
+    _, window_b = split_by_time(generate_dataset(config.generator), config.shift_start_day)
+    assert families == [(p, window_b.content_hash()), (2 * p, rep["eval_dataset_hash"])]
+    assert lone == []
 
 
 class TestStudySelf:

@@ -1,19 +1,23 @@
 """Library code that only tests reach does not belong in src/, and only
 errors.py reads files.
 
-The scan reads src/moltr/*.py with ast. A definition counts as reached when
-some module other than __init__ names it outside the definition's own body:
-a module-level function or class by a Name in load context or an attribute
-access, a method by an attribute access only, so a local variable or a
-parameter of the same name (ndcg_at_k's primary_labels) does not reach it.
-Imports and __init__'s exports do not count, since they only pass the name
-on. Names are matched without their owner, so a method whose name is also
-another attribute's (ParameterSet.copy beside ndarray.copy) counts as
-reached and the scan cannot see it.
+The scan reads src/moltr/*.py with ast. A definition (a module-level
+function or class, or a non-dunder method) counts as reached when code
+that runs anyway names it, or the body of a definition already reached
+does, repeating until nothing new is reached. Code that runs anyway is
+module-level code, class bodies, bases, keywords and decorators, dunder
+methods, and the bodies of the BENCHMARK_ONLY definitions. A reached class
+does not reach its methods' bodies; each method is reached on its own.
+A module-level function or class is named by a Name in load context or an
+attribute access, a method by an attribute access only, so a local
+variable or a parameter of the same name (ndcg_at_k's primary_labels)
+does not reach it. __init__, imports and __init__'s exports do not count,
+since they only pass the name on. Names are matched without their owner,
+so a method whose name is also another attribute's (ParameterSet.copy
+beside ndarray.copy) counts as reached and the scan cannot see it.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moltr"
@@ -30,6 +34,10 @@ BENCHMARK_ONLY = {
 }
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
     """(qualified name, name, node) of each module-level function or class
     and each non-dunder method."""
@@ -38,21 +46,32 @@ def definitions(tree):
             yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def references(node, attributes_only: bool) -> Counter:
-    """How often each name is read as an attribute under node, or, unless
+def always_run(tree):
+    """The nodes of tree that run whether or not any definition is reached:
+    module-level code, and each class's bases, keywords, decorators and body
+    less its non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from node.bases + node.keywords + node.decorator_list
+            yield from (item for item in node.body if not (
+                isinstance(item, ast.FunctionDef) and not is_dunder(item.name)))
+        elif not isinstance(node, ast.FunctionDef):
+            yield node
+
+
+def references(node, attributes_only: bool) -> set:
+    """The names read as an attribute under node, or, unless
     attributes_only, also loaded as a Name."""
-    return Counter(
+    return {
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if isinstance(n, ast.Attribute)
         or not attributes_only and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-    )
+    }
 
 
 def parsed():
@@ -61,11 +80,22 @@ def parsed():
 
 def unreached():
     trees = {module: tree for module, tree in parsed().items() if module != "__init__"}
-    total = {method: sum((references(tree, method) for tree in trees.values()), Counter())
-             for method in (False, True)}  # keyed by whether the definition is a method
-    return [f"{module}.{qualname}" for module, tree in trees.items()
-            for qualname, name, node in definitions(tree)
-            if not (total["." in qualname] - references(node, "." in qualname))[name]]
+    defs = [(f"{module}.{qualname}", name, node) for module, tree in trees.items()
+            for qualname, name, node in definitions(tree)]
+    named = {False: set(), True: set()}  # keyed by whether only attributes count
+    read = [node for tree in trees.values() for node in always_run(tree)]
+    read += [node for qualname, _, node in defs if qualname in BENCHMARK_ONLY]
+    reached = set()
+    while read:
+        for node in read:
+            for attributes_only in named:
+                named[attributes_only] |= references(node, attributes_only)
+        new = [(qualname, node) for qualname, name, node in defs if qualname not in reached
+               and name in named[qualname.count(".") > 1]]
+        reached.update(qualname for qualname, _ in new)
+        # A class's own code ran already; only a function brings a new body.
+        read = [node for _, node in new if isinstance(node, ast.FunctionDef)]
+    return [qualname for qualname, _, _ in defs if qualname not in reached]
 
 
 def test_src_holds_only_what_runs():
