@@ -3,8 +3,11 @@ injection, student distillation, self-distillation, and baselines.
 
 All trainers share one deterministic engine, train_runs: a generator
 seeded with the run's one seed, mlp.seed, draws the initial weights and
-then one shuffle of the query-group order per epoch, and each group is a
-single SGD step for each run that does not skip it. A run's loss on a
+then one shuffle of the query-group order per epoch, and each SGD step
+takes the next batch_size groups of that order (one, by default) and
+steps on the mean gradient of the groups the run does not skip, if any.
+A batch's groups are stacked on the item axis, so a step over several
+costs little more than a step over one. A run's loss on a
 group is a list of weighted listwise-CE terms, built once per run for a
 whole length bucket (data.length_buckets) at a time and written into
 arrays allocated once, at the most terms any run gives on the first
@@ -14,15 +17,17 @@ so every step computes at that one width. Each step calls nn's
 forward, terms_grad and backprop kernels, the same code behind nn's public
 functions, and nn.sgd_step updates the flat parameter buffer in place. Two
 runs with the same config and seed are bit-identical, and equal to a loop
-over the public nn functions that pads each group the same way.
+over the public nn functions that pads each group the same way (to
+rounding, at a batch_size above one).
 
-Runs that share a dataset, an architecture, the epochs and the learning
-rate differ only in their seeds and loss terms, so train_runs trains them
-together: each run takes its own next group, and one gather, one stacked
-forward pass, one loss call, one backprop and one update serve every run
-per step, each run's rows bit for bit what it gives trained alone. Each
-public trainer is its Run plus one train_runs call, and self_distill
-retrains a whole generation of students as one family.
+Runs that share a dataset, an architecture, the epochs, the learning rate
+and the batch size differ only in their seeds and loss terms, so
+train_runs trains them together: each run takes its own next batch, and
+one gather, one stacked forward pass, one loss call, one backprop and one
+update serve every run per step, each run's rows bit for bit what it
+gives trained alone. Each public trainer is its Run plus one train_runs
+call, and self_distill retrains a whole generation of students as one
+family.
 
 Scoring and fusion run once per length bucket, not once per query:
 score_models scores a family's models together over their stacked
@@ -31,7 +36,8 @@ serving path, gives its query.
 
 BoostRule.apply is the one ad-hoc boost: inject_boost adds it to the soft
 labels before training, and evaluation.serve_with_boost and the boost
-study add it, at beta gamma, to served scores.
+study add it, at beta gamma, to served scores. inject_boost and the boost
+study apply it once per length bucket.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from .errors import (
 class DistillConfig(Config, section="distill"):
     """Hyperparameters for one training run. Its only seed is mlp.seed,
     which checkpoints store: it draws the initial weights, then every
-    epoch's shuffle."""
+    epoch's shuffle. Each SGD step takes the next batch_size groups of that
+    shuffle and averages their gradients."""
 
     mlp: nn.MlpConfig
     alpha: float = 0.2
@@ -66,6 +73,7 @@ class DistillConfig(Config, section="distill"):
     # Temperature of the softmax turning fused teacher scores into a target
     # distribution; kept separate from the student-side temperature.
     teacher_temperature: float = 1.0
+    batch_size: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -76,6 +84,8 @@ class DistillConfig(Config, section="distill"):
             raise ConfigError("epochs must be >= 0")
         if not (self.learning_rate > 0):
             raise ConfigError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def seed(self) -> int:
@@ -316,8 +326,8 @@ class Run(NamedTuple):
 
 def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     """The model of each run, trained together in one deterministic SGD
-    loop over query groups. The runs must share the architecture, epochs
-    and learning rate; each keeps its own mlp.seed.
+    loop over query groups. The runs must share the architecture, epochs,
+    learning rate and batch size; each keeps its own mlp.seed.
 
     Each run's terms(bucket) runs once per length bucket of the groups
     (data.length_buckets) before the first epoch, and its terms are written
@@ -328,14 +338,20 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     its last item, so a padded row has exactly the activations of a real
     one, and a pad of -inf gives it probability and score gradient 0. A
     generator per seed draws the run's initial weights and then one shuffle
-    of the group order per epoch. At each step every run takes its own next
-    group, and the runs that do not skip it take one gather of their groups,
-    one stacked nn.layer_outputs, one nn.terms_grad, one stacked
-    nn.backprop_into into arrays reused across steps, and one nn.sgd_step on
-    their rows of the (R, P) buffer, with one finiteness check that names
-    the layer on failure. A run that skips its group has its rows neither
-    read nor written there and its scores unchecked, and no skip moves a
-    shuffle stream.
+    of the group order per epoch. At each step every run takes the next B =
+    batch_size groups of its own order, fewer at the end of an epoch, and
+    the runs that do not skip all of them take one gather of their groups as
+    (R, B, W, m) features, read as (R, B * W, m) rows, then one stacked
+    nn.layer_outputs and one nn.terms_grad over (R, B, W), one stacked
+    nn.backprop_into into arrays reused across steps, whose weight
+    gradients h^T @ delta sum the batch, and one nn.sgd_step on their rows
+    of the (R, P) buffer, with one finiteness check that names the layer on
+    failure. At B > 1 each group's score gradient is weighted one over the
+    run's live groups in the batch, and a group it skips weighs 0, so a
+    step is the mean over live groups and a sparse run keeps its step size.
+    Every group a stepping run's batch holds is scored and checked. A run
+    that skips its whole batch has its rows neither read nor written there
+    and its scores unchecked, and no skip moves a shuffle stream.
 
     Every step of every run, a lone run's included, computes at that one
     width, so each run's rows in a stacked call are the arithmetic of its
@@ -348,12 +364,11 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     config = runs[0].config
 
     def shared(c):
-        return replace(c.mlp, seed=0), c.epochs, c.learning_rate
+        return replace(c.mlp, seed=0), c.epochs, c.learning_rate, c.batch_size
 
     if any(shared(run.config) != shared(config) for run in runs):
-        raise ConfigError(
-            "runs trained together must share mlp up to its seed, epochs and learning_rate"
-        )
+        raise ConfigError("runs trained together must share mlp up to its seed, epochs, "
+                          "learning_rate and batch_size")
     groups = dataset.groups
     if not groups:
         raise TrainingError("cannot train on an empty dataset")
@@ -401,30 +416,34 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     shapes = firsts[config.seed].shapes
     params = nn.ParameterSet(np.array([firsts[run.config.seed].flat for run in runs]), shapes)
     grads = nn.zeros_like_params(params)
-    relu, lr = mlp.activation == "relu", config.learning_rate
+    relu, lr, batch = mlp.activation == "relu", config.learning_rate, config.batch_size
     orders = {seed: np.arange(len(groups)) for seed in rngs}
-    offsets = np.arange(len(runs)) * len(groups)
+    offsets = np.arange(len(runs))[:, None] * len(groups)
     for _ in range(config.epochs):
         for seed, rng in rngs.items():
             rng.shuffle(orders[seed])
-        # Row t: the group each run takes at step t, and its plan row.
-        steps = np.array([orders[run.config.seed] for run in runs]).T
-        plan = steps + offsets
+        # Column t: the group each run takes t-th, and its plan row.
+        order = np.array([orders[run.config.seed] for run in runs])
+        plan = order + offsets
         live = active[plan]
-        for group_index, plan_index, stepping, full in zip(
-            steps, plan, live, live.all(axis=1).tolist()
-        ):
-            if full:
+        for start in range(0, len(groups), batch):
+            group_index, plan_index = order[:, start:start + batch], plan[:, start:start + batch]
+            batch_live = live[:, start:start + batch]
+            stepping = batch_live.any(axis=1)
+            if stepping.all():
                 p, g = params, grads
             elif stepping.any():  # copies of the active rows, written back after the step
                 rows = np.flatnonzero(stepping)
                 group_index, plan_index = group_index[rows], plan_index[rows]
+                batch_live = batch_live[rows]
                 p = nn.ParameterSet(params.flat[rows], shapes)
                 g = nn.ParameterSet(grads.flat[:len(rows)], shapes)
             else:
                 continue
-            hs = nn.layer_outputs(p, features.take(group_index, axis=0), relu)
-            scores = hs[-1][..., 0]
+            # (R, b, W, m) features as (R, b * W, m) rows: one forward pass per batch.
+            x = features.take(group_index, axis=0)
+            hs = nn.layer_outputs(p, x.reshape(len(x), -1, x.shape[-1]), relu)
+            scores = hs[-1][..., 0].reshape(group_index.shape + (width,))
             if not np.isfinite(scores).all():
                 check_finite(scores, query_ids[group_index],
                              "forward pass produced non-finite scores")
@@ -434,7 +453,9 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
                 None if temperatures is None else temperatures.take(plan_index, axis=0),
                 targets.take(plan_index, axis=0),
             )
-            nn.backprop_into(g, hs, p, per_score, relu)
+            if batch > 1:  # the mean over the run's live groups; a skipped group weighs 0
+                per_score *= (batch_live / batch_live.sum(axis=1, keepdims=True))[..., None]
+            nn.backprop_into(g, hs, p, per_score.reshape(len(x), -1), relu)
             nn.sgd_step(p, g, lr)
             if p is not params:
                 params.flat[rows] = p.flat
@@ -505,9 +526,11 @@ def fuse_soft_labels(teachers: TeacherEnsemble, dataset: Dataset) -> SoftLabelSe
 
 def inject_boost(soft: SoftLabelSet, rule: BoostRule, dataset: Dataset) -> SoftLabelSet:
     """The soft labels with rule.apply's beta added to matching items' raw
-    scores; others untouched."""
+    scores, one length bucket at a time; others untouched."""
     soft.check_alignment(dataset)
-    boosted = {g.query_id: rule.apply(soft.scores[g.query_id], g) for g in dataset.groups}
+    buckets = length_buckets(dataset.groups)
+    rows = [rule.apply(b.rows(soft.scores), b) for b in buckets]
+    boosted = by_query(dataset.groups, buckets, rows)
     return SoftLabelSet(scores=boosted, provenance=f"boosted({rule.describe()})")
 
 

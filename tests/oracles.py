@@ -102,7 +102,8 @@ def padded_train(dataset, config, target, alpha=1.0, soft=None):
     of each softmax, and the score gradient summed term by term,
     sum_k w_k * (softmax(scores / T_k) - target_k) / T_k, with the loss
     terms of nn.blend_terms that have a weight. target(group) is the hard
-    target or None."""
+    target or None. Each step takes the next config.batch_size groups and
+    steps on the mean gradient of those that have a loss term, if any."""
     mlp = config.mlp
     width = max(g.size for g in dataset.groups)
     rng = np.random.default_rng(config.seed)
@@ -110,31 +111,41 @@ def padded_train(dataset, config, target, alpha=1.0, soft=None):
     order = np.arange(len(dataset.groups))
     for _ in range(config.epochs):
         rng.shuffle(order)
-        for gi in order:
-            group = dataset.groups[gi]
-            soft_target = None
-            if soft is not None:
-                soft_target = nn.listwise_softmax(
-                    soft.scores[group.query_id], config.teacher_temperature
-                )
-            hard = target(group)
-            terms = [(w, t, hard_or_soft) for w, t, hard_or_soft in zip(*nn.blend_terms(
-                np.zeros(group.size) if hard is None else hard, soft_target, alpha,
-                config.temperature,
-            )) if w != 0]
-            if not terms:
-                continue
-            n = group.size
-            rows = [min(i, n - 1) for i in range(width)]
-            scores, trace = nn.mlp_forward(params, group.features[rows], mlp.activation)
-            grad = np.zeros(width)
-            for w, t, hard_or_soft in terms:
-                z = scores / t
-                z[n:] = -np.inf
-                e = np.exp(z - z.max())
-                padded_target = np.zeros(width)
-                padded_target[:n] = hard_or_soft
-                grad = grad + (e / e.sum() - padded_target) / t * w
-            grads = nn.backward(trace, params, grad, mlp.activation)
-            params = nn.sgd_step(params, grads, config.learning_rate)
+        for start in range(0, len(order), config.batch_size):
+            batch = [padded_grad(dataset.groups[gi], params, config, width, target, alpha, soft)
+                     for gi in order[start:start + config.batch_size]]
+            batch = [g.flat for g in batch if g is not None]
+            if batch:
+                mean = nn.ParameterSet(np.mean(batch, axis=0), params.shapes)
+                params = nn.sgd_step(params, mean, config.learning_rate)
     return params
+
+
+def padded_grad(group, params, config, width, target, alpha, soft):
+    """padded_train's parameter gradient on one group, or None when the
+    group has no loss term."""
+    mlp = config.mlp
+    soft_target = None
+    if soft is not None:
+        soft_target = nn.listwise_softmax(
+            soft.scores[group.query_id], config.teacher_temperature
+        )
+    hard = target(group)
+    terms = [(w, t, hard_or_soft) for w, t, hard_or_soft in zip(*nn.blend_terms(
+        np.zeros(group.size) if hard is None else hard, soft_target, alpha,
+        config.temperature,
+    )) if w != 0]
+    if not terms:
+        return None
+    n = group.size
+    rows = [min(i, n - 1) for i in range(width)]
+    scores, trace = nn.mlp_forward(params, group.features[rows], mlp.activation)
+    grad = np.zeros(width)
+    for w, t, hard_or_soft in terms:
+        z = scores / t
+        z[n:] = -np.inf
+        e = np.exp(z - z.max())
+        padded_target = np.zeros(width)
+        padded_target[:n] = hard_or_soft
+        grad = grad + (e / e.sum() - padded_target) / t * w
+    return nn.backward(trace, params, grad, mlp.activation)

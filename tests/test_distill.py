@@ -323,6 +323,25 @@ class TestBoostRule:
                 d = nn.listwise_softmax(boosted.scores[gr.query_id])
                 assert sorted(d.tolist()) == pytest.approx([0.25, 0.75], abs=1e-12)
 
+    @pytest.mark.parametrize("predicate", ["rating_at_least", "is_new"])
+    def test_injected_by_length_bucket_as_group_by_group(self, predicate):
+        # inject_boost applies the rule once per length bucket; each row is
+        # bit for bit the rule applied to its group alone.
+        ds = mixed_length_dataset()
+        rng = np.random.default_rng(4)
+        labels = distill.SoftLabelSet({g.query_id: rng.normal(size=g.size) for g in ds.groups}, "t")
+        rule = distill.BoostRule(predicate=predicate, rho=3.5, beta=1.7)
+        saved, data.BUCKET_GROUPS = data.BUCKET_GROUPS, 3
+        try:
+            boosted = distill.inject_boost(labels, rule, ds).scores
+        finally:
+            data.BUCKET_GROUPS = saved
+        assert list(boosted) == [g.query_id for g in ds.groups]
+        for g in ds.groups:
+            want = rule.apply(labels.scores[g.query_id], g)
+            assert boosted[g.query_id].tobytes() == want.tobytes()
+        assert any(rule.match_mask(g).any() for g in ds.groups)
+
     def test_zero_beta_is_identity(self, soft, dataset):
         rule = distill.BoostRule(predicate="is_new", beta=0.0)
         boosted = distill.inject_boost(soft, rule, dataset)

@@ -100,11 +100,14 @@ class TestExperimentConfig:
 
     def test_config_json_is_pinned(self):
         # The JSON digest was taken before the configs shared one JSON codec,
-        # and re-taken once distill.seed and objective_polarities were deleted.
+        # re-taken once distill.seed and objective_polarities were deleted,
+        # and again when the defaults moved to batch_size 4 at learning_rate
+        # 0.2; with those two forced back to 1 and 0.05 and the batch_size
+        # key dropped, the JSON gives the previous digest, 2e867f9b...7007a.
         config = pipeline.default_experiment_config()
         text = json.dumps(config.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "2e867f9b37b07ee9974523efecc4242b4f2584b06ba71130046fad644f77007a"
+            "072e1a56e894b0ceca5067cf3a164f16ec3e94aab1be73f4a6fe4a0b63c6bd8f"
         )
         assert config.distill.mlp.config_hash() == (
             "88055199f728f0626e8fa6cca88ec060efa089868d8420e037d1a60502dc9222"
@@ -728,7 +731,7 @@ class TestStudyBoost:
         spy(monkeypatch, pipeline, "inject_boost", lambda soft, rule, ds: (
             betas.append(rule.beta), trained.update(map(id, ds.groups))))
         spy(monkeypatch, distill.BoostRule, "apply",
-            lambda rule, scores, group: applied.append((rule.beta, id(group))))
+            lambda rule, scores, bucket: applied.append((rule.beta, id(bucket.groups[0]))))
         rep = pipeline.study_adhoc_boost(config)
         families, runs = [], []
         for kind, value in events:
@@ -757,9 +760,11 @@ class TestStudyBoost:
         assert betas[:3] == [1.0, 2.0, 4.0]
         # Zero is each calibration's baseline point, already measured.
         assert betas and 0.0 not in betas
-        # The serving side boosts the eval groups, the soft side the train groups.
+        # The serving side boosts the eval groups, the soft side the train
+        # groups, each one length bucket at a time.
         gammas = [beta for beta, group in applied if group not in trained]
         assert gammas and 0.0 not in gammas
+        assert sorted({beta for beta, group in applied if group in trained}) == sorted(set(betas))
         assert sum(map(len, families)) == config.parity_seeds + len(betas)
 
     def test_a_lift_within_tolerance_measures_zero_alone(self, tmp_path, monkeypatch):
@@ -801,16 +806,18 @@ class TestDeterminism:
 # instead of JSONL text (only the dataset hashes changed). All but
 # distill/metrics.csv, distill/report.md and repro/report.md were re-taken
 # once more when training came to pad every group to the dataset's longest
-# list, which moves every trained parameter.
+# list, which moves every trained parameter. The four report.json were
+# re-taken when DistillConfig gained batch_size: each report's config gained
+# "batch_size": 1, and nothing else in it changed.
 GOLDEN_STUDY_BYTES = {
     "distill/metrics.csv": "02bf4029a42c406e8b85698532a865f1bdc6cf8eea55eda7d1e8051208082bbd",
-    "distill/report.json": "fe38561abfe2bf25c407a23072c1898e0a85243a0af0be353891e7d25c35c96f",
+    "distill/report.json": "b8760a1d6ef40ca4c5dbb960178635ba8bb474619923787d350401b631cff12a",
     "distill/report.md": "fb85e00d555121bb7cc8f01e9f66068b772d267b707d3fce46bfdf666a537d4b",
-    "self/report.json": "530727827b3af6bc09cc6c45ba30eded43b8480df49e4b2783339e94533b0bca",
+    "self/report.json": "32fb2fb65f9c7829bc3472c95569ee566b533fcebdb90f6403d14486ddee484d",
     "self/report.md": "bccb7187c39d9e90a7b3e51733eefbf32dc5cb214a2a4f870f5d4042708e2868",
-    "repro/report.json": "edcfd9079bb6a4fff5f604e5e083697ab93f5796939dde5e190aed698f730118",
+    "repro/report.json": "6e0fd7b64c07a2e220a73363ff9588b071c0176ff35c83d30f41f1f54ab8494e",
     "repro/report.md": "66b4f31f27f460c2f8e5fd9a7e632584730b6158187be9ff3bc172581710592e",
-    "boost/report.json": "958fb35e87b768474d8cc7d8e404c0b84730c86e318e571b3ee7e765bc81deb0",
+    "boost/report.json": "0128c67954e806b71c32f8f98abdda72b75e323e9aed38590d7e6e5bd283bf74",
     "boost/report.md": "c0f2fd113cdd4fe62250fcf8263231869b0bcf2264bcc3c7712302809ed4e354",
 }
 

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from oracles import objective_target, padded_train, scalarized_steps
 
 from moltr import cli, data, distill, nn
 from moltr.errors import ConfigError, InputError, TrainingError
-from moltr.pipeline import CheckpointStore
+from moltr.pipeline import CheckpointStore, ExperimentConfig
 
 
 def gen_config(label_rates=(0.4, 0.5)):
@@ -193,6 +194,7 @@ def test_dense_runs_trained_together_equal_the_goldens():
 def test_runs_trained_together_must_share_the_schedule():
     ds = data.generate_dataset(gen_config())
     for other in (train_config(epochs=2), train_config(learning_rate=0.1),
+                  train_config(batch_size=2),
                   train_config(mlp=nn.MlpConfig(layer_dims=(6, 8, 1), init_scale=0.3, seed=5))):
         with pytest.raises(ConfigError, match="must share"):
             distill.train_runs(ds, [distill.Run.hard_only(train_config()),
@@ -256,6 +258,20 @@ def test_a_skipping_run_is_neither_checked_nor_updated():
     # Active on the second group, its scores there are checked.
     with pytest.raises(InputError, match=f"query {second.query_id}: forward pass"):
         distill.train_runs(ds, [distill.Run.hard_only(cfg), blow_up_run(cfg, [first, second])])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_batch_that_steps_checks_every_group_it_scores():
+    # Two groups a step: after its first batch the run blows up, and skips
+    # the second batch, (third, fourth), only in part. The whole batch is
+    # scored, so the skipped third group's scores are checked too.
+    cfg = train_config(epochs=1, batch_size=2)
+    ds = data.generate_dataset(gen_config())
+    first, _, third, fourth = first_groups(ds, cfg, 4)
+    blown, _ = distill.train_runs(ds, [blow_up_run(cfg, [first]), idle_run(cfg)])
+    assert blown.params.all_finite()
+    with pytest.raises(InputError, match=f"query {third.query_id}: forward pass"):
+        distill.train_runs(ds, [blow_up_run(cfg, [first, fourth]), idle_run(cfg)])
 
 
 # -- families whose runs keep their own seeds -----------------------------------
@@ -401,6 +417,94 @@ def smallest_mixed_family():
     assert_each_run_trains_as_alone(ds, {k: runs[k] for k in ("hard_only_s5", "student_t1_s6")})
 
 
+# -- minibatches -----------------------------------------------------------------
+
+
+def batched(runs, batch_size):
+    return {name: run._replace(config=replace(run.config, batch_size=batch_size))
+            for name, run in runs.items()}
+
+
+def batched_runs(ds, activation, epochs, batch_size):
+    """sweep_runs at batch_size, plus a sparse run that steps only on the
+    groups with a positive label for objective 1, as a teacher of that
+    objective would; in its first epoch some batches hold such a group and
+    some hold none."""
+    runs = sweep_runs(ds, activation, epochs)
+    config = train_config(activation, epochs=epochs).with_seed(6)
+    runs["sparse_s6"] = distill.Run.scalarized(ds, [0.0, 1.0, 0.0], config)
+    order = first_groups(ds, config, len(ds.groups))
+    live = [sum(bool((g.labels[:, 1] == 1).any()) for g in order[i:i + batch_size])
+            for i in range(0, len(order), batch_size)]
+    assert 0 in live and max(live) > 0
+    return batched(runs, batch_size)
+
+
+def batched_family_trains_as_alone(batch_size=4, dataset="long_lists", activation="relu",
+                                   epochs=1):
+    """A family of batched_runs equals its runs trained alone; the last
+    batch of each epoch is partial."""
+    ds = sweep_dataset(dataset)
+    assert len(ds.groups) % batch_size
+    runs = batched_runs(ds, activation, epochs, batch_size)
+    alone = assert_each_run_trains_as_alone(ds, runs)
+    assert alone["idle_s6"].params == nn.init_params(runs["idle_s6"].config.mlp)
+    return ds, runs, alone
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("batch_size", [3, 4, 8])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_batched_families_of_mixed_seeds_equal_their_runs_trained_alone(
+    activation, batch_size, epochs
+):
+    ds, runs, alone = batched_family_trains_as_alone(batch_size, "long_lists", activation, epochs)
+    # Each batch is one step, so the runs move away from their one-group training.
+    one_group = batched(runs, 1)
+    for name in ("hard_only_s5", "student_t1_s6", "sparse_s6"):
+        assert alone[name].params != distill.train_runs(ds, [one_group[name]])[0].params, name
+
+
+@pytest.mark.parametrize("batch_size", [2, 4, 40, 64])
+def test_a_batch_steps_on_the_mean_gradient_of_its_live_groups(batch_size):
+    # The public nn loop takes each group's gradient alone and averages the
+    # batch's live ones; the engine weights each score gradient by one over
+    # the live count and sums the batch in one product. The sums round in
+    # another order, so the two agree to rounding, not bit for bit. At 40,
+    # the dataset's group count, and beyond it an epoch is one step.
+    ds = sweep_dataset("short_lists")
+    config = train_config(epochs=3, batch_size=batch_size)
+    rng = np.random.default_rng(9)
+    soft = distill.SoftLabelSet({g.query_id: rng.normal(size=g.size) for g in ds.groups}, "test")
+    primary = lambda g: objective_target(g, 0)  # noqa: E731
+    hard_only = distill.train_hard_only(ds, config)
+    student = distill.train_student(ds, soft, config)
+    assert np.allclose(hard_only.params.flat, padded_train(ds, config, primary).flat,
+                       rtol=1e-12, atol=1e-14)
+    assert np.allclose(student.params.flat, padded_train(ds, config, primary, 0.2, soft).flat,
+                       rtol=1e-12, atol=1e-14)
+
+
+def test_batch_size_is_checked():
+    for bad in (0, -4):
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {bad}"):
+            train_config(batch_size=bad)
+    doc = train_config().to_dict()
+    for bad in (2.0, True, "4"):
+        with pytest.raises(ConfigError, match="'batch_size' must be int"):
+            distill.DistillConfig.from_dict(dict(doc, batch_size=bad))
+
+
+def test_a_config_without_batch_size_loads_at_one(tmp_path):
+    # Configs written before batch_size existed train one group per step.
+    doc = train_config().to_dict()
+    assert doc.pop("batch_size") == 1
+    assert distill.DistillConfig.from_dict(doc) == train_config()
+    study = {"distill": doc, "generator": {"m": 6}, "output_dir": str(tmp_path)}
+    assert ExperimentConfig.from_dict(study).distill.batch_size == 1
+
+
 @pytest.mark.parametrize("kernel", [
     {"OPENBLAS_CORETYPE": "Haswell"},
     {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
@@ -412,12 +516,14 @@ def test_a_mixed_seed_family_equals_its_runs_on_another_blas_kernel(kernel):
     # bucket stacks groups of one length, so its scores and its loss
     # targets are each group's own on this kernel and at this SIMD level.
     # The slot count each run's terms give, zero for the idle run, is
-    # checked there too.
+    # checked there too, and so is a family of four groups a step, whose
+    # products sum over four groups' rows.
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     env = {**os.environ, **kernel, "PYTHONPATH": path}
     code = ("import test_training_identity as t, test_distill as d; t.smallest_mixed_family(); "
             "t.every_slot_case_trains_as_alone(); t.bucketed_terms_equal_each_group_alone(); "
+            "t.batched_family_trains_as_alone(4); "
             "d.assert_bucketed_scoring_is_the_serving_path('relu'); "
             "d.assert_bucketed_scoring_is_the_serving_path('tanh')")
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
