@@ -37,7 +37,7 @@ serving path, gives its query.
 BoostRule.apply is the one ad-hoc boost: inject_boost adds it to the soft
 labels before training, and evaluation.serve_with_boost and the boost
 study add it, at beta gamma, to served scores. inject_boost and the boost
-study apply it once per length bucket.
+study apply it through BoostRule.apply_by_query, once per length bucket.
 """
 
 from __future__ import annotations
@@ -257,6 +257,13 @@ class BoostRule:
         for a query group or, row by row, a data.Bucket of them."""
         return scores + self.beta * self.match_mask(group)
 
+    def apply_by_query(self, scores: dict, groups, buckets=None) -> dict[int, np.ndarray]:
+        """{query_id: scores} of groups boosted by apply, once per
+        data.length_buckets bucket of groups (buckets, if given). The
+        addition is elementwise, so each row is apply on its own group."""
+        buckets = length_buckets(groups) if buckets is None else buckets
+        return by_query(groups, buckets, [self.apply(b.rows(scores), b) for b in buckets])
+
     def describe(self) -> str:
         if self.predicate == "is_new":
             return f"is_new:beta={self.beta}"
@@ -346,9 +353,10 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     nn.backprop_into into arrays reused across steps, whose weight
     gradients h^T @ delta sum the batch, and one nn.sgd_step on their rows
     of the (R, P) buffer, with one finiteness check that names the layer on
-    failure. At B > 1 each group's score gradient is weighted one over the
-    run's live groups in the batch, and a group it skips weighs 0, so a
-    step is the mean over live groups and a sparse run keeps its step size.
+    failure. Each group's score gradient is weighted one over the run's
+    live groups in the batch (exactly 1.0 at B = 1), and a group it skips
+    weighs 0, so a step is the mean over live groups and a sparse run
+    keeps its step size.
     Every group a stepping run's batch holds is scored and checked. A run
     that skips its whole batch has its rows neither read nor written there
     and its scores unchecked, and no skip moves a shuffle stream.
@@ -453,8 +461,8 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
                 None if temperatures is None else temperatures.take(plan_index, axis=0),
                 targets.take(plan_index, axis=0),
             )
-            if batch > 1:  # the mean over the run's live groups; a skipped group weighs 0
-                per_score *= (batch_live / batch_live.sum(axis=1, keepdims=True))[..., None]
+            # The mean over the run's live groups; a skipped group weighs 0.
+            per_score *= (batch_live / batch_live.sum(axis=1, keepdims=True))[..., None]
             nn.backprop_into(g, hs, p, per_score.reshape(len(x), -1), relu)
             nn.sgd_step(p, g, lr)
             if p is not params:
@@ -528,9 +536,7 @@ def inject_boost(soft: SoftLabelSet, rule: BoostRule, dataset: Dataset) -> SoftL
     """The soft labels with rule.apply's beta added to matching items' raw
     scores, one length bucket at a time; others untouched."""
     soft.check_alignment(dataset)
-    buckets = length_buckets(dataset.groups)
-    rows = [rule.apply(b.rows(soft.scores), b) for b in buckets]
-    boosted = by_query(dataset.groups, buckets, rows)
+    boosted = rule.apply_by_query(soft.scores, dataset.groups)
     return SoftLabelSet(scores=boosted, provenance=f"boosted({rule.describe()})")
 
 

@@ -22,9 +22,9 @@ seeds run first, in lockstep: each round trains every seed's next batch
 of betas as one family. A seed's first batch is beta 0, 1, 2 and 4 (beta
 0 alone when the target lift is within the tolerance), and beta 0 (the
 unboosted soft labels) gives the seed's baseline. Both sides boost through
-the one BoostRule.apply: the soft side through distill.inject_boost, and
-the serving side adds each gamma to the baseline's eval scores, with no
-forward pass.
+the one BoostRule.apply_by_query: the soft side through
+distill.inject_boost, and the serving side adds each gamma to the
+baseline's eval scores, with no forward pass.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 from statistics import fmean
 
 from . import distill, evaluation, nn
-from .data import (
-    Dataset, GeneratorConfig, by_query, generate_dataset, length_buckets, split_by_time,
-)
+from .data import Dataset, GeneratorConfig, generate_dataset, length_buckets, split_by_time
 from .distill import (
     BoostRule,
     DistillConfig,
@@ -575,9 +573,8 @@ def study_adhoc_boost(config: ExperimentConfig) -> dict:
         def served(gamma):
             """The baseline's eval scores boosted by gamma, one length bucket
             at a time: serving rescores nothing, since scoring is deterministic."""
-            boost = replace(rule, beta=gamma)
-            scores = by_query(eval_ds.groups, eval_buckets,
-                              [boost.apply(b.rows(base_scores), b) for b in eval_buckets])
+            scores = replace(rule, beta=gamma).apply_by_query(
+                base_scores, eval_ds.groups, eval_buckets)
             return exposure(scores), scores
 
         (gamma, serve_exp, serve_scores), _ = _bisect_exposure(

@@ -325,8 +325,8 @@ class TestBoostRule:
 
     @pytest.mark.parametrize("predicate", ["rating_at_least", "is_new"])
     def test_injected_by_length_bucket_as_group_by_group(self, predicate):
-        # inject_boost applies the rule once per length bucket; each row is
-        # bit for bit the rule applied to its group alone.
+        # inject_boost and apply_by_query apply the rule once per length
+        # bucket; each row is bit for bit the rule applied to its group alone.
         ds = mixed_length_dataset()
         rng = np.random.default_rng(4)
         labels = distill.SoftLabelSet({g.query_id: rng.normal(size=g.size) for g in ds.groups}, "t")
@@ -334,9 +334,11 @@ class TestBoostRule:
         saved, data.BUCKET_GROUPS = data.BUCKET_GROUPS, 3
         try:
             boosted = distill.inject_boost(labels, rule, ds).scores
+            given = rule.apply_by_query(labels.scores, ds.groups, data.length_buckets(ds.groups))
         finally:
             data.BUCKET_GROUPS = saved
-        assert list(boosted) == [g.query_id for g in ds.groups]
+        assert list(boosted) == list(given) == [g.query_id for g in ds.groups]
+        assert all(boosted[q].tobytes() == given[q].tobytes() for q in given)
         for g in ds.groups:
             want = rule.apply(labels.scores[g.query_id], g)
             assert boosted[g.query_id].tobytes() == want.tobytes()
