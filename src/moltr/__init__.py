@@ -27,7 +27,7 @@ from .distill import (
     fusion_serve_scores,
     inject_boost,
     score_dataset,
-    self_distill_step,
+    self_distill,
     train_hard_only,
     train_runs,
     train_scalarized_baseline,
@@ -54,10 +54,8 @@ from .evaluation import (
 from .nn import (
     MlpConfig,
     ParameterSet,
-    cross_entropy,
     distill_loss,
     init_params,
-    listwise_softmax,
     mlp_forward,
     sgd_step,
 )

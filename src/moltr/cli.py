@@ -82,13 +82,16 @@ def cmd_gen_data(args):
     return 0
 
 
+def _saved(model: Model, path) -> int:
+    model.save(path)
+    print(f"wrote {model.lineage} checkpoint to {path}")
+    return 0
+
+
 def cmd_train_teacher(args):
     config = _distill_config(args)
     dataset = load_dataset(args.data)
-    model = distill.train_teacher(dataset, args.objective, config)
-    model.save(args.out)
-    print(f"wrote {model.lineage} checkpoint to {args.out}")
-    return 0
+    return _saved(distill.train_teacher(dataset, args.objective, config), args.out)
 
 
 def cmd_fuse(args):
@@ -116,20 +119,14 @@ def cmd_train_student(args):
     config = _distill_config(args)
     dataset = load_dataset(args.data)
     soft = SoftLabelSet.load(args.soft)
-    model = distill.train_student(dataset, soft, config)
-    model.save(args.out)
-    print(f"wrote {model.lineage} checkpoint to {args.out}")
-    return 0
+    return _saved(distill.train_student(dataset, soft, config), args.out)
 
 
 def cmd_self_distill(args):
     config = _distill_config(args)
     dataset = load_dataset(args.data)
     prev = Model.load(args.model)
-    model = distill.self_distill_step(prev, dataset, config)
-    model.save(args.out)
-    print(f"wrote {model.lineage} checkpoint to {args.out}")
-    return 0
+    return _saved(distill.self_distill([prev], dataset, [config])[0], args.out)
 
 
 def cmd_score(args):

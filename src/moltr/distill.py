@@ -175,7 +175,7 @@ class SoftLabelSet:
 
     scores maps query_id to the fused (or self-distilled, or boosted) raw
     score vector over that query's items; a student's soft target is
-    nn.listwise_softmax of it at teacher_temperature.
+    nn.softmax of it at teacher_temperature.
     """
 
     scores: dict[int, np.ndarray]
@@ -190,10 +190,13 @@ class SoftLabelSet:
                 )
 
     def save(self, path) -> None:
+        """Write the JSONL that load reads, refusing a non-finite score as load does."""
         with write_atomic(path) as f:
             f.write(json.dumps({"provenance": self.provenance}, sort_keys=True) + "\n")
-            for qid in self.scores:
-                doc = {"query_id": qid, "scores": self.scores[qid].tolist()}
+            for qid, row in self.scores.items():
+                if not np.isfinite(row).all():
+                    raise InputError(f"query {qid}: refusing to save non-finite soft scores")
+                doc = {"query_id": qid, "scores": row.tolist()}
                 f.write(json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
@@ -602,11 +605,6 @@ def self_distill(prev_students: list[Model], dataset_new: Dataset,
     if [prev.params.params_hash() for prev in prev_students] != before:
         raise TrainingError("previous student parameters changed during self-distill")
     return models
-
-
-def self_distill_step(prev_student: Model, dataset_new: Dataset, config: DistillConfig) -> Model:
-    """The self_distill of one student: retrained on its own scores as soft labels."""
-    return self_distill([prev_student], dataset_new, [config])[0]
 
 
 def train_scalarized_baseline(dataset: Dataset, objective_weights, config: DistillConfig) -> Model:

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, QueryGroup, length_buckets
 from .distill import BoostRule, Model, score_dataset
 from .errors import InputError
-from .nn import softmax
+from .nn import PROB_FLOOR, softmax
 
 
 @dataclass
@@ -178,8 +178,8 @@ def sxs_report(
 
     A query counts as changed when the normalized Kendall distance
     (1 - tau) / 2 between the two induced rankings exceeds tau_threshold.
-    PD is computed over per-item softmax probabilities (positive by
-    construction), concatenated across all queries.
+    PD is computed over per-item softmax probabilities, floored at
+    nn.PROB_FLOOR as in the CE, concatenated across all queries.
     """
     probs_a, probs_b = [], []
 
@@ -187,8 +187,8 @@ def sxs_report(
         sb = bucket.rows(scores_b)
         ids = bucket.item_ids
         pos_b = np.argsort(rank_order(sb, ids), axis=-1)  # the inverse permutation
-        probs_a.append(softmax(sa, 1.0).ravel())
-        probs_b.append(softmax(sb, 1.0).ravel())
+        probs_a.append(np.maximum(softmax(sa, 1.0), PROB_FLOOR).ravel())
+        probs_b.append(np.maximum(softmax(sb, 1.0), PROB_FLOOR).ravel())
         return _tau(np.take_along_axis(pos_b, rank_order(sa, ids), axis=-1))
 
     taus = _per_query(scores_a, dataset, tau)

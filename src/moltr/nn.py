@@ -11,12 +11,11 @@ softmax, and terms_grad (the score gradient of weighted listwise-CE terms,
 the form of every loss). Every loss is a list of (weight, temperature,
 target) terms over many lists at once, stacked as arrays by stack_terms;
 blend_terms writes the distillation loss that way, row by row. The public
-mlp_forward, backward, listwise_softmax and distill_loss check their
-inputs and call a kernel; they leave their inputs unchanged and return
-fresh arrays. The trainers in distill call the kernels on inputs they
-check once per run. A ParameterSet keeps every layer in one flat buffer,
-and sgd_step updates that buffer in place with one finiteness check per
-step.
+mlp_forward, backward and distill_loss check their inputs and call a
+kernel; they leave their inputs unchanged and return fresh arrays. The
+trainers in distill call the kernels on inputs they check once per run. A
+ParameterSet keeps every layer in one flat buffer, and sgd_step updates
+that buffer in place with one finiteness check per step.
 
 A ParameterSet holds one run, flat (P,), or R runs of one architecture as
 the rows of flat (R, P). layer_outputs, backprop_into and sgd_step take
@@ -42,8 +41,8 @@ from .errors import (
     Config, ConfigError, InputError, ParseError, TrainingError, read_json, write_atomic,
 )
 
-# Softmax outputs are clamped to this floor before any log, so cross
-# entropy is total even for extreme score gaps.
+# Softmax outputs are clamped to this floor before any log or ratio, so
+# cross entropy and the side-by-side PD are total even for extreme score gaps.
 PROB_FLOOR = 1e-12
 
 ACTIVATIONS = ("relu", "tanh")
@@ -235,8 +234,8 @@ def backward(
 ) -> ParameterSet:
     """Exact gradients of the loss w.r.t. every parameter, in fresh arrays.
 
-    per_score_grad is d(loss)/d(score) per item, as returned by
-    listwise_grad. The trace must come from mlp_forward with these params.
+    per_score_grad is d(loss)/d(score) per item, as distill_loss gives it.
+    The trace must come from mlp_forward with these params.
     """
     if len(trace) != params.num_layers + 1:
         raise InputError("trace does not match parameter layer count")
@@ -250,34 +249,12 @@ def backward(
 
 def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
     """Max-stabilized temperature softmax in a fresh array, row by row over
-    any leading axes. Unchecked kernel of listwise_softmax."""
+    any leading axes. Unchecked: the caller checks scores and temperature."""
     z = scores if temperature == 1.0 else scores / temperature  # x / 1.0 is x bit for bit
     z = z - z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def listwise_softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax over one query's item scores, max-stabilized."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size < 1:
-        raise InputError("scores must be a nonempty 1-d vector")
-    if not np.isfinite(scores).all():
-        raise InputError("scores contain non-finite values")
-    if not (temperature > 0):
-        raise InputError("temperature must be positive")
-    return softmax(scores, temperature)
-
-
-def cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """-sum(target * log(pred)) with pred floored at PROB_FLOOR."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise InputError(f"length mismatch: {pred.shape} vs {target.shape}")
-    safe = np.maximum(pred, PROB_FLOOR)
-    return float(-(target * np.log(safe)).sum())
 
 
 def stack_terms(terms, shape) -> tuple:
@@ -327,8 +304,8 @@ def distill_loss(
     The hard term always uses temperature 1; temperature applies only to
     the student softmax of the soft term. Both the value and the gradient
     come from blend_terms, so alpha == 1 or 0, or a missing target (None,
-    or all zeros), leaves the other term out entirely.
-    """
+    or all zeros), leaves the other term out entirely. Each CE floors the
+    softmax at PROB_FLOOR before its log."""
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     scores = np.asarray(scores, dtype=np.float64)
@@ -338,19 +315,16 @@ def distill_loss(
     for target in (hard, soft):
         if target is not None and target.shape != scores.shape:
             raise InputError(f"length mismatch: {scores.shape} vs {target.shape}")
+    if scores.ndim != 1 or scores.size < 1:
+        raise InputError("scores must be a nonempty 1-d vector")
     terms = blend_terms(np.zeros(scores.shape) if hard is None else hard, soft, alpha, temperature)
-    parts = [w * cross_entropy(listwise_softmax(scores, t), target)
+    weights, temperatures, _ = terms
+    if not (temperatures[weights != 0] > 0).all():
+        raise InputError("temperature must be positive")
+    parts = [w * -(target * np.log(np.maximum(softmax(scores, t), PROB_FLOOR))).sum()
              for w, t, target in zip(*terms) if w != 0]
     loss = sum(parts[1:], parts[0]) if parts else 0.0
-    return float(loss), listwise_grad(scores, terms)
-
-
-def listwise_grad(scores, terms) -> np.ndarray:
-    """d/d(scores) of the weighted CE sum of stacked terms (stack_terms,
-    blend_terms), row by row, in a fresh array (zeros for no terms):
-    terms_grad with nothing padded. Unchecked kernel of distill_loss."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return terms_grad(scores, np.zeros_like(scores), *terms)
+    return float(loss), terms_grad(scores, np.zeros_like(scores), *terms)
 
 
 def terms_grad(scores, pad, weights, temperatures, targets) -> np.ndarray:
@@ -361,7 +335,7 @@ def terms_grad(scores, pad, weights, temperatures, targets) -> np.ndarray:
     and so gradient, is then exactly 0. weights or temperatures None
     stands for all ones.
 
-    Unchecked kernel of listwise_grad and the trainers. Each term gets its
+    Unchecked kernel of distill_loss and the trainers. Each term gets its
     own max-stabilized softmax, one shared by every term when all are at
     T = 1. The terms are summed in k order, and x / 1.0 and x * 1.0 are x
     bit for bit, so a term at T = 1 or w = 1 is not rounded.

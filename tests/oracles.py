@@ -2,11 +2,14 @@
 
 Each is written from its formula, in plain loops where that is clearest,
 and calls no moltr kernel that the code it checks runs, so a shared bug
-cannot make both sides agree. weighted_ce_sum calls nn.cross_entropy on
-purpose: the aggregation identity it checks is a property of that CE.
+cannot make both sides agree. oracle_softmax and oracle_ce are the
+listwise softmax and cross entropy, and weighted_ce_sum sums oracle_ce;
+the tests compare it with the library's one CE, nn.distill_loss.
 padded_train steps through the public nn functions, which the trainers
 fuse, and writes the padded loss gradient out itself.
 """
+
+import math
 
 import numpy as np
 
@@ -42,11 +45,23 @@ def max_relative_grad_error(analytic, numeric, floor=1e-6):
     return float((np.abs(a - n) / denom).max())
 
 
+def oracle_softmax(scores, temperature=1.0):
+    """exp(s_i / T) / sum_j exp(s_j / T), shifted by the largest s / T."""
+    z = np.asarray(scores, dtype=np.float64) / temperature
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def oracle_ce(pred, target):
+    """-sum_i target_i * log(pred_i), each pred_i floored at nn.PROB_FLOOR."""
+    return -math.fsum(t * math.log(max(p, nn.PROB_FLOOR)) for p, t in zip(pred, target))
+
+
 def weighted_ce_sum(pred, targets, weights):
-    """sum_k w_k * CE(pred, target_k). When the weights sum to 1 this equals
-    CE against the weight-averaged target, the aggregation identity the
-    distillation loss relies on."""
-    return float(sum(w * nn.cross_entropy(pred, t) for w, t in zip(weights, targets)))
+    """sum_k w_k * oracle_ce(pred, target_k). When the weights sum to 1 this
+    equals CE against the weight-averaged target, the aggregation identity
+    the distillation loss relies on."""
+    return float(sum(w * oracle_ce(pred, t) for w, t in zip(weights, targets)))
 
 
 def objective_labels(group, k):
@@ -127,9 +142,7 @@ def padded_grad(group, params, config, width, target, alpha, soft):
     mlp = config.mlp
     soft_target = None
     if soft is not None:
-        soft_target = nn.listwise_softmax(
-            soft.scores[group.query_id], config.teacher_temperature
-        )
+        soft_target = oracle_softmax(soft.scores[group.query_id], config.teacher_temperature)
     hard = target(group)
     terms = [(w, t, hard_or_soft) for w, t, hard_or_soft in zip(*nn.blend_terms(
         np.zeros(group.size) if hard is None else hard, soft_target, alpha,

@@ -170,6 +170,24 @@ class TestStageCommands:
         assert "beta must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inject_boost_refuses_to_write_an_overflowing_boost(
+        self, tmp_path, dataset_path, capsys
+    ):
+        # 1e308 + 1e308 overflows to inf, which the soft-label reader refuses.
+        groups = load_dataset(dataset_path).groups
+        soft = tmp_path / "soft.jsonl"
+        SoftLabelSet({g.query_id: np.full(g.size, 1e308) for g in groups}, "big").save(soft)
+        out = tmp_path / "boosted.jsonl"
+        out.write_text("previous\n")
+        code = run(["inject-boost", "--data", dataset_path, "--soft", str(soft),
+                    "--predicate", "rating_at_least", "--rho", "0", "--beta", "1e308",
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: query \d+: refusing to save non-finite soft scores\n", err)
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["boosted.jsonl", "soft.jsonl"]
+
     def test_student_lineage(self, student_path):
         assert Model.load(student_path).lineage == "student_v0"
 

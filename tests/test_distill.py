@@ -236,8 +236,8 @@ class TestFusion:
 
     def test_distribution_temperature(self, soft, dataset):
         qid = dataset.groups[0].query_id
-        d1 = nn.listwise_softmax(soft.scores[qid], 1.0)
-        d4 = nn.listwise_softmax(soft.scores[qid], 4.0)
+        d1 = nn.softmax(soft.scores[qid], 1.0)
+        d4 = nn.softmax(soft.scores[qid], 4.0)
         assert abs(d1.sum() - 1.0) < 1e-9
         assert d4.max() <= d1.max() + 1e-12  # higher temperature flattens
 
@@ -320,7 +320,7 @@ class TestBoostRule:
             expected = np.where(mask, math.log(3.0), 0.0)
             assert np.allclose(boosted.scores[gr.query_id], expected)
             if mask.sum() == 1 and gr.size == 2:
-                d = nn.listwise_softmax(boosted.scores[gr.query_id])
+                d = nn.softmax(boosted.scores[gr.query_id], 1.0)
                 assert sorted(d.tolist()) == pytest.approx([0.25, 0.75], abs=1e-12)
 
     @pytest.mark.parametrize("predicate", ["rating_at_least", "is_new"])
@@ -426,26 +426,26 @@ class TestSelfDistill:
         v0 = distill.train_student(dataset, soft, train_config())
         before = nn.ParameterSet(v0.params.flat.copy(), v0.params.shapes)
         new_data = data.generate_dataset(gen_config(num_queries=60, seed=21))
-        v1 = distill.self_distill_step(v0, new_data, train_config())
+        v1 = distill.self_distill([v0], new_data, [train_config()])[0]
         assert v1.lineage == "student_v1"
         assert v0.params == before  # previous student untouched
-        v2 = distill.self_distill_step(v1, new_data, train_config())
+        v2 = distill.self_distill([v1], new_data, [train_config()])[0]
         assert v2.lineage == "student_v2"
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_a_generation_is_each_student_self_distilled_alone(self, dataset, activation):
         # Two V0s and a V1, each of its own seed, and successors of other
-        # seeds: the family gives each student's self_distill_step bit for bit.
+        # seeds: the family gives each student's lone self_distill bit for bit.
         mlp = nn.MlpConfig(layer_dims=(6, 8, 1), activation=activation, init_scale=0.3, seed=5)
         cfg = train_config(mlp=mlp)
         soft = distill.fuse_soft_labels(distill.train_teachers(dataset, cfg), dataset)
         v0s = distill.train_runs(dataset, [distill.Run.student(dataset, soft, cfg.with_seed(s))
                                            for s in (5, 6, 7)])
         new_data = data.generate_dataset(gen_config(num_queries=60, seed=21))
-        prev = [v0s[0], v0s[1], distill.self_distill_step(v0s[2], dataset, cfg.with_seed(8))]
+        prev = [v0s[0], v0s[1], distill.self_distill([v0s[2]], dataset, [cfg.with_seed(8)])[0]]
         configs = [cfg.with_seed(s) for s in (15, 16, 17)]
         family = distill.self_distill(prev, new_data, configs)
-        alone = [distill.self_distill_step(p, new_data, c) for p, c in zip(prev, configs)]
+        alone = [distill.self_distill([p], new_data, [c])[0] for p, c in zip(prev, configs)]
         assert [m.lineage for m in family] == [m.lineage for m in alone] == [
             "student_v1", "student_v1", "student_v2"]
         for together, lone, config in zip(family, alone, configs):
@@ -476,16 +476,14 @@ class TestSelfDistill:
         v0 = distill.train_student(dataset, soft, train_config())
         other = data.generate_dataset(gen_config(m=8, num_queries=10))
         with pytest.raises(InputError):
-            distill.self_distill_step(v0, other, train_config())
+            distill.self_distill([v0], other, [train_config()])
 
     def test_stays_close_to_previous(self, dataset, soft):
         # One self-distillation round should agree with its source model
         # far more than with an unrelated model.
         v0 = distill.train_student(dataset, soft, train_config(epochs=8))
         new_data = data.generate_dataset(gen_config(num_queries=60, seed=21))
-        v1 = distill.self_distill_step(
-            v0, new_data, train_config(epochs=30, alpha=0.0)
-        )
+        v1 = distill.self_distill([v0], new_data, [train_config(epochs=30, alpha=0.0)])[0]
         taus = [
             score_tau(v1.score_group(g), v0.score_group(g), g.item_ids)
             for g in new_data.groups

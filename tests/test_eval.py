@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import kendall_tau, objective_labels, primary_labels
+from oracles import kendall_tau, objective_labels, oracle_softmax, primary_labels
 
 from moltr import data, distill, evaluation, nn
 from moltr.errors import InputError
@@ -271,8 +271,8 @@ class TestSxS:
             )
             taus.append(tau)
             changed += (1.0 - tau) / 2.0 > 0.1
-            probs_a.append(nn.listwise_softmax(sa, 1.0))
-            probs_b.append(nn.listwise_softmax(sb, 1.0))
+            probs_a.append(oracle_softmax(sa))
+            probs_b.append(oracle_softmax(sb))
         want = evaluation.SxSReport(
             change_rate=changed / len(ds),
             mean_tau=float(math.fsum(taus) / len(taus)),
@@ -283,6 +283,18 @@ class TestSxS:
         assert 0 < changed < len(ds)
         got = evaluation.sxs_report(a, b, ds, tau_threshold=0.1)
         assert got == want
+
+    def test_a_softmax_that_underflows_still_has_a_pd(self):
+        # Lists of 8 to 12 items 100 apart: exp(-800) and below underflow
+        # to 0, and every item but a list's top one is under PROB_FLOOR.
+        ds = data.generate_dataset(data.GeneratorConfig(num_queries=3, m=6, K=2, seed=2))
+        a = {g.query_id: np.arange(g.size) * 100.0 for g in ds.groups}
+        b = {g.query_id: -np.arange(g.size) * 100.0 for g in ds.groups}
+        report = evaluation.sxs_report(a, b, ds)
+        assert (report.change_rate, report.mean_tau) == (1.0, -1.0)
+        # Only each list's two ends differ, each by about 2 (1 against the floor).
+        items = sum(g.size for g in ds.groups)
+        assert report.pd == pytest.approx(2.0 * 2 * len(ds) / items, rel=1e-9)
 
     def test_empty_dataset(self):
         ds = small_dataset()

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import finite_diff_grad, max_relative_grad_error, weighted_ce_sum
+from oracles import (
+    finite_diff_grad, max_relative_grad_error, oracle_ce, oracle_softmax, weighted_ce_sum,
+)
 
 from moltr import nn
 from moltr.errors import ConfigError, InputError, TrainingError
@@ -87,25 +89,17 @@ class TestForward:
             nn.mlp_forward(params, bad)
 
 
-class TestListwiseSoftmax:
+class TestSoftmax:
     def test_symmetric(self):
-        assert nn.listwise_softmax(np.array([0.0, 0.0])).tolist() == [0.5, 0.5]
+        assert nn.softmax(np.array([0.0, 0.0]), 1.0).tolist() == [0.5, 0.5]
 
     def test_hand_computed(self):
-        out = nn.listwise_softmax(np.array([math.log(3.0), 0.0]))
+        out = nn.softmax(np.array([math.log(3.0), 0.0]), 1.0)
         assert out == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_high_temperature_uniform(self):
-        out = nn.listwise_softmax(np.array([5.0, -3.0, 1.0]), temperature=1e6)
+        out = nn.softmax(np.array([5.0, -3.0, 1.0]), 1e6)
         assert np.abs(out - 1.0 / 3.0).max() < 1e-5
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(InputError):
-            nn.listwise_softmax(np.array([1.0, 2.0]), temperature=0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InputError):
-            nn.listwise_softmax(np.array([1.0, np.inf]))
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=20),
@@ -114,47 +108,65 @@ class TestListwiseSoftmax:
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one_and_keeps_argmax(self, scores, temperature):
         s = np.asarray(scores)
-        out = nn.listwise_softmax(s, temperature)
+        out = nn.softmax(s, temperature)
         assert abs(out.sum() - 1.0) < 1e-9
         assert (out >= 0).all()
         assert out[np.argmax(s)] == pytest.approx(out.max(), rel=1e-9)
 
+    def test_matches_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for temperature in (1.0, 0.5, 4.0):
+            scores = rng.normal(size=7) * 3.0
+            want = oracle_softmax(scores, temperature)
+            assert nn.softmax(scores, temperature).tobytes() == want.tobytes()
+
+
+def library_ce(pred, target):
+    """The library's CE of a probability vector: distill_loss at alpha 1 on
+    scores whose softmax is pred."""
+    return nn.distill_loss(np.log(pred), target, None, alpha=1.0)[0]
+
 
 class TestCrossEntropy:
     def test_one_hot_target(self):
-        ce = nn.cross_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        ce = library_ce(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         assert ce == pytest.approx(0.693147, abs=1e-6)
 
     def test_minimal_at_match(self):
         eps = 1e-3
         p = np.array([1 - eps, eps])
         entropy = -(p * np.log(p)).sum()
-        assert nn.cross_entropy(p, p) == pytest.approx(entropy, abs=1e-12)
-        assert nn.cross_entropy(np.array([0.5, 0.5]), p) >= entropy
+        assert library_ce(p, p) == pytest.approx(entropy, abs=1e-12)
+        assert library_ce(np.array([0.5, 0.5]), p) >= entropy
 
     def test_hand_computed(self):
-        ce = nn.cross_entropy(np.array([0.75, 0.25]), np.array([0.5, 0.5]))
+        ce = library_ce(np.array([0.75, 0.25]), np.array([0.5, 0.5]))
         assert ce == pytest.approx(0.836988, abs=1e-6)
 
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            nn.cross_entropy(np.array([1.0]), np.array([0.5, 0.5]))
-
     def test_total_via_clamping(self):
-        assert math.isfinite(nn.cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0])))
+        # exp(-1000) underflows to 0, which is floored before the log.
+        loss, grad = nn.distill_loss(np.array([0.0, 1000.0]), np.array([1.0, 0.0]), None, 1.0)
+        assert loss == pytest.approx(-math.log(nn.PROB_FLOOR), rel=1e-15)
+        assert grad.tolist() == [-1.0, 1.0]
+
+    def test_matches_the_oracle(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 4, 9):
+            pred, target = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            assert library_ce(pred, target) == pytest.approx(oracle_ce(pred, target), abs=1e-12)
 
 
 class TestWeightedCeSum:
     def test_single_target(self):
         pred = np.array([0.6, 0.4])
         t = np.array([0.3, 0.7])
-        assert weighted_ce_sum(pred, [t], [1.0]) == nn.cross_entropy(pred, t)
+        assert weighted_ce_sum(pred, [t], [1.0]) == oracle_ce(pred, t)
 
     def test_average_identity(self):
         pred = np.array([0.6, 0.4])
         t1, t2 = np.array([1.0, 0.0]), np.array([0.2, 0.8])
         lhs = weighted_ce_sum(pred, [t1, t2], [0.5, 0.5])
-        rhs = nn.cross_entropy(pred, 0.5 * t1 + 0.5 * t2)
+        rhs = library_ce(pred, 0.5 * t1 + 0.5 * t2)
         assert abs(lhs - rhs) < 1e-9
 
     def test_zero_weights(self):
@@ -170,7 +182,7 @@ class TestWeightedCeSum:
         w = rng.dirichlet(np.ones(k))
         lhs = weighted_ce_sum(pred, targets, list(w))
         fused = np.sum([wi * t for wi, t in zip(w, targets)], axis=0)
-        assert abs(lhs - nn.cross_entropy(pred, fused)) < 1e-9
+        assert abs(lhs - library_ce(pred, fused)) < 1e-9
 
 
 class TestDistillLoss:
@@ -179,16 +191,16 @@ class TestDistillLoss:
         hard = np.array([0.0, 1.0, 0.0])
         soft = np.array([0.2, 0.5, 0.3])
         loss, _ = nn.distill_loss(scores, hard, soft, alpha=1.0, temperature=3.0)
-        expected = nn.cross_entropy(nn.listwise_softmax(scores), hard)
-        assert loss == expected
+        assert loss == nn.distill_loss(scores, hard, None, alpha=1.0, temperature=3.0)[0]
+        assert loss == pytest.approx(oracle_ce(oracle_softmax(scores), hard), abs=1e-12)
 
     def test_alpha_zero_is_soft_ce(self):
         scores = np.array([0.3, -0.2, 1.1])
         hard = np.array([0.0, 1.0, 0.0])
         soft = np.array([0.2, 0.5, 0.3])
         loss, _ = nn.distill_loss(scores, hard, soft, alpha=0.0, temperature=3.0)
-        expected = nn.cross_entropy(nn.listwise_softmax(scores, 3.0), soft)
-        assert loss == expected
+        assert loss == nn.distill_loss(scores, None, soft, alpha=0.0, temperature=3.0)[0]
+        assert loss == pytest.approx(oracle_ce(oracle_softmax(scores, 3.0), soft), abs=1e-12)
 
     def test_hand_computed_blend(self):
         scores = np.array([0.0, 0.0])
@@ -229,14 +241,34 @@ class TestDistillLoss:
             else:
                 want = (alpha * (nn.softmax(scores, 1.0) - hard)
                         + (1.0 - alpha) * ((nn.softmax(scores, 1.0) - soft) / 1.0))
-            # A row of zeros is no hard target.
-            hard_rows = np.zeros(n) if hard is None else hard
-            got = nn.listwise_grad(scores, nn.blend_terms(hard_rows, soft, alpha, 1.0))
+            got = nn.distill_loss(scores, hard, soft, alpha, 1.0)[1]
             assert got.tobytes() == want.tobytes()
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
             nn.distill_loss(np.zeros(2), np.array([1.0, 0.0]), None, alpha=1.5)
+
+    def test_rejects_a_nonpositive_temperature_on_a_live_soft_term(self):
+        soft = np.array([0.5, 0.5])
+        for temperature in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError, match="temperature must be positive"):
+                nn.distill_loss(np.array([1.0, 2.0]), None, soft, 0.0, temperature)
+        # With no soft term in the loss, the temperature is never used.
+        loss, _ = nn.distill_loss(np.array([1.0, 2.0]), np.array([1.0, 0.0]), soft, 1.0, 0.0)
+        assert loss == nn.distill_loss(np.array([1.0, 2.0]), np.array([1.0, 0.0]), None, 1.0)[0]
+
+    @pytest.mark.parametrize("scores,match", [
+        (np.array([1.0, np.inf]), "non-finite"),
+        (np.zeros(0), "nonempty 1-d"),
+        (np.zeros((1, 2)), "nonempty 1-d"),
+    ])
+    def test_rejects_bad_scores(self, scores, match):
+        with pytest.raises(InputError, match=match):
+            nn.distill_loss(scores, None, np.full(scores.shape, 0.5), 0.5)
+
+    def test_length_mismatch(self):
+        with pytest.raises(InputError, match="length mismatch"):
+            nn.distill_loss(np.zeros(1), np.array([0.5, 0.5]), None, 1.0)
 
 
 def oracle_grad(scores, terms):
@@ -248,7 +280,12 @@ def oracle_grad(scores, terms):
     return total
 
 
-class TestListwiseGrad:
+def zero_pad_grad(scores, terms):
+    """terms_grad with nothing padded."""
+    return nn.terms_grad(scores, np.zeros_like(scores), *terms)
+
+
+class TestTermsGrad:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_matches_the_written_out_formula(self, count):
         rng = np.random.default_rng(17 + count)
@@ -257,7 +294,7 @@ class TestListwiseGrad:
                 scores = rng.normal(size=n) * 3.0
                 terms = [(rng.uniform(0.0, 2.0), rng.choice([1.0, 0.5, 2.5, 4.0]),
                           rng.dirichlet(np.ones(n))) for _ in range(count)]
-                got = nn.listwise_grad(scores, nn.stack_terms(terms, scores.shape))
+                got = zero_pad_grad(scores, nn.stack_terms(terms, scores.shape))
                 assert np.allclose(got, oracle_grad(scores, terms), rtol=0.0, atol=1e-12)
 
     def test_mixed_temperatures_match_the_formula(self):
@@ -265,11 +302,11 @@ class TestListwiseGrad:
         scores = rng.normal(size=6)
         targets = [rng.dirichlet(np.ones(6)) for _ in range(3)]
         terms = list(zip([0.3, 1.0, 0.6], [1.0, 2.0, 1.0], targets))
-        got = nn.listwise_grad(scores, nn.stack_terms(terms, scores.shape))
+        got = zero_pad_grad(scores, nn.stack_terms(terms, scores.shape))
         assert np.allclose(got, oracle_grad(scores, terms), rtol=0.0, atol=1e-12)
 
     def test_no_terms_give_zeros(self):
-        got = nn.listwise_grad(np.array([0.5, -1.0]), nn.stack_terms([], (2,)))
+        got = zero_pad_grad(np.array([0.5, -1.0]), nn.stack_terms([], (2,)))
         assert got.tobytes() == np.zeros(2).tobytes()
 
     @pytest.mark.parametrize("weights", [[1 / 3] * 3, [1.0, 0.0, 0.5], [0.2, 0.3, 0.5], [0.7]])
@@ -284,7 +321,7 @@ class TestListwiseGrad:
                 g = w * (p - target)
                 want = g if want is None else want + g
             terms = nn.stack_terms([(w, 1.0, t) for w, t in zip(weights, targets)], scores.shape)
-            got = nn.listwise_grad(scores, terms)
+            got = zero_pad_grad(scores, terms)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("temperature", [1.0, 2.5, 0.5])
@@ -300,7 +337,7 @@ class TestListwiseGrad:
             if temperature != 1.0:
                 sg /= temperature
             want = alpha * (p1 - hard) + (1.0 - alpha) * sg
-            got = nn.listwise_grad(scores, nn.blend_terms(hard, soft, alpha, temperature))
+            got = zero_pad_grad(scores, nn.blend_terms(hard, soft, alpha, temperature))
             assert got.tobytes() == want.tobytes()
 
 

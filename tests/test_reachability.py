@@ -20,10 +20,12 @@ beside ndarray.copy) counts as reached and the scan cannot see it.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moltr"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "moltr"
+BENCH_LAYERS = ROOT / "perfbench" / "bench_layers.py"
 
 # Reached only by perfbench/bench_layers.py TARGETS and the tests. They
-# leave src/ once the benchmark traces train_runs (ROADMAP items 5 and 7).
+# leave src/ once the benchmark traces train_runs (ROADMAP items 1 and 3).
 BENCHMARK_ONLY = {
     "nn.backward",
     "nn.distill_loss",
@@ -101,6 +103,20 @@ def unreached():
 def test_src_holds_only_what_runs():
     # Equal, not a subset, so an allowance that stops being needed is dropped.
     assert set(unreached()) == BENCHMARK_ONLY
+
+
+def benchmark_targets() -> set:
+    """bench_layers.py's TARGETS, "moltr.nn:distill_loss" read as
+    "nn.distill_loss", parsed from the file's text rather than imported."""
+    tree = ast.parse(BENCH_LAYERS.read_text(), str(BENCH_LAYERS))
+    targets = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    return {target.removeprefix("moltr.").replace(":", ".") for target in targets}
+
+
+def test_benchmark_only_names_are_benchmark_targets():
+    # The allowance lasts only as long as the benchmark trace it is for.
+    assert BENCHMARK_ONLY <= benchmark_targets()
 
 
 # Reading a file is errors.read_json's or errors.read_jsonl's job.

@@ -75,7 +75,7 @@ def trained_hashes():
     boosted = distill.inject_boost(soft, distill.BoostRule("rating_at_least", beta=1.5), ds)
     out["student_relu_boosted"] = phash(distill.train_student(ds, boosted, train_config()))
     v0 = distill.train_student(ds, soft, train_config())
-    out["self_distill_v1"] = phash(distill.self_distill_step(v0, ds, train_config().with_seed(6)))
+    out["self_distill_v1"] = phash(distill.self_distill([v0], ds, [train_config().with_seed(6)])[0])
     for act, weights in (("relu", [1 / 3] * 3), ("tanh", [1.0, 0.0, 0.5])):
         model = distill.train_scalarized_baseline(ds, weights, train_config(act))
         out[f"scalarized_{act}"] = phash(model)
