@@ -82,16 +82,13 @@ def cmd_gen_data(args):
     return 0
 
 
-def _saved(model: Model, path) -> int:
-    model.save(path)
-    print(f"wrote {model.lineage} checkpoint to {path}")
-    return 0
-
-
 def cmd_train_teacher(args):
     config = _distill_config(args)
     dataset = load_dataset(args.data)
-    return _saved(distill.train_teacher(dataset, args.objective, config), args.out)
+    model = distill.train_teacher(dataset, args.objective, config)
+    model.save(args.out)
+    print(f"wrote {model.lineage} checkpoint to {args.out}")
+    return 0
 
 
 def cmd_fuse(args):
@@ -119,14 +116,20 @@ def cmd_train_student(args):
     config = _distill_config(args)
     dataset = load_dataset(args.data)
     soft = SoftLabelSet.load(args.soft)
-    return _saved(distill.train_student(dataset, soft, config), args.out)
+    model = distill.train_student(dataset, soft, config)
+    model.save(args.out)
+    print(f"wrote {model.lineage} checkpoint to {args.out}")
+    return 0
 
 
 def cmd_self_distill(args):
     config = _distill_config(args)
     dataset = load_dataset(args.data)
     prev = Model.load(args.model)
-    return _saved(distill.self_distill([prev], dataset, [config])[0], args.out)
+    model = distill.self_distill([prev], dataset, [config])[0]
+    model.save(args.out)
+    print(f"wrote {model.lineage} checkpoint to {args.out}")
+    return 0
 
 
 def cmd_score(args):

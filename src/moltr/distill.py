@@ -190,12 +190,10 @@ class SoftLabelSet:
                 )
 
     def save(self, path) -> None:
-        """Write the JSONL that load reads, refusing a non-finite score as load does."""
         with write_atomic(path) as f:
             f.write(json.dumps({"provenance": self.provenance}, sort_keys=True) + "\n")
             for qid, row in self.scores.items():
-                if not np.isfinite(row).all():
-                    raise InputError(f"query {qid}: refusing to save non-finite soft scores")
+                check_finite(row, qid, "refusing to save non-finite soft scores")
                 doc = {"query_id": qid, "scores": row.tolist()}
                 f.write(json.dumps(doc, sort_keys=True) + "\n")
 
@@ -430,46 +428,47 @@ def train_runs(dataset: Dataset, runs: list[Run]) -> list[Model]:
     relu, lr, batch = mlp.activation == "relu", config.learning_rate, config.batch_size
     orders = {seed: np.arange(len(groups)) for seed in rngs}
     offsets = np.arange(len(runs))[:, None] * len(groups)
-    for _ in range(config.epochs):
-        for seed, rng in rngs.items():
-            rng.shuffle(orders[seed])
-        # Column t: the group each run takes t-th, and its plan row.
-        order = np.array([orders[run.config.seed] for run in runs])
-        plan = order + offsets
-        live = active[plan]
-        for start in range(0, len(groups), batch):
-            group_index, plan_index = order[:, start:start + batch], plan[:, start:start + batch]
-            batch_live = live[:, start:start + batch]
-            stepping = batch_live.any(axis=1)
-            if stepping.all():
-                p, g = params, grads
-            elif stepping.any():  # copies of the active rows, written back after the step
-                rows = np.flatnonzero(stepping)
-                group_index, plan_index = group_index[rows], plan_index[rows]
-                batch_live = batch_live[rows]
-                p = nn.ParameterSet(params.flat[rows], shapes)
-                g = nn.ParameterSet(grads.flat[:len(rows)], shapes)
-            else:
-                continue
-            # (R, b, W, m) features as (R, b * W, m) rows: one forward pass per batch.
-            x = features.take(group_index, axis=0)
-            hs = nn.layer_outputs(p, x.reshape(len(x), -1, x.shape[-1]), relu)
-            scores = hs[-1][..., 0].reshape(group_index.shape + (width,))
-            if not np.isfinite(scores).all():
-                check_finite(scores, query_ids[group_index],
-                             "forward pass produced non-finite scores")
-            per_score = nn.terms_grad(
-                scores, pad.take(group_index, axis=0),
-                None if weights is None else weights.take(plan_index, axis=0),
-                None if temperatures is None else temperatures.take(plan_index, axis=0),
-                targets.take(plan_index, axis=0),
-            )
-            # The mean over the run's live groups; a skipped group weighs 0.
-            per_score *= (batch_live / batch_live.sum(axis=1, keepdims=True))[..., None]
-            nn.backprop_into(g, hs, p, per_score.reshape(len(x), -1), relu)
-            nn.sgd_step(p, g, lr)
-            if p is not params:
-                params.flat[rows] = p.flat
+    with np.errstate(over="ignore", invalid="ignore"):  # every step checks scores and update
+        for _ in range(config.epochs):
+            for seed, rng in rngs.items():
+                rng.shuffle(orders[seed])
+            # Column t: the group each run takes t-th, and its plan row.
+            order = np.array([orders[run.config.seed] for run in runs])
+            plan = order + offsets
+            live = active[plan]
+            for start in range(0, len(groups), batch):
+                span = slice(start, start + batch)
+                group_index, plan_index, batch_live = order[:, span], plan[:, span], live[:, span]
+                stepping = batch_live.any(axis=1)
+                if stepping.all():
+                    p, g = params, grads
+                elif stepping.any():  # copies of the active rows, written back after the step
+                    rows = np.flatnonzero(stepping)
+                    group_index, plan_index = group_index[rows], plan_index[rows]
+                    batch_live = batch_live[rows]
+                    p = nn.ParameterSet(params.flat[rows], shapes)
+                    g = nn.ParameterSet(grads.flat[:len(rows)], shapes)
+                else:
+                    continue
+                # (R, b, W, m) features as (R, b * W, m) rows: one forward pass per batch.
+                x = features.take(group_index, axis=0)
+                hs = nn.layer_outputs(p, x.reshape(len(x), -1, x.shape[-1]), relu)
+                scores = hs[-1][..., 0].reshape(group_index.shape + (width,))
+                if not np.isfinite(scores).all():
+                    check_finite(scores, query_ids[group_index],
+                                 "forward pass produced non-finite scores")
+                per_score = nn.terms_grad(
+                    scores, pad.take(group_index, axis=0),
+                    None if weights is None else weights.take(plan_index, axis=0),
+                    None if temperatures is None else temperatures.take(plan_index, axis=0),
+                    targets.take(plan_index, axis=0),
+                )
+                # The mean over the run's live groups; a skipped group weighs 0.
+                per_score *= (batch_live / batch_live.sum(axis=1, keepdims=True))[..., None]
+                nn.backprop_into(g, hs, p, per_score.reshape(len(x), -1), relu)
+                nn.sgd_step(p, g, lr)
+                if p is not params:
+                    params.flat[rows] = p.flat
     return [Model(config=run.config.mlp, params=params.row(r), lineage=run.lineage)
             for r, run in enumerate(runs)]
 
@@ -507,7 +506,8 @@ def _forward(params: nn.ParameterSet, activation: str, group) -> np.ndarray:
     Non-finite features or scores raise an InputError naming the first
     query that has them."""
     check_finite(group.features, group.query_id, "features contain non-finite values", row_axes=2)
-    scores = nn.layer_outputs(params, group.features, activation == "relu")[-1][..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite scores raise below
+        scores = nn.layer_outputs(params, group.features, activation == "relu")[-1][..., 0]
     check_finite(scores, group.query_id, "forward pass produced non-finite scores")
     return scores
 

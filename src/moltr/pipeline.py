@@ -36,8 +36,6 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from statistics import fmean
 
-import numpy as np
-
 from . import distill, evaluation, nn
 from .data import Dataset, GeneratorConfig, generate_dataset, length_buckets, split_by_time
 from .distill import (
@@ -689,10 +687,9 @@ def _write_report(output_dir, report, per_query_scores, eval_ds) -> None:
                     writer.writerow([arm, g.query_id, repr(ndcg)])
 
 
-# Each study raises a non-finite value as a MoltrError, so numpy need not warn.
-STUDIES = {name: np.errstate(all="ignore")(study) for name, study in {
+STUDIES = {
     "distill": study_distill_vs_baselines,
     "self": study_self_distillation,
     "repro": study_irreproducibility,
     "boost": study_adhoc_boost,
-}.items()}
+}

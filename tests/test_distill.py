@@ -376,6 +376,12 @@ class TestStudent:
         hard = distill.train_hard_only(dataset, train_config(alpha=1.0))
         assert student.params == hard.params
 
+    def test_a_vanishing_temperature_raises_without_a_warning(self, dataset, soft):
+        # scores / 1e-300 overflows, its gradient with it, and the next scores
+        # overflow in the forward pass, whose check names the query.
+        with pytest.raises(InputError, match=r"query \d+: forward pass produced non-finite"):
+            distill.train_student(dataset, soft, train_config(temperature=1e-300))
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("bad", ["nan", "boosted_past_max"])
     def test_non_finite_soft_scores_name_the_query(self, dataset, soft, bad):
@@ -553,6 +559,13 @@ class TestScoreDataset:
         )
         with pytest.raises(InputError, match="share an architecture"):
             distill.score_models([teachers.models[0], other], dataset)
+
+    def test_overflowing_scores_name_the_query(self, dataset, teachers):
+        # pyproject's filterwarnings turns a numpy overflow warning into a failure.
+        model = teachers.models[0]
+        huge = nn.ParameterSet(model.params.flat * 1e200, model.params.shapes)
+        with pytest.raises(InputError, match=r"query \d+: forward pass produced non-finite"):
+            distill.score_dataset(distill.Model(model.config, huge, model.lineage), dataset)
 
     def test_non_finite_features_name_the_query(self, teachers):
         ds = data.generate_dataset(gen_config(num_queries=20))
